@@ -3,6 +3,7 @@ Temperley-Lieb monomial arithmetic for the type-A Coxeter group."""
 
 from .bijection import (
     BijectionTrace,
+    diagram_of,
     diagram_to_fc,
     dplus_condition,
     fc_to_diagram,
@@ -37,6 +38,7 @@ from .errors import (
     InvalidBallotError,
     InvalidPathError,
     NotMatchingError,
+    NotNormalizedError,
     NotStandardError,
     NotThickError,
     ParityViolationError,

@@ -9,8 +9,14 @@ whose rightward top tails are the block starts {i_t} of w and whose shifted
 leftward bottom heads are the block ends {j_t}.
 
 Reading a diagram off (``diagram_to_fc``) is therefore immediate.  Drawing
-the diagram of w directly (``fc_to_diagram``) takes more care; the drawing
-procedure below places arrows in five passes:
+the diagram of w takes one of three routes, each with its own role:
+
+* ``diagram_of`` is the hot path.  It glues the generators of the canonical
+  word one by one onto a partner array (:meth:`Diagram.from_word`), linear
+  in the length, and raises if a circle closes, which a reduced word never
+  does.  Products, the census and every trace-free CLI drawing use it.
+* ``fc_to_diagram`` is the paper's direct algorithm, which places arrows in
+  five passes:
 
   (a) vertical strands outside the active window, namely below the smallest
       start and above the largest end + 1;
@@ -25,16 +31,16 @@ procedure below places arrows in five passes:
   (e) whatever dots remain, joined left to right, lowest free top dot to
       lowest free bottom dot.
 
-The slow but obviously correct alternative, multiplying out the canonical
-word as a stack of cup-cap generator diagrams, is kept as
-``fc_to_diagram_reference`` and serves as the test oracle: the two must
-agree everywhere, and a reduced word must never close a circle.
-
-Every run of the direct algorithm also returns a :class:`BijectionTrace`
-recording, for each block index r, the candidate sets from which the top
-and bottom partners were chosen.  Tests assert the documented facts about
-these sets (a candidate set is empty exactly when a positive arrow consumed
-its dot; the chosen partner is the minimum, respectively maximum).
+  Every run also returns a :class:`BijectionTrace` recording, for each
+  block index r, the candidate sets from which the top and bottom partners
+  were chosen; it is the only source of ``--trace`` output.  Tests assert
+  the documented facts about these sets (a candidate set is empty exactly
+  when a positive arrow consumed its dot; the chosen partner is the
+  minimum, respectively maximum).
+* ``fc_to_diagram_reference`` is the oracle: it multiplies out the
+  canonical word as a stack of cup-cap generator diagrams with
+  :func:`concatenate`, sharing no code with the kernel.  All three must
+  agree everywhere.
 """
 
 from __future__ import annotations
@@ -218,6 +224,18 @@ def _build_trace(w: FCElement, positive_pairs: tuple[tuple[int, int], ...]) -> B
         bottom_rev.append((cands, g_r))
 
     return BijectionTrace(positive_pairs, tuple(top_sets), tuple(reversed(bottom_rev)))
+
+
+def diagram_of(w: FCElement) -> Diagram:
+    """The diagram of w, by the generator-action kernel and without a trace.
+
+    A reduced word never closes a circle, so a nonzero loop count means a
+    bug somewhere and raises.
+    """
+    diagram, loops = Diagram.from_word(w.rank + 1, w.word())
+    if loops:
+        raise UnexpectedLoopError(f"reduced word of {w} closed {loops} circles")
+    return diagram
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:

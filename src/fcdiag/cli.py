@@ -1,7 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on domain errors (message names the violated
-invariant), 2 on usage errors.  Output is deterministic for fixed argv.
+invariant), 2 on usage errors.  Numeric arguments are range-checked by the
+parser, so an out-of-range value is a usage error whose message gives the
+allowed range.  Output is deterministic for fixed argv.
+
+Only ``to-diagram --trace`` runs the paper's five-pass drawing; every other
+command that draws an element's diagram uses the generator-action kernel.
 """
 
 from __future__ import annotations
@@ -12,14 +17,35 @@ import sys
 from typing import Sequence
 
 from . import counting, lattice, tl, verify
-from .bijection import diagram_to_fc, fc_to_diagram
+from .bijection import diagram_of, diagram_to_fc, fc_to_diagram
 from .diagram import Diagram, diagram_from_json, parse_diagram
 from .errors import FCDiagramError
 from .fc import FCElement, enumerate_fc, parse_fc
 from .svg import diagram_to_svg
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _check_at_most(args, option: str, high: int) -> None:
+    """Usage error unless ``--<option>`` lies in ``0..high``."""
+    value = getattr(args, option)
+    if value is not None and value > high:
+        args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
+
+
 def _cmd_enum(args) -> int:
+    _check_at_most(args, "size", args.n)
     for w in enumerate_fc(args.n):
         if args.size is not None and w.size != args.size:
             continue
@@ -87,7 +113,14 @@ def _table_rows(kind: str, n: int):
     return header, rows
 
 
+# Kinds indexed by generators or blocks are empty below rank 1.
+_TABLE_MIN_N = {"narayana": 0, "triangle": 0}
+
+
 def _cmd_table(args) -> int:
+    low = _TABLE_MIN_N.get(args.kind, 1)
+    if args.n < low:
+        args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {args.n}")
     header, rows = _table_rows(args.kind, args.n)
     if args.format == "json":
         print(json.dumps({"header": header, "rows": rows}))
@@ -106,7 +139,10 @@ def _cmd_table(args) -> int:
 
 def _cmd_to_diagram(args) -> int:
     w = parse_fc(args.element)
-    diagram, trace = fc_to_diagram(w)
+    if args.trace:
+        diagram, trace = fc_to_diagram(w)
+    else:
+        diagram = diagram_of(w)
     if args.json:
         out = {"diagram": diagram.to_json()}
         if args.trace:
@@ -171,7 +207,7 @@ def _cmd_convert(args, parser: argparse.ArgumentParser) -> int:
     elif dst == "ballot":
         print(lattice.fc_to_ballot(w).to_text())
     else:
-        print(fc_to_diagram(w)[0].to_text())
+        print(diagram_of(w).to_text())
     return 0
 
 
@@ -180,7 +216,7 @@ def _cmd_render(args) -> int:
     if text.startswith("strings="):
         diagram = parse_diagram(text)
     else:
-        diagram = fc_to_diagram(parse_fc(text))[0]
+        diagram = diagram_of(parse_fc(text))
     svg = diagram_to_svg(diagram)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(svg)
@@ -189,6 +225,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _check_at_most(args, "p", args.n)
     classes = tl.census(args.n, args.p)
     strings = args.n + 1
     if args.json:
@@ -234,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="list all FC elements of a rank")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--size", type=int, default=None, help="restrict to one size")
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--size", type=_at_least(0), default=None, help="restrict to one size")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enum)
+    p.set_defaults(func=_cmd_enum, usage_error=p.error)
 
     p = sub.add_parser("count", help="closed-form counts for one rank")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--narayana", action="store_true", help="row of counts by size")
     group.add_argument("--triangle", action="store_true", help="row of counts by first generator")
@@ -261,9 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
             "start-end",
         ],
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--n", type=int, required=True, help="rank: >= 0 for narayana and triangle, >= 1 otherwise"
+    )
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_table, usage_error=p.error)
 
     p = sub.add_parser("to-diagram", help="draw the diagram of an FC element")
     p.add_argument("element", help="text form, e.g. n=5:[4,5][3,3][1,1]")
@@ -300,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("census", help="cross-arrow equivalence classes and their sizes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
+    p.add_argument("--p", type=_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run property sweeps")
     p.add_argument(
@@ -313,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suites to run (default: all): {', '.join(sorted(verify.SUITES))}",
     )
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--max-n", type=int, default=8, help="cap enumeration sweeps at this rank")
+    p.add_argument(
+        "--max-n", type=_at_least(1), default=8, help="cap enumeration sweeps at this rank"
+    )
     p.set_defaults(func=lambda args: _cmd_verify(args, parser))
 
     return parser

@@ -32,6 +32,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from .errors import RankOutOfRangeError
 from .fc import enumerate_fc
 
 _catalan_table: list[int] = [1]
@@ -44,7 +45,7 @@ def catalan(m: int) -> int:
     consistent values.
     """
     if m < 0:
-        raise ValueError(f"catalan is defined for m >= 0, got {m}")
+        raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {m}")
     while len(_catalan_table) <= m:
         r = len(_catalan_table)
         _catalan_table.append(sum(_catalan_table[a] * _catalan_table[r - 1 - a] for a in range(r)))
@@ -157,6 +158,6 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
 def appendix_binomial_identity_check(n: int, p: int) -> bool:
     """Check sum_t C(p,t) C(n-p,t) / (t+1) == C(n+1,p) / (p+1) exactly."""
     if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
+        raise RankOutOfRangeError(f"need 0 <= p <= n, got p={p}, n={n}")
     lhs = sum(Fraction(comb(p, t) * comb(n - p, t), t + 1) for t in range(p + 1))
     return lhs == Fraction(comb(n + 1, p), p + 1)

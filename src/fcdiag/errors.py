@@ -65,6 +65,13 @@ class UnexpectedLoopError(FCDiagramError):
     """
 
 
+class NotNormalizedError(FCDiagramError):
+    """A polynomial or algebra element is not in its stored normal form.
+
+    Exponents and terms must be sorted and distinct, with no zero entries.
+    """
+
+
 class InvalidBallotError(FCDiagramError):
     """A sign sequence is not a ballot sequence."""
 

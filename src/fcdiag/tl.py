@@ -5,9 +5,14 @@ parameter delta.
 The algebra on generators e_1 .. e_n satisfies e_i^2 = delta e_i,
 e_i e_{i+-1} e_i = e_i, and e_i e_j = e_j e_i for |i-j| > 1.  Its monomial
 basis is indexed by FC elements: e_w is the product of generators along the
-canonical word of w.  Products of monomials are computed by routing through
-diagrams: convert both factors, concatenate, count deleted circles, and read
-the resulting diagram back.  The answer arrives already in canonical form.
+canonical word of w.  A product of monomials e_{w1} e_{w2} is the diagram of
+the concatenated word word(w1) + word(w2), built in one pass by the
+generator-action kernel :meth:`Diagram.from_word`, which also counts the
+closed circles; reading that diagram back gives the result, already in
+canonical form.  Neither factor is drawn on its own.  The paper's five-pass
+drawing (:func:`fc_to_diagram`) and the concatenation oracle
+(:func:`concatenate`) are checked against this route by the tests, not used
+by it.
 
 :class:`DeltaPoly` is the coefficient ring (integer polynomials in delta,
 exact, never specialized to a number) and :class:`TLElement` a finite linear
@@ -26,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bijection import diagram_to_fc, fc_to_diagram
+from .bijection import diagram_of, diagram_to_fc
 from .counting import catalan
-from .diagram import Arrow, Diagram, concatenate
-from .errors import RankMismatchError
+from .diagram import Arrow, Diagram
+from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
 from .fc import FCElement, enumerate_fc
 
 
@@ -42,12 +47,12 @@ class DeltaPoly:
     def __post_init__(self) -> None:
         prev = -1
         for e, c in self.coeffs:
-            if e <= prev:
-                raise ValueError("exponents must be strictly increasing")
             if e < 0:
-                raise ValueError("exponents must be nonnegative")
+                raise NotNormalizedError("exponents must be nonnegative")
+            if e <= prev:
+                raise NotNormalizedError("exponents must be strictly increasing")
             if c == 0:
-                raise ValueError("zero coefficients must not be stored")
+                raise NotNormalizedError("zero coefficients must not be stored")
             prev = e
 
     @classmethod
@@ -120,9 +125,9 @@ class TLElement:
             if w.rank != self.rank:
                 raise RankMismatchError(f"term {w} has rank {w.rank}, element has {self.rank}")
             if not poly:
-                raise ValueError("zero terms must not be stored")
+                raise NotNormalizedError("zero terms must not be stored")
             if w in seen:
-                raise ValueError(f"duplicate term {w}")
+                raise NotNormalizedError(f"duplicate term {w}")
             seen.add(w)
         ordered = tuple(sorted(self.terms, key=lambda item: item[0].pairs))
         object.__setattr__(self, "terms", ordered)
@@ -169,14 +174,13 @@ class TLElement:
 def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
     """Multiply two monomials: e_{w1} e_{w2} = delta^m e_{w3}.
 
-    Returns (w3, m).  The product is computed on diagrams, so w3 comes out
-    in canonical form with no rewriting.
+    Returns (w3, m).  The product is the diagram of the word
+    word(w1) + word(w2), so w3 comes out in canonical form with no
+    rewriting and m is the number of circles the word closes.
     """
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply ranks {w1.rank} and {w2.rank}")
-    d1, _ = fc_to_diagram(w1)
-    d2, _ = fc_to_diagram(w2)
-    product, loops = concatenate(d1, d2)
+    product, loops = Diagram.from_word(w1.rank + 1, w1.word() + w2.word())
     return diagram_to_fc(product), loops
 
 
@@ -236,7 +240,7 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     for w in enumerate_fc(n):
         if w.size != p:
             continue
-        key = equivalence_key(fc_to_diagram(w)[0])
+        key = equivalence_key(diagram_of(w))
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items())
 
@@ -256,12 +260,12 @@ def expected_class_size(strings: int, key: Key) -> int:
         for x in range(strings):
             if x in used:
                 if run % 2:
-                    raise ValueError("gap of odd length cannot be matched")
+                    raise NotMatchingError("gap of odd length cannot be matched")
                 out *= catalan(run // 2)
                 run = 0
             else:
                 run += 1
         if run % 2:
-            raise ValueError("gap of odd length cannot be matched")
+            raise NotMatchingError("gap of odd length cannot be matched")
         out *= catalan(run // 2)
     return out

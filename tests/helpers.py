@@ -50,6 +50,14 @@ def fc_elements(draw, max_rank: int = 12) -> FCElement:
     return FCElement(n, tuple(pairs))
 
 
+@st.composite
+def generator_words(draw, max_rank: int, max_length: int) -> tuple[int, tuple[int, ...]]:
+    """A rank >= 1 and a random, possibly non-reduced, word in its generators."""
+    rank = draw(st.integers(min_value=1, max_value=max_rank))
+    word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=max_length))
+    return rank, tuple(word)
+
+
 # ----------------------------------------------------------------------
 # word-rewriting oracle
 

@@ -1,12 +1,15 @@
 """The multiplication-compatible correspondence and its two algorithms."""
 
 import pytest
+from hypothesis import given, settings
 
 from fcdiag import (
     Diagram,
     FCElement,
     IndexOutOfRangeError,
+    UnexpectedLoopError,
     concatenate,
+    diagram_of,
     diagram_to_fc,
     dplus_condition,
     enumerate_diagrams,
@@ -16,7 +19,7 @@ from fcdiag import (
     parse_diagram,
     parse_fc,
 )
-from helpers import diagram_list, fc_list
+from helpers import diagram_list, fc_list, generator_words, rewrite_word
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 
@@ -100,6 +103,41 @@ class TestDirectAlgorithm:
             assert comp.starts == {i for i, _ in w.pairs}
             assert comp.ends == {j for _, j in w.pairs}
             assert comp.size == w.size
+
+
+def staircase(n: int) -> FCElement:
+    """Blocks [n/2, n-1], [n/2-1, n-3], ..., [1, 1]: length n/2 (n/2+1) / 2."""
+    half = n // 2
+    return FCElement(n, tuple((half + 1 - t, n + 1 - 2 * t) for t in range(1, half + 1)))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_five_pass_drawing(self, n):
+        for w in fc_list(n):
+            assert Diagram.from_word(n + 1, w.word()) == (fc_to_diagram(w)[0], 0)
+
+    def test_long_staircase(self):
+        w = staircase(400)
+        assert w.length() == 200 * 201 // 2
+        assert Diagram.from_word(401, w.word()) == (fc_to_diagram(w)[0], 0)
+
+    def test_diagram_of(self):
+        assert diagram_of(W_EXAMPLE) == fc_to_diagram(W_EXAMPLE)[0]
+        assert diagram_of(FCElement(0)) == Diagram.identity(1)
+
+    def test_diagram_of_raises_on_a_closed_circle(self, monkeypatch):
+        # only reachable if a canonical word were not reduced
+        monkeypatch.setattr(FCElement, "word", lambda self: (1, 1))
+        with pytest.raises(UnexpectedLoopError):
+            diagram_of(FCElement(1, ((1, 1),)))
+
+    @settings(deadline=None)
+    @given(generator_words(max_rank=4, max_length=10))
+    def test_equals_word_rewriting(self, rank_word):
+        rank, word = rank_word
+        diagram, loops = Diagram.from_word(rank + 1, word)
+        assert (diagram_to_fc(diagram), loops) == rewrite_word(rank, word)
 
 
 class TestReader:

@@ -163,3 +163,47 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["count"])
         assert exc.value.code == 2
+
+
+def usage_error(capsys, *argv):
+    """Run argv, expect exit 2 with nothing on stdout; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+class TestNumericRanges:
+    def test_count_negative_rank(self, capsys):
+        err = usage_error(capsys, "count", "--n", "-3")
+        assert "argument --n: must be >= 0, got -3" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_verify_max_n_below_one(self, capsys, value):
+        err = usage_error(capsys, "verify", "--max-n", value)
+        assert f"argument --max-n: must be >= 1, got {value}" in err
+
+    def test_census_size_above_rank(self, capsys):
+        err = usage_error(capsys, "census", "--n", "3", "--p", "9")
+        assert "argument --p: must be in 0..3 for --n 3, got 9" in err
+
+    def test_table_start_end_negative_rank(self, capsys):
+        err = usage_error(capsys, "table", "start-end", "--n", "-1")
+        assert "argument --n: must be >= 1 for table start-end, got -1" in err
+
+    def test_enum_size_above_rank(self, capsys):
+        err = usage_error(capsys, "enum", "--n", "3", "--size", "4")
+        assert "argument --size: must be in 0..3 for --n 3, got 4" in err
+
+    def test_non_integer_keeps_argparse_message(self, capsys):
+        err = usage_error(capsys, "count", "--n", "x")
+        assert "argument --n: invalid int value: 'x'" in err
+
+    def test_boundary_values_accepted(self, capsys):
+        assert run(capsys, "count", "--n", "0")[:2] == (0, "1\n")
+        assert run(capsys, "census", "--n", "3", "--p", "3")[0] == 0
+        assert run(capsys, "table", "narayana", "--n", "0")[0] == 0
+        assert run(capsys, "table", "start-end", "--n", "1")[0] == 0
+        assert run(capsys, "verify", "lattice", "--max-n", "1")[0] == 0

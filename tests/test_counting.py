@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fcdiag import (
+    RankOutOfRangeError,
     appendix_binomial_identity_check,
     catalan,
     count_first_block,
@@ -41,6 +42,10 @@ class TestCatalan:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             catalan(-1)
+
+    def test_negative_is_a_domain_error(self):
+        with pytest.raises(RankOutOfRangeError, match="m >= 0"):
+            catalan(-2)
 
     @given(st.integers(min_value=0, max_value=300))
     def test_recurrence_matches_closed_form(self, m):
@@ -245,6 +250,10 @@ class TestAppendixIdentity:
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
+            appendix_binomial_identity_check(3, 5)
+
+    def test_bad_range_is_a_domain_error(self):
+        with pytest.raises(RankOutOfRangeError, match="0 <= p <= n"):
             appendix_binomial_identity_check(3, 5)
 
     @given(st.integers(min_value=0, max_value=80))

@@ -4,7 +4,7 @@ enumeration, and serialization."""
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcdiag import (
@@ -21,7 +21,7 @@ from fcdiag import (
     enumerate_diagrams,
     parse_diagram,
 )
-from helpers import diagram_list
+from helpers import diagram_list, generator_words
 
 
 def E(strings, i):
@@ -104,6 +104,41 @@ class TestConcatenate:
             right, c = concatenate(d2, d3)
             right, e = concatenate(d1, right)
             assert left == right and a + b == c + e
+
+
+class TestFromWord:
+    def test_empty_word_is_identity(self):
+        for k in range(1, 6):
+            assert Diagram.from_word(k, ()) == (Diagram.identity(k), 0)
+
+    def test_square_closes_one_circle(self):
+        assert Diagram.from_word(4, (2, 2)) == (E(4, 2), 1)
+        assert Diagram.from_word(4, (2, 2, 2)) == (E(4, 2), 2)
+
+    def test_sandwich_closes_none(self):
+        assert Diagram.from_word(3, (1, 2, 1)) == (E(3, 1), 0)
+
+    def test_index_range(self):
+        with pytest.raises(IndexOutOfRangeError):
+            Diagram.from_word(4, (1, 4))
+        with pytest.raises(IndexOutOfRangeError):
+            Diagram.from_word(4, (0,))
+        with pytest.raises(IndexOutOfRangeError):
+            Diagram.from_word(1, (1,))
+
+    @settings(max_examples=300)
+    @given(generator_words(max_rank=8, max_length=30))
+    def test_equals_folded_concatenation(self, rank_word):
+        rank, word = rank_word
+        k = rank + 1
+        expected, loops = Diagram.identity(k), 0
+        for a in word:
+            expected, m = concatenate(expected, E(k, a))
+            loops += m
+        diagram, kernel_loops = Diagram.from_word(k, word)
+        assert (diagram, kernel_loops) == (expected, loops)
+        # the kernel's partner array passes full validation on its own
+        assert Diagram(k, diagram.partner) == diagram
 
 
 class TestComponents:

@@ -7,6 +7,8 @@ import pytest
 from fcdiag import (
     DeltaPoly,
     FCElement,
+    NotMatchingError,
+    NotNormalizedError,
     RankMismatchError,
     TLElement,
     census,
@@ -41,6 +43,21 @@ class TestDeltaPoly:
     def test_rejects_stored_zero(self):
         with pytest.raises(ValueError):
             DeltaPoly(((0, 0),))
+
+    def test_malformed_values_are_domain_errors(self):
+        with pytest.raises(NotNormalizedError, match="strictly increasing"):
+            DeltaPoly(((1, 1), (0, 1)))
+        with pytest.raises(NotNormalizedError, match="nonnegative"):
+            DeltaPoly(((-1, 1),))
+        w = gen(2, 1)
+        with pytest.raises(NotNormalizedError, match="zero terms"):
+            TLElement(2, ((w, DeltaPoly.zero()),))
+        with pytest.raises(NotNormalizedError, match="duplicate"):
+            TLElement(2, ((w, DeltaPoly.one()), (w, DeltaPoly.one())))
+
+    def test_odd_gap_is_a_domain_error(self):
+        with pytest.raises(NotMatchingError, match="odd length"):
+            expected_class_size(2, ((0, 2),))
 
     def test_str(self):
         assert str(DeltaPoly.zero()) == "0"
