@@ -218,8 +218,12 @@ def _cmd_render(args) -> int:
     else:
         diagram = diagram_of(parse_fc(text))
     svg = diagram_to_svg(diagram)
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(svg)
+    try:
+        with open(args.svg, "w", encoding="utf-8") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        print(f"error: cannot write {args.svg}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(args.svg)
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -180,19 +180,23 @@ class Diagram:
 
     @classmethod
     def from_arrows(cls, strings: int, arrows: Iterable[Arrow]) -> Diagram:
-        """Build and validate a diagram from dot-code pairs."""
-        partner = [-1] * (2 * strings)
+        """Build and validate a diagram from dot-code pairs.
+
+        Memory is proportional to the arrows given, not to ``strings``: an
+        incomplete matching is rejected before any 2k-entry array exists.
+        """
+        partner: dict[int, int] = {}
         for x, y in arrows:
             for d in (x, y):
                 if not 0 <= d < 2 * strings:
                     raise NotMatchingError(f"dot code {d} out of range for {strings} strings")
-                if partner[d] != -1:
+                if d in partner:
                     raise NotMatchingError(f"dot {_dot_name(d, strings)} used twice")
             partner[x], partner[y] = y, x
-        for d, q in enumerate(partner):
-            if q == -1:
-                raise NotMatchingError(f"dot {_dot_name(d, strings)} is unmatched")
-        return cls(strings, tuple(partner))
+        if len(partner) < 2 * strings:
+            unmatched = next(d for d in count() if d not in partner)
+            raise NotMatchingError(f"dot {_dot_name(unmatched, strings)} is unmatched")
+        return cls(strings, tuple(partner[d] for d in range(2 * strings)))
 
     # ------------------------------------------------------------------
     # views

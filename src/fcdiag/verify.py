@@ -1,17 +1,29 @@
-"""Property sweeps behind the CLI ``verify`` subcommand.
+"""The property catalogue behind the CLI ``verify`` subcommand.
 
-Each suite re-checks the documented invariants of one module by exhaustive
-enumeration (up to a rank cap) or seeded random sampling.  A failing check
-reports its first counterexample.  Suites are deterministic for a fixed
-``max_n``.
+Each check states one documented invariant at one rank.  It is a generator
+``fn(n)`` that yields a message for every failing case at rank ``n``, and it
+is registered with :func:`_check` under its suite, its name and its rank
+range.  A range is either capped by ``--max-n`` (the enumeration and
+sampling sweeps) or fixed (the closed-form identities in ``counting``).
+Diagram checks run on ``n + 1`` strings, so their rank is the rank of
+``W(A_n)``.  The two random-sample checks draw their triples from one RNG
+seeded by the rank, ``TRIPLE_SAMPLES`` in total over the uncapped range.
+
+One runner reports, for each check, the first counterexample over its ranks
+in increasing order; ``SUITES`` maps each suite name to the function that
+runs its checks.  The same catalogue is run case by case by pytest: every
+(check, rank) pair at the CLI default ``--max-n``, and the acceptance tests
+at their own ranks.  Checks share no state, so the output is deterministic
+for a fixed ``max_n``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import counting, lattice, tl
 from .bijection import (
@@ -42,435 +54,293 @@ class CheckResult:
     detail: str = ""
 
 
-class _Suite:
-    def __init__(self, name: str):
-        self.name = name
-        self.results: list[CheckResult] = []
+@dataclass(frozen=True)
+class Check:
+    suite: str
+    name: str
+    cases: Callable[[int], Iterator[str]]
+    first: int
+    last: int
+    capped: bool
 
-    def check(self, name: str, counterexample: str | None) -> None:
-        self.results.append(
-            CheckResult(self.name, name, counterexample is None, counterexample or "")
-        )
+    def ranks(self, max_n: int) -> range:
+        """The ranks this check covers under ``--max-n max_n``."""
+        return range(self.first, (min(self.last, max_n) if self.capped else self.last) + 1)
+
+    def counterexample(self, ranks: Iterable[int]) -> str | None:
+        """The first failure over ``ranks`` in order, or None if all hold."""
+        for n in ranks:
+            for message in self.cases(n):
+                return message
+        return None
 
 
-def _fc_by_rank(n: int) -> list[FCElement]:
-    return list(enumerate_fc(n))
+CATALOGUE: dict[str, Check] = {}
+
+
+def _check(suite: str, name: str, first: int, last: int, *, capped: bool = True):
+    """Register a check of ranks ``first..last`` (``last`` capped by ``--max-n``)."""
+
+    def register(fn: Callable[[int], Iterator[str]]):
+        CATALOGUE[f"{suite}.{name}"] = Check(suite, name, fn, first, last, capped)
+        return fn
+
+    return register
+
+
+def _sample_triples(pool: list, n: int, ranks: int) -> Iterator[tuple]:
+    """Random triples from ``pool`` at rank ``n``, seeded by ``n``.
+
+    Each of the check's ``ranks`` ranks draws an equal share of
+    ``TRIPLE_SAMPLES``, rounded up.
+    """
+    rng = random.Random(n)
+    for _ in range(-(-TRIPLE_SAMPLES // ranks)):
+        yield rng.choice(pool), rng.choice(pool), rng.choice(pool)
 
 
 # ----------------------------------------------------------------------
-# fc_core
+# fc
 
 
-def verify_fc_core(max_n: int) -> list[CheckResult]:
-    suite = _Suite("fc")
+@_check("fc", "catalan-count", 0, 10)
+def _fc_catalan_count(n):
+    got = sum(1 for _ in enumerate_fc(n))
+    want = counting.catalan(n + 1)
+    if got != want:
+        yield f"rank {n}: {got} elements, expected catalan({n + 1}) = {want}"
 
-    bad = None
-    for n in range(0, min(10, max_n) + 1):
-        got = len(_fc_by_rank(n))
-        want = counting.catalan(n + 1)
-        if got != want:
-            bad = f"rank {n}: {got} elements, expected catalan({n + 1}) = {want}"
-            break
-    suite.check("catalan-count", bad)
 
-    bad = None
-    for n in range(0, min(10, max_n) + 1):
-        for w in enumerate_fc(n):
-            d = w.dual()
-            if d.dual() != w or d.size != n - w.size:
-                bad = f"{w}: dual not involutive or wrong size"
-                break
-            if w.length() - d.length() != 2 * w.size - n:
-                bad = f"{w}: length difference is not 2p - n"
-                break
-        if bad:
-            break
-    suite.check("dual-involution", bad)
+@_check("fc", "dual-involution", 0, 10)
+def _dual_involution(n):
+    for w in enumerate_fc(n):
+        d = w.dual()
+        if d.dual() != w or d.size != n - w.size:
+            yield f"{w}: dual not involutive or wrong size"
+        elif w.length() - d.length() != 2 * w.size - n:
+            yield f"{w}: length difference is not 2p - n"
 
-    bad = None
-    for n in range(1, min(9, max_n) + 1):
-        thick = [w for w in enumerate_fc(n) if w.classify() is Classification.THICK]
-        images = [w.shrink() for w in thick]
-        target = [w for w in enumerate_fc(n - 1) if not w.is_identity()]
-        if sorted(images, key=lambda w: w.pairs) != sorted(target, key=lambda w: w.pairs):
-            bad = f"rank {n}: shrink is not onto the nonidentity elements of rank {n - 1}"
-            break
-        for w, v in zip(thick, images):
-            if v.size != w.size or w.length() != v.length() + w.size or v.grow() != w:
-                bad = f"{w}: shrink image {v} breaks size/length/inverse"
-                break
-        if bad:
-            break
-    suite.check("shrink-bijection", bad)
 
-    bad = None
-    for n in range(1, min(8, max_n) + 1):
-        for w in enumerate_fc(n):
-            if w.is_identity():
-                continue
-            perm = w.to_permutation()
-            if w.length() != inversions(perm):
-                bad = f"{w}: length differs from inversion count"
-                break
-            if w.left_descents() != perm_left_descents(perm):
-                bad = f"{w}: left descents differ from the permutation test"
-                break
-            if w.right_descents() != perm_right_descents(perm):
-                bad = f"{w}: right descents differ from the permutation test"
-                break
-        if bad:
-            break
-    suite.check("descent-formulas", bad)
+def _by_pairs(elements) -> list[FCElement]:
+    return sorted(elements, key=lambda w: w.pairs)
 
-    bad = None
-    for n in range(1, min(8, max_n) + 1):
-        classes = {Classification.IDENTITY: 0, Classification.THICK: 0, Classification.SLIM: 0}
-        slim: list[FCElement] = []
-        for w in enumerate_fc(n):
-            classes[w.classify()] += 1
-            if w.classify() is Classification.SLIM:
-                slim.append(w)
-        if classes[Classification.IDENTITY] != 1:
-            bad = f"rank {n}: identity counted {classes[Classification.IDENTITY]} times"
-            break
-        built: list[FCElement] = []
-        for i in range(1, n + 1):
-            shifted_thick = [()] + [
-                tuple((a + i, b + i) for a, b in g.pairs)
-                for g in enumerate_fc(n - i)
-                if g.classify() is Classification.THICK
-            ]
-            tails = [d.pairs for d in enumerate_fc(i - 1)]
-            for left in shifted_thick:
-                for right in tails:
-                    built.append(FCElement(n, left + ((i, i),) + right))
-        if sorted(built, key=lambda w: w.pairs) != sorted(slim, key=lambda w: w.pairs):
-            bad = f"rank {n}: slim reconstruction does not hit each slim element once"
-            break
-        if len(built) != len(set(built)):
-            bad = f"rank {n}: slim reconstruction produced duplicates"
-            break
-    suite.check("partition-thick-slim", bad)
 
-    bad = None
-    for n in range(1, min(8, max_n) + 1):
-        for w in enumerate_fc(n):
-            dd = w.delta_involution()
-            if dd.delta_involution() != w:
-                bad = f"{w}: delta_involution is not an involution"
-                break
-            if not w.is_identity():
-                reflected = frozenset(n + 1 - s for s in w.left_descents())
-                if dd.right_descents() != reflected:
-                    bad = f"{w}: delta_involution does not reflect left descents"
-                    break
-        if bad:
-            break
-    suite.check("delta-involution", bad)
+@_check("fc", "shrink-bijection", 1, 9)
+def _shrink_bijection(n):
+    thick = [w for w in enumerate_fc(n) if w.classify() is Classification.THICK]
+    images = [w.shrink() for w in thick]
+    target = [w for w in enumerate_fc(n - 1) if not w.is_identity()]
+    if _by_pairs(images) != _by_pairs(target):
+        yield f"rank {n}: shrink is not onto the nonidentity elements of rank {n - 1}"
+    for w, v in zip(thick, images):
+        if v.size != w.size or w.length() != v.length() + w.size or v.grow() != w:
+            yield f"{w}: shrink image {v} breaks size/length/inverse"
 
-    bad = None
-    for n in range(1, min(7, max_n) + 1):
-        perms = [w.to_permutation() for w in enumerate_fc(n)]
-        if len(set(perms)) != len(perms):
-            bad = f"rank {n}: permutation images collide"
-            break
-        if not all(is_321_avoiding(p) for p in perms):
-            bad = f"rank {n}: some image contains a 321 pattern"
-            break
-        avoiders = sum(
-            1 for p in itertools.permutations(range(1, n + 2)) if is_321_avoiding(p)
-        )
-        if avoiders != len(perms):
-            bad = f"rank {n}: {avoiders} avoiders but {len(perms)} FC elements"
-            break
-    suite.check("permutations-321", bad)
 
-    return suite.results
+@_check("fc", "descent-formulas", 1, 8)
+def _descent_formulas(n):
+    for w in enumerate_fc(n):
+        if w.is_identity():
+            continue
+        perm = w.to_permutation()
+        if w.length() != inversions(perm):
+            yield f"{w}: length differs from inversion count"
+        elif w.left_descents() != perm_left_descents(perm):
+            yield f"{w}: left descents differ from the permutation test"
+        elif w.right_descents() != perm_right_descents(perm):
+            yield f"{w}: right descents differ from the permutation test"
+
+
+@_check("fc", "partition-thick-slim", 1, 8)
+def _partition_thick_slim(n):
+    by_class: dict[Classification, list[FCElement]] = {c: [] for c in Classification}
+    for w in enumerate_fc(n):
+        by_class[w.classify()].append(w)
+    if len(by_class[Classification.IDENTITY]) != 1:
+        yield f"rank {n}: identity counted {len(by_class[Classification.IDENTITY])} times"
+    slim = by_class[Classification.SLIM]
+    # each slim element is (shifted thick) * e_i * (element of rank i - 1)
+    built: list[FCElement] = []
+    for i in range(1, n + 1):
+        shifted_thick = [()] + [
+            tuple((a + i, b + i) for a, b in g.pairs)
+            for g in enumerate_fc(n - i)
+            if g.classify() is Classification.THICK
+        ]
+        tails = [d.pairs for d in enumerate_fc(i - 1)]
+        for left in shifted_thick:
+            for right in tails:
+                built.append(FCElement(n, left + ((i, i),) + right))
+    if _by_pairs(built) != _by_pairs(slim):
+        yield f"rank {n}: slim reconstruction does not hit each slim element once"
+    if len(built) != len(set(built)):
+        yield f"rank {n}: slim reconstruction produced duplicates"
+
+
+@_check("fc", "delta-involution", 1, 8)
+def _delta_involution(n):
+    for w in enumerate_fc(n):
+        dd = w.delta_involution()
+        if dd.delta_involution() != w:
+            yield f"{w}: delta_involution is not an involution"
+        elif not w.is_identity():
+            reflected = frozenset(n + 1 - s for s in w.left_descents())
+            if dd.right_descents() != reflected:
+                yield f"{w}: delta_involution does not reflect left descents"
+
+
+@_check("fc", "permutations-321", 1, 7)
+def _permutations_321(n):
+    perms = [w.to_permutation() for w in enumerate_fc(n)]
+    if len(set(perms)) != len(perms):
+        yield f"rank {n}: permutation images collide"
+    if not all(is_321_avoiding(p) for p in perms):
+        yield f"rank {n}: some image contains a 321 pattern"
+    avoiders = sum(1 for p in itertools.permutations(range(1, n + 2)) if is_321_avoiding(p))
+    if avoiders != len(perms):
+        yield f"rank {n}: {avoiders} avoiders but {len(perms)} FC elements"
 
 
 # ----------------------------------------------------------------------
 # counting
 
 
-def _brute_counters(n: int):
-    """One enumeration pass collecting every filter the formulas predict."""
-    from collections import Counter
+@_check("counting", "narayana-row-sums", 0, 20, capped=False)
+def _narayana_row_sums(n):
+    if sum(counting.narayana(n, p) for p in range(n + 1)) != counting.catalan(n + 1):
+        yield f"n={n}: Narayana row does not sum to catalan({n + 1})"
 
-    by_size: Counter = Counter()
-    by_start: Counter = Counter()
-    by_end: Counter = Counter()
-    by_first_block: Counter = Counter()
-    by_last_block: Counter = Counter()
-    by_start_size: Counter = Counter()
-    by_size_end: Counter = Counter()
-    by_start_end: Counter = Counter()
-    for w in enumerate_fc(n):
-        by_size[w.size] += 1
-        if w.pairs:
-            i1, j1 = w.pairs[0]
-            ip, jp = w.pairs[-1]
-            by_start[i1] += 1
-            by_end[jp] += 1
-            by_first_block[(i1, j1)] += 1
-            by_last_block[(ip, jp)] += 1
-            by_start_size[(i1, w.size)] += 1
-            by_size_end[(w.size, jp)] += 1
-            by_start_end[(i1, jp)] += 1
-    return (
-        by_size,
-        by_start,
-        by_end,
-        by_first_block,
-        by_last_block,
-        by_start_size,
-        by_size_end,
-        by_start_end,
+
+@_check("counting", "narayana-symmetry", 0, 20, capped=False)
+def _narayana_symmetry(n):
+    for p in range(n + 1):
+        if counting.narayana(n, p) != counting.narayana(n, n - p):
+            yield f"(n,p)=({n},{p}): symmetry fails"
+
+
+@_check("counting", "triangle-recurrence", 1, 15, capped=False)
+def _triangle_recurrence(n):
+    for i in range(1, n + 1):
+        lhs = counting.triangle_start(n, i)
+        if lhs != counting.triangle_start(n, i - 1) + counting.triangle_start(n - 1, i):
+            yield f"(n,i)=({n},{i}): triangle recurrence fails"
+        elif lhs != sum(counting.triangle_start(n - 1, k) for k in range(i + 1)):
+            yield f"(n,i)=({n},{i}): column-sum recurrence fails"
+
+
+@_check("counting", "thick-slim-recurrence", 1, 12, capped=False)
+def _thick_slim_recurrence(n):
+    for p in range(1, n + 1):
+        rhs = (
+            counting.narayana(n - 1, p)
+            + counting.narayana(n - 1, p - 1)
+            + sum(
+                counting.narayana(n - i - 1, r - 1) * counting.narayana(i - 1, p - r)
+                for r in range(1, p + 1)
+                for i in range(1, n)
+            )
+        )
+        if counting.narayana(n, p) != rhs:
+            yield f"(n,p)=({n},{p}): thick/slim recurrence fails"
+
+
+@_check("counting", "mixed-recurrence", 1, 12, capped=False)
+def _mixed_recurrence(n):
+    for i in range(1, n + 1):
+        rhs = counting.catalan(i) + sum(
+            counting.triangle_start(n - k - 1, i - k) * counting.catalan(k) for k in range(i)
+        )
+        if counting.triangle_start(n, i) != rhs:
+            yield f"(n,i)=({n},{i}): mixed recurrence fails"
+
+
+@_check("counting", "triangle-row-sums", 0, 15, capped=False)
+def _triangle_row_sums(n):
+    if counting.catalan(n + 1) != sum(counting.triangle_start(n, i) for i in range(n + 1)):
+        yield f"n={n}: triangle rows do not sum to catalan({n + 1})"
+
+
+@_check("counting", "formulas-vs-enumeration", 0, 10)
+def _formulas_vs_enumeration(n):
+    """Every refined count against one brute-force enumeration pass."""
+    size, start, end, first, last, start_size, size_end, start_end = (
+        Counter() for _ in range(8)
     )
+    for w in enumerate_fc(n):
+        size[w.size] += 1
+        if w.pairs:
+            (i1, j1), (ip, jp) = w.pairs[0], w.pairs[-1]
+            start[i1] += 1
+            end[jp] += 1
+            first[i1, j1] += 1
+            last[ip, jp] += 1
+            start_size[i1, w.size] += 1
+            size_end[w.size, jp] += 1
+            start_end[i1, jp] += 1
+    for p in range(n + 1):
+        if counting.narayana(n, p) != size[p]:
+            yield f"narayana({n},{p}) != brute count {size[p]}"
+    for i in range(1, n + 1):
+        if counting.triangle_start(n, i) != start[i]:
+            yield f"triangle_start({n},{i}) != brute count {start[i]}"
+        if counting.triangle_end(n, i) != end[i]:
+            yield f"triangle_end({n},{i}) != brute count {end[i]}"
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        if i <= j and counting.count_first_block(n, i, j) != first[i, j]:
+            yield f"count_first_block({n},{i},{j}) != brute count"
+        if i <= j and counting.count_last_block(n, i, j) != last[i, j]:
+            yield f"count_last_block({n},{i},{j}) != brute count"
+        got = counting.count_start_end(n, i, j)
+        if got.value != start_end[i, j]:
+            yield f"count_start_end({n},{i},{j}) != brute count"
+        if got.closed_form != (j >= i - 1):
+            yield f"count_start_end({n},{i},{j}): wrong closed-form flag"
+    for i, p in itertools.product(range(1, n + 1), repeat=2):
+        if counting.count_start_size(n, i, p) != start_size[i, p]:
+            yield f"count_start_size({n},{i},{p}) != brute count"
+        if counting.count_size_end(n, p, i) != size_end[p, i]:
+            yield f"count_size_end({n},{p},{i}) != brute count"
 
 
-def verify_counting(max_n: int) -> list[CheckResult]:
-    suite = _Suite("counting")
-
-    bad = None
-    for n in range(0, 21):
-        if sum(counting.narayana(n, p) for p in range(n + 1)) != counting.catalan(n + 1):
-            bad = f"n={n}: Narayana row does not sum to catalan({n + 1})"
-            break
-    suite.check("narayana-row-sums", bad)
-
-    bad = None
-    for n in range(0, 21):
-        for p in range(n + 1):
-            if counting.narayana(n, p) != counting.narayana(n, n - p):
-                bad = f"(n,p)=({n},{p}): symmetry fails"
-                break
-        if bad:
-            break
-    suite.check("narayana-symmetry", bad)
-
-    bad = None
-    for n in range(1, 16):
-        for i in range(1, n + 1):
-            lhs = counting.triangle_start(n, i)
-            if lhs != counting.triangle_start(n, i - 1) + counting.triangle_start(n - 1, i):
-                bad = f"(n,i)=({n},{i}): triangle recurrence fails"
-                break
-            if lhs != sum(counting.triangle_start(n - 1, k) for k in range(i + 1)):
-                bad = f"(n,i)=({n},{i}): column-sum recurrence fails"
-                break
-        if bad:
-            break
-    suite.check("triangle-recurrence", bad)
-
-    bad = None
-    for n in range(1, 13):
-        for p in range(1, n + 1):
-            rhs = (
-                counting.narayana(n - 1, p)
-                + counting.narayana(n - 1, p - 1)
-                + sum(
-                    counting.narayana(n - i - 1, r - 1) * counting.narayana(i - 1, p - r)
-                    for r in range(1, p + 1)
-                    for i in range(1, n)
-                )
-            )
-            if counting.narayana(n, p) != rhs:
-                bad = f"(n,p)=({n},{p}): thick/slim recurrence fails"
-                break
-        if bad:
-            break
-    suite.check("thick-slim-recurrence", bad)
-
-    bad = None
-    for n in range(1, 13):
-        for i in range(1, n + 1):
-            rhs = counting.catalan(i) + sum(
-                counting.triangle_start(n - k - 1, i - k) * counting.catalan(k)
-                for k in range(i)
-            )
-            if counting.triangle_start(n, i) != rhs:
-                bad = f"(n,i)=({n},{i}): mixed recurrence fails"
-                break
-        if bad:
-            break
-    suite.check("mixed-recurrence", bad)
-
-    bad = None
-    for n in range(0, 16):
-        if counting.catalan(n + 1) != sum(
-            counting.triangle_start(n, i) for i in range(n + 1)
-        ):
-            bad = f"n={n}: triangle rows do not sum to catalan({n + 1})"
-            break
-    suite.check("triangle-row-sums", bad)
-
-    bad = None
-    for n in range(0, min(10, max_n) + 1):
-        (
-            by_size,
-            by_start,
-            by_end,
-            by_first,
-            by_last,
-            by_start_size,
-            by_size_end,
-            by_start_end,
-        ) = _brute_counters(n)
-        for p in range(n + 1):
-            if counting.narayana(n, p) != by_size[p]:
-                bad = f"narayana({n},{p}) != brute count {by_size[p]}"
-                break
-        if bad:
-            break
-        for i in range(1, n + 1):
-            if counting.triangle_start(n, i) != by_start[i]:
-                bad = f"triangle_start({n},{i}) != brute count {by_start[i]}"
-                break
-            if counting.triangle_end(n, i) != by_end[i]:
-                bad = f"triangle_end({n},{i}) != brute count {by_end[i]}"
-                break
-        if bad:
-            break
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i <= j and counting.count_first_block(n, i, j) != by_first[(i, j)]:
-                    bad = f"count_first_block({n},{i},{j}) != brute count"
-                    break
-                if i <= j and counting.count_last_block(n, i, j) != by_last[(i, j)]:
-                    bad = f"count_last_block({n},{i},{j}) != brute count"
-                    break
-                got = counting.count_start_end(n, i, j)
-                if got.value != by_start_end[(i, j)]:
-                    bad = f"count_start_end({n},{i},{j}) != brute count"
-                    break
-                if got.closed_form != (j >= i - 1):
-                    bad = f"count_start_end({n},{i},{j}): wrong closed-form flag"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-        for i in range(1, n + 1):
-            for p in range(1, n + 1):
-                if counting.count_start_size(n, i, p) != by_start_size[(i, p)]:
-                    bad = f"count_start_size({n},{i},{p}) != brute count"
-                    break
-                if counting.count_size_end(n, p, i) != by_size_end[(p, i)]:
-                    bad = f"count_size_end({n},{p},{i}) != brute count"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("formulas-vs-enumeration", bad)
-
-    bad = None
-    for n in range(0, 31):
-        for p in range(n + 1):
-            if not counting.appendix_binomial_identity_check(n, p):
-                bad = f"(n,p)=({n},{p}): binomial identity fails"
-                break
-        if bad:
-            break
-    suite.check("binomial-identity", bad)
-
-    return suite.results
+@_check("counting", "binomial-identity", 0, 30, capped=False)
+def _binomial_identity(n):
+    for p in range(n + 1):
+        if not counting.appendix_binomial_identity_check(n, p):
+            yield f"(n,p)=({n},{p}): binomial identity fails"
 
 
 # ----------------------------------------------------------------------
-# diagram
+# diagram: rank n means n + 1 strings
 
 
-def verify_diagram(max_n: int) -> list[CheckResult]:
-    suite = _Suite("diagram")
+@_check("diagram", "catalan-count", 0, 9)
+def _diagram_catalan_count(n):
+    k = n + 1
+    diagrams = list(enumerate_diagrams(k))
+    if len(diagrams) != counting.catalan(k):
+        yield f"{k} strings: {len(diagrams)} diagrams, expected catalan({k})"
+    if len(set(diagrams)) != len(diagrams):
+        yield f"{k} strings: duplicate diagrams emitted"
 
-    bad = None
-    for k in range(1, min(9, max_n) + 2):
-        diagrams = list(enumerate_diagrams(k))
-        if len(diagrams) != counting.catalan(k):
-            bad = f"{k} strings: {len(diagrams)} diagrams, expected catalan({k})"
-            break
-        if len(set(diagrams)) != len(diagrams):
-            bad = f"{k} strings: duplicate diagrams emitted"
-            break
-    suite.check("catalan-count", bad)
 
-    bad = None
-    for k in range(1, min(6, max_n) + 2):
-        e = Diagram.identity(k)
-        for d in enumerate_diagrams(k):
-            if concatenate(e, d) != (d, 0) or concatenate(d, e) != (d, 0):
-                bad = f"{k} strings: identity is not neutral on {d}"
-                break
-        if bad:
-            break
-    suite.check("identity-neutral", bad)
+@_check("diagram", "identity-neutral", 0, 6)
+def _identity_neutral(n):
+    k = n + 1
+    e = Diagram.identity(k)
+    for d in enumerate_diagrams(k):
+        if concatenate(e, d) != (d, 0) or concatenate(d, e) != (d, 0):
+            yield f"{k} strings: identity is not neutral on {d}"
 
-    bad = None
-    rng = random.Random(0)
-    pools = {
-        k: list(enumerate_diagrams(k)) for k in range(2, min(8, max_n) + 2)
-    }
-    for _ in range(TRIPLE_SAMPLES):
-        k = rng.choice(list(pools))
-        d1, d2, d3 = (rng.choice(pools[k]) for _ in range(3))
+
+@_check("diagram", "loop-additivity", 1, 8)
+def _loop_additivity(n):
+    for d1, d2, d3 in _sample_triples(list(enumerate_diagrams(n + 1)), n, ranks=8):
         left, m12 = concatenate(d1, d2)
         left, m_l = concatenate(left, d3)
         right, m23 = concatenate(d2, d3)
         right, m_r = concatenate(d1, right)
         if left != right or m12 + m_l != m23 + m_r:
-            bad = f"associativity fails for {d1}, {d2}, {d3}"
-            break
-    suite.check("loop-additivity", bad)
-
-    bad = None
-    for k in range(1, min(8, max_n) + 2):
-        for d in enumerate_diagrams(k):
-            comp = d.components()
-            if len(comp.top_arcs) != len(comp.bottom_arcs):
-                bad = f"{d}: unequal top and bottom arc counts"
-                break
-            rebuilt = _rebuild_from_arcs(k, comp.top_arcs, comp.bottom_arcs)
-            if rebuilt != d:
-                bad = f"{d}: reconstruction from row arcs differs"
-                break
-        if bad:
-            break
-    suite.check("arc-reconstruction", bad)
-
-    bad = None
-    for k in range(2, min(5, max_n) + 2):
-        diagrams = list(enumerate_diagrams(k))
-        for d1 in diagrams:
-            for d2 in diagrams:
-                prod = concatenate(d1, d2)[0]
-                pc = prod.components()
-                if not d1.components().top_arcs <= pc.top_arcs:
-                    bad = f"top arcs of {d1} lost in {d1} * {d2}"
-                    break
-                if not d2.components().bottom_arcs <= pc.bottom_arcs:
-                    bad = f"bottom arcs of {d2} lost in {d1} * {d2}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("arc-persistence", bad)
-
-    bad = None
-    for k in range(1, min(7, max_n) + 2):
-        for d in enumerate_diagrams(k):
-            if d.flip_vertical().flip_vertical() != d:
-                bad = f"{d}: vertical flip is not an involution"
-                break
-            if d.flip_horizontal().flip_horizontal() != d:
-                bad = f"{d}: horizontal flip is not an involution"
-                break
-        if bad:
-            break
-    suite.check("flip-involutions", bad)
-
-    return suite.results
+            yield f"associativity fails for {d1}, {d2}, {d3}"
 
 
 def _rebuild_from_arcs(strings, top_arcs, bottom_arcs) -> Diagram:
@@ -485,256 +355,212 @@ def _rebuild_from_arcs(strings, top_arcs, bottom_arcs) -> Diagram:
     return Diagram(strings, tuple(partner))
 
 
+@_check("diagram", "arc-reconstruction", 0, 8)
+def _arc_reconstruction(n):
+    for d in enumerate_diagrams(n + 1):
+        comp = d.components()
+        if len(comp.top_arcs) != len(comp.bottom_arcs):
+            yield f"{d}: unequal top and bottom arc counts"
+        elif _rebuild_from_arcs(n + 1, comp.top_arcs, comp.bottom_arcs) != d:
+            yield f"{d}: reconstruction from row arcs differs"
+
+
+@_check("diagram", "arc-persistence", 1, 5)
+def _arc_persistence(n):
+    comps = {d: d.components() for d in enumerate_diagrams(n + 1)}
+    for d1, d2 in itertools.product(comps, repeat=2):
+        pc = concatenate(d1, d2)[0].components()
+        if not comps[d1].top_arcs <= pc.top_arcs:
+            yield f"top arcs of {d1} lost in {d1} * {d2}"
+        elif not comps[d2].bottom_arcs <= pc.bottom_arcs:
+            yield f"bottom arcs of {d2} lost in {d1} * {d2}"
+
+
+@_check("diagram", "flip-involutions", 0, 7)
+def _flip_involutions(n):
+    for d in enumerate_diagrams(n + 1):
+        if d.flip_vertical().flip_vertical() != d:
+            yield f"{d}: vertical flip is not an involution"
+        elif d.flip_horizontal().flip_horizontal() != d:
+            yield f"{d}: horizontal flip is not an involution"
+
+
 # ----------------------------------------------------------------------
 # bijection
 
 
-def verify_bijection(max_n: int) -> list[CheckResult]:
-    suite = _Suite("bijection")
+@_check("bijection", "roundtrips", 0, 9)
+def _roundtrips(n):
+    for w in enumerate_fc(n):
+        if diagram_to_fc(fc_to_diagram(w)[0]) != w:
+            yield f"{w}: element roundtrip fails"
+    for d in enumerate_diagrams(n + 1):
+        if fc_to_diagram(diagram_to_fc(d))[0] != d:
+            yield f"{d}: diagram roundtrip fails"
 
-    bad = None
-    for n in range(0, min(9, max_n) + 1):
-        for w in enumerate_fc(n):
-            if diagram_to_fc(fc_to_diagram(w)[0]) != w:
-                bad = f"{w}: element roundtrip fails"
-                break
-        if bad:
-            break
-        for d in enumerate_diagrams(n + 1):
-            if fc_to_diagram(diagram_to_fc(d))[0] != d:
-                bad = f"{d}: diagram roundtrip fails"
-                break
-        if bad:
-            break
-    suite.check("roundtrips", bad)
 
-    bad = None
-    for n in range(0, min(8, max_n) + 1):
-        for w in enumerate_fc(n):
-            if fc_to_diagram(w)[0] != fc_to_diagram_reference(w):
-                bad = f"{w}: direct algorithm differs from concatenation oracle"
-                break
-        if bad:
-            break
-    suite.check("oracle-equivalence", bad)
+@_check("bijection", "oracle-equivalence", 0, 8)
+def _oracle_equivalence(n):
+    for w in enumerate_fc(n):
+        if fc_to_diagram(w)[0] != fc_to_diagram_reference(w):
+            yield f"{w}: direct algorithm differs from concatenation oracle"
 
-    bad = None
-    for n in range(0, min(6, max_n) + 1):
-        diagrams = list(enumerate_diagrams(n + 1))
-        for w in enumerate_fc(n):
-            i_set = frozenset(i for i, _ in w.pairs)
-            j_set = frozenset(j for _, j in w.pairs)
-            hits = [
-                d
-                for d in diagrams
-                if d.components().starts == i_set and d.components().ends == j_set
-            ]
-            if len(hits) != 1:
-                bad = f"{w}: {len(hits)} diagrams share its start/end data"
-                break
-        if bad:
-            break
-    suite.check("uniqueness", bad)
 
-    bad = None
-    for n in range(0, min(5, max_n) + 1):
-        elements = list(enumerate_fc(n))
-        diagrams = {w: fc_to_diagram(w)[0] for w in elements}
-        for w1 in elements:
-            for w2 in elements:
-                prod, loops = concatenate(diagrams[w1], diagrams[w2])
-                w3, m = tl.monomial_product(w1, w2)
-                if m != loops or diagrams[w3] != prod:
-                    bad = f"{w1} * {w2}: diagram product disagrees"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("multiplication-compatible", bad)
+@_check("bijection", "uniqueness", 0, 6)
+def _uniqueness(n):
+    sharing = Counter()
+    for d in enumerate_diagrams(n + 1):
+        comp = d.components()
+        sharing[comp.starts, comp.ends] += 1
+    for w in enumerate_fc(n):
+        hits = sharing[frozenset(i for i, _ in w.pairs), frozenset(j for _, j in w.pairs)]
+        if hits != 1:
+            yield f"{w}: {hits} diagrams share its start/end data"
 
-    bad = None
-    for n in range(0, min(8, max_n) + 1):
-        for w in enumerate_fc(n):
-            d, trace = fc_to_diagram(w)
-            if d.components().size != w.size:
-                bad = f"{w}: diagram size differs from element size"
-                break
-            if d.flip_vertical().flip_horizontal() != fc_to_diagram(w.delta_involution())[0]:
-                bad = f"{w}: rotation does not match delta_involution"
-                break
-            positive_tails = {w.pairs[s - 1][0] for s, _ in trace.positive_pairs}
-            for r in range(1, w.size + 1):
-                cands, chosen = trace.top_sets[r - 1]
-                if (not cands) != (w.pairs[r - 1][0] in positive_tails):
-                    bad = f"{w}: empty candidate set mismatch at block {r}"
-                    break
-                if cands and chosen != min(cands):
-                    bad = f"{w}: chosen top partner is not minimal at block {r}"
-                    break
-            if bad:
-                break
-            for (s, t) in trace.positive_pairs:
-                if not dplus_condition(w, s, t):
-                    bad = f"{w}: drawn positive arrow ({s},{t}) fails the predicate"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("trace-consistency", bad)
 
-    return suite.results
+@_check("bijection", "multiplication-compatible", 0, 5)
+def _multiplication_compatible(n):
+    diagrams = {w: fc_to_diagram(w)[0] for w in enumerate_fc(n)}
+    for w1, w2 in itertools.product(diagrams, repeat=2):
+        prod, loops = concatenate(diagrams[w1], diagrams[w2])
+        w3, m = tl.monomial_product(w1, w2)
+        if m != loops or diagrams[w3] != prod:
+            yield f"{w1} * {w2}: diagram product disagrees"
+
+
+def _trace_faults(w: FCElement, trace) -> Iterator[str]:
+    """Where the drawing trace of ``w`` breaks the paper's selection rules."""
+    positive_tails = {w.pairs[s - 1][0] for s, _ in trace.positive_pairs}
+    for r in range(1, w.size + 1):
+        cands, chosen = trace.top_sets[r - 1]
+        if (not cands) != (w.pairs[r - 1][0] in positive_tails):
+            yield f"{w}: empty candidate set mismatch at block {r}"
+        elif cands and chosen != min(cands):
+            yield f"{w}: chosen top partner is not minimal at block {r}"
+    for s, t in trace.positive_pairs:
+        if not dplus_condition(w, s, t):
+            yield f"{w}: drawn positive arrow ({s},{t}) fails the predicate"
+
+
+@_check("bijection", "trace-consistency", 0, 8)
+def _trace_consistency(n):
+    for w in enumerate_fc(n):
+        d, trace = fc_to_diagram(w)
+        if d.components().size != w.size:
+            yield f"{w}: diagram size differs from element size"
+        elif d.flip_vertical().flip_horizontal() != fc_to_diagram(w.delta_involution())[0]:
+            yield f"{w}: rotation does not match delta_involution"
+        else:
+            yield from _trace_faults(w, trace)
 
 
 # ----------------------------------------------------------------------
 # tl
 
 
-def verify_tl(max_n: int) -> list[CheckResult]:
-    suite = _Suite("tl")
+@_check("tl", "presentation-relations", 1, 10)
+def _presentation_relations(n):
+    gens = [FCElement(n, ((i, i),)) for i in range(1, n + 1)]
+    for i, ei in enumerate(gens, start=1):
+        if tl.monomial_product(ei, ei) != (ei, 1):
+            yield f"n={n}: e_{i}^2 != delta e_{i}"
+        for j, ej in enumerate(gens, start=1):
+            if abs(i - j) == 1:
+                w1, m1 = tl.monomial_product(ei, ej)
+                w2, m2 = tl.monomial_product(w1, ei)
+                if (w2, m1 + m2) != (ei, 0):
+                    yield f"n={n}: e_{i} e_{j} e_{i} != e_{i}"
+            elif i != j and tl.monomial_product(ei, ej) != tl.monomial_product(ej, ei):
+                yield f"n={n}: e_{i} and e_{j} do not commute"
 
-    bad = None
-    for n in range(1, min(10, max_n) + 1):
-        gens = [FCElement(n, ((i, i),)) for i in range(1, n + 1)]
-        for i, ei in enumerate(gens, start=1):
-            w, m = tl.monomial_product(ei, ei)
-            if (w, m) != (ei, 1):
-                bad = f"n={n}: e_{i}^2 != delta e_{i}"
-                break
-            for j, ej in enumerate(gens, start=1):
-                if abs(i - j) == 1:
-                    w1, m1 = tl.monomial_product(ei, ej)
-                    w2, m2 = tl.monomial_product(w1, ei)
-                    if (w2, m1 + m2) != (ei, 0):
-                        bad = f"n={n}: e_{i} e_{j} e_{i} != e_{i}"
-                        break
-                elif i != j:
-                    if tl.monomial_product(ei, ej) != tl.monomial_product(ej, ei):
-                        bad = f"n={n}: e_{i} and e_{j} do not commute"
-                        break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("presentation-relations", bad)
 
-    bad = None
-    rng = random.Random(1)
-    pools = {n: list(enumerate_fc(n)) for n in range(1, min(6, max_n) + 1)}
-    for _ in range(TRIPLE_SAMPLES):
-        n = rng.choice(list(pools))
-        x, y, z = (tl.TLElement.monomial(rng.choice(pools[n])) for _ in range(3))
+@_check("tl", "associativity", 1, 6)
+def _tl_associativity(n):
+    for x, y, z in _sample_triples(list(enumerate_fc(n)), n, ranks=6):
+        x, y, z = (tl.TLElement.monomial(v) for v in (x, y, z))
         if (x * y) * z != x * (y * z):
-            bad = f"associativity fails at rank {n}"
-            break
-    suite.check("associativity", bad)
+            yield f"associativity fails at rank {n}"
 
-    bad = None
-    for n in range(1, min(8, max_n) + 1):
-        for w in enumerate_fc(n):
-            if w.is_identity():
-                continue
-            d, _ = fc_to_diagram(w)
-            left, right = tl.descents_from_diagram(d)
-            if left != w.left_descents() or right != w.right_descents():
-                bad = f"{w}: diagram descents differ from canonical-form descents"
-                break
-            perm = w.to_permutation()
-            if left != perm_left_descents(perm) or right != perm_right_descents(perm):
-                bad = f"{w}: diagram descents differ from the permutation test"
-                break
-        if bad:
-            break
-    suite.check("descents-three-ways", bad)
 
-    bad = None
-    for n in range(1, min(7, max_n) + 1):
-        diagrams_by_key: dict = {}
-        for d in enumerate_diagrams(n + 1):
-            diagrams_by_key.setdefault(tl.equivalence_key(d), 0)
-            diagrams_by_key[tl.equivalence_key(d)] += 1
-        for p in range(n + 1):
-            classes = tl.census(n, p)
-            if sum(size for _, size in classes) != counting.narayana(n, p):
-                bad = f"(n,p)=({n},{p}): class sizes do not sum to the Narayana number"
-                break
-            for key, size in classes:
-                if size != diagrams_by_key[key]:
-                    bad = f"(n,p)=({n},{p}): class size differs from diagram recount"
-                    break
-                if size != tl.expected_class_size(n + 1, key):
-                    bad = f"(n,p)=({n},{p}): class size is not the Catalan gap product"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    suite.check("census", bad)
+@_check("tl", "descents-three-ways", 1, 8)
+def _descents_three_ways(n):
+    for w in enumerate_fc(n):
+        if w.is_identity():
+            continue
+        left, right = tl.descents_from_diagram(fc_to_diagram(w)[0])
+        perm = w.to_permutation()
+        if left != w.left_descents() or right != w.right_descents():
+            yield f"{w}: diagram descents differ from canonical-form descents"
+        elif left != perm_left_descents(perm) or right != perm_right_descents(perm):
+            yield f"{w}: diagram descents differ from the permutation test"
 
-    return suite.results
+
+@_check("tl", "census", 1, 7)
+def _census(n):
+    recount = Counter(tl.equivalence_key(d) for d in enumerate_diagrams(n + 1))
+    for p in range(n + 1):
+        classes = tl.census(n, p)
+        if sum(size for _, size in classes) != counting.narayana(n, p):
+            yield f"(n,p)=({n},{p}): class sizes do not sum to the Narayana number"
+        for key, size in classes:
+            if size != recount[key]:
+                yield f"(n,p)=({n},{p}): class size differs from diagram recount"
+            elif size != tl.expected_class_size(n + 1, key):
+                yield f"(n,p)=({n},{p}): class size is not the Catalan gap product"
 
 
 # ----------------------------------------------------------------------
 # lattice
 
 
-def verify_lattice(max_n: int) -> list[CheckResult]:
-    suite = _Suite("lattice")
+@_check("lattice", "path-ballot-roundtrips", 0, 9)
+def _path_ballot_roundtrips(n):
+    for w in enumerate_fc(n):
+        path = lattice.fc_to_dyck(w)
+        ballot = lattice.dyck_to_ballot(path)
+        if lattice.dyck_to_fc(path) != w:
+            yield f"{w}: path roundtrip fails"
+        elif lattice.ballot_to_dyck(ballot) != path:
+            yield f"{w}: ballot roundtrip fails"
+        elif lattice.fc_to_ballot(w) != ballot:
+            yield f"{w}: direct ballot formula differs from the composition"
 
-    bad = None
-    for n in range(0, min(9, max_n) + 1):
-        for w in enumerate_fc(n):
-            path = lattice.fc_to_dyck(w)
-            if lattice.dyck_to_fc(path) != w:
-                bad = f"{w}: path roundtrip fails"
-                break
-            ballot = lattice.dyck_to_ballot(path)
-            if lattice.ballot_to_dyck(ballot) != path:
-                bad = f"{w}: ballot roundtrip fails"
-                break
-            if lattice.fc_to_ballot(w) != ballot:
-                bad = f"{w}: direct ballot formula differs from the composition"
-                break
-        if bad:
-            break
-    suite.check("path-ballot-roundtrips", bad)
 
-    bad = None
-    for n in range(2, min(8, max_n) + 1):
-        witness = None
-        for w in enumerate_fc(n):
-            d, _ = fc_to_diagram(w)
-            if lattice.diagram_to_ballot(d) != lattice.fc_to_ballot(w):
-                witness = w
-                break
-        if witness is None:
-            bad = f"rank {n}: tail/head reading agrees with the block ballot everywhere"
-            break
-    suite.check("readings-disagree", bad)
+@_check("lattice", "readings-disagree", 2, 8)
+def _readings_disagree(n):
+    if all(
+        lattice.diagram_to_ballot(fc_to_diagram(w)[0]) == lattice.fc_to_ballot(w)
+        for w in enumerate_fc(n)
+    ):
+        yield f"rank {n}: tail/head reading agrees with the block ballot everywhere"
 
-    bad = None
-    for k in range(1, min(8, max_n) + 2):
-        seen = set()
-        count = 0
-        for d in enumerate_diagrams(k):
-            seen.add(lattice.diagram_to_ballot(d))
-            count += 1
-        if len(seen) != count or count != counting.catalan(k):
-            bad = f"{k} strings: tail/head reading is not injective onto ballots"
-            break
-    suite.check("diagram-ballot-bijective", bad)
 
-    return suite.results
+@_check("lattice", "diagram-ballot-bijective", 0, 8)
+def _diagram_ballot_bijective(n):
+    k = n + 1
+    ballots = [lattice.diagram_to_ballot(d) for d in enumerate_diagrams(k)]
+    if len(set(ballots)) != len(ballots) or len(ballots) != counting.catalan(k):
+        yield f"{k} strings: tail/head reading is not injective onto ballots"
+
+
+# ----------------------------------------------------------------------
+# runner
+
+
+def _suite_runner(suite: str) -> Callable[[int], list[CheckResult]]:
+    def run(max_n: int) -> list[CheckResult]:
+        results = []
+        for check in CATALOGUE.values():
+            if check.suite == suite:
+                bad = check.counterexample(check.ranks(max_n))
+                results.append(CheckResult(suite, check.name, bad is None, bad or ""))
+        return results
+
+    return run
 
 
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
-    "fc": verify_fc_core,
-    "counting": verify_counting,
-    "diagram": verify_diagram,
-    "bijection": verify_bijection,
-    "tl": verify_tl,
-    "lattice": verify_lattice,
+    suite: _suite_runner(suite) for suite in dict.fromkeys(c.suite for c in CATALOGUE.values())
 }
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: cached enumerations, hypothesis strategies, and a
-word-rewriting oracle for Temperley-Lieb monomial products.
+"""Shared test utilities: cached enumerations, the verify catalogue as an
+assertion, hypothesis strategies, and a word-rewriting oracle for
+Temperley-Lieb monomial products.
 
 The rewriter is deliberately independent of the diagram machinery: it works
 on raw generator words with the three presentation relations and identifies
@@ -15,6 +16,7 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from fcdiag import FCElement, enumerate_diagrams, enumerate_fc, permutation_of_word
+from fcdiag.verify import CATALOGUE
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +32,13 @@ def diagram_list(strings: int) -> tuple:
 @lru_cache(maxsize=None)
 def fc_by_permutation(rank: int) -> dict[tuple[int, ...], FCElement]:
     return {w.to_permutation(): w for w in fc_list(rank)}
+
+
+def assert_holds(check: str, ranks) -> None:
+    """Assert that catalogue check ``suite.name`` holds at a rank or ranks."""
+    ranks = [ranks] if isinstance(ranks, int) else ranks
+    bad = CATALOGUE[check].counterexample(ranks)
+    assert bad is None, f"{check}: {bad}"
 
 
 # ----------------------------------------------------------------------

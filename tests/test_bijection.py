@@ -8,18 +8,16 @@ from fcdiag import (
     FCElement,
     IndexOutOfRangeError,
     UnexpectedLoopError,
-    concatenate,
     diagram_of,
     diagram_to_fc,
     dplus_condition,
     enumerate_diagrams,
     fc_to_diagram,
     fc_to_diagram_reference,
-    monomial_product,
     parse_diagram,
     parse_fc,
 )
-from helpers import diagram_list, fc_list, generator_words, rewrite_word
+from helpers import assert_holds, fc_list, generator_words, rewrite_word
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 
@@ -93,8 +91,7 @@ class TestDirectAlgorithm:
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_equals_concatenation_oracle(self, n):
-        for w in fc_list(n):
-            assert fc_to_diagram(w)[0] == fc_to_diagram_reference(w)
+        assert_holds("bijection.oracle-equivalence", n)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_start_end_data(self, n):
@@ -153,13 +150,11 @@ class TestReader:
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_roundtrip_from_elements(self, n):
-        for w in fc_list(n):
-            assert diagram_to_fc(fc_to_diagram(w)[0]) == w
+        assert_holds("bijection.roundtrips", n)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_roundtrip_from_diagrams(self, k):
-        for d in diagram_list(k):
-            assert fc_to_diagram(diagram_to_fc(d))[0] == d
+        assert_holds("bijection.roundtrips", k - 1)
 
 
 class TestTrace:
@@ -186,30 +181,13 @@ class TestTrace:
 class TestStructuralProperties:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_uniqueness_of_start_end_data(self, n):
-        pool = diagram_list(n + 1)
-        for w in fc_list(n):
-            i_set = frozenset(i for i, _ in w.pairs)
-            j_set = frozenset(j for _, j in w.pairs)
-            matches = [
-                d
-                for d in pool
-                if d.components().starts == i_set and d.components().ends == j_set
-            ]
-            assert matches == [fc_to_diagram(w)[0]]
+        # that the one match is the drawn diagram is test_start_end_data
+        assert_holds("bijection.uniqueness", n)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_rotation_matches_delta_involution(self, n):
-        for w in fc_list(n):
-            rotated = fc_to_diagram(w)[0].flip_vertical().flip_horizontal()
-            assert rotated == fc_to_diagram(w.delta_involution())[0]
+        assert_holds("bijection.trace-consistency", n)
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_multiplication_compatibility(self, n):
-        elements = fc_list(n)
-        images = {w: fc_to_diagram(w)[0] for w in elements}
-        for w1 in elements:
-            for w2 in elements:
-                product, loops = concatenate(images[w1], images[w2])
-                w3, m = monomial_product(w1, w2)
-                assert m == loops
-                assert images[w3] == product
+        assert_holds("bijection.multiplication-compatible", n)

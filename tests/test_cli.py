@@ -139,6 +139,13 @@ class TestRender:
         assert out.strip() == str(target)
         assert target.read_text().startswith("<svg")
 
+    def test_unwritable_path_is_a_domain_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, out, err = run(capsys, "render", "n=3:[1,1]", "--svg", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write ") and str(target) in err
+        assert err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):

@@ -24,7 +24,7 @@ from fcdiag import (
     triangle_end,
     triangle_start,
 )
-from helpers import fc_list
+from helpers import assert_holds, fc_list
 
 
 def filtered(n, pred):
@@ -75,7 +75,7 @@ class TestNarayana:
 
     @pytest.mark.parametrize("n", range(0, 21))
     def test_row_sums(self, n):
-        assert sum(narayana(n, p) for p in range(n + 1)) == catalan(n + 1)
+        assert_holds("counting.narayana-row-sums", n)
 
 
 class TestCatalanTriangle:
@@ -106,21 +106,15 @@ class TestCatalanTriangle:
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_recurrences(self, n):
-        for i in range(1, n + 1):
-            lhs = triangle_start(n, i)
-            assert lhs == triangle_start(n, i - 1) + triangle_start(n - 1, i)
-            assert lhs == sum(triangle_start(n - 1, k) for k in range(i + 1))
+        assert_holds("counting.triangle-recurrence", n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_mixed_recurrence_via_catalan(self, n):
-        for i in range(1, n + 1):
-            assert triangle_start(n, i) == catalan(i) + sum(
-                triangle_start(n - k - 1, i - k) * catalan(k) for k in range(i)
-            )
+        assert_holds("counting.mixed-recurrence", n)
 
     @pytest.mark.parametrize("n", range(0, 16))
     def test_rows_partition_catalan(self, n):
-        assert sum(triangle_start(n, i) for i in range(n + 1)) == catalan(n + 1)
+        assert_holds("counting.triangle-row-sums", n)
 
 
 class TestTwoParameterCounts:
@@ -194,52 +188,13 @@ class TestTwoParameterCounts:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_two_parameter_formulas_vs_enumeration(self, n):
-        for i in range(1, n + 1):
-            assert triangle_start(n, i) == filtered(
-                n, lambda w, i=i: bool(w.pairs) and w.pairs[0][0] == i
-            )
-            assert triangle_end(n, i) == filtered(
-                n, lambda w, i=i: bool(w.pairs) and w.pairs[-1][1] == i
-            )
-            for j in range(1, n + 1):
-                if i <= j:
-                    assert count_first_block(n, i, j) == filtered(
-                        n, lambda w, i=i, j=j: bool(w.pairs) and w.pairs[0] == (i, j)
-                    )
-                    assert count_last_block(n, i, j) == filtered(
-                        n, lambda w, i=i, j=j: bool(w.pairs) and w.pairs[-1] == (i, j)
-                    )
-                got = count_start_end(n, i, j)
-                assert got.value == filtered(
-                    n,
-                    lambda w, i=i, j=j: bool(w.pairs)
-                    and w.pairs[0][0] == i
-                    and w.pairs[-1][1] == j,
-                )
-                assert got.closed_form == (j >= i - 1)
-            for p in range(1, n + 1):
-                assert count_start_size(n, i, p) == filtered(
-                    n, lambda w, i=i, p=p: w.size == p and w.pairs[0][0] == i
-                )
-                assert count_size_end(n, p, i) == filtered(
-                    n, lambda w, i=i, p=p: w.size == p and w.pairs[-1][1] == i
-                )
+        assert_holds("counting.formulas-vs-enumeration", n)
 
 
 class TestThickSlimRecurrence:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_narayana_recurrence(self, n):
-        for p in range(1, n + 1):
-            rhs = (
-                narayana(n - 1, p)
-                + narayana(n - 1, p - 1)
-                + sum(
-                    narayana(n - i - 1, r - 1) * narayana(i - 1, p - r)
-                    for r in range(1, p + 1)
-                    for i in range(1, n)
-                )
-            )
-            assert narayana(n, p) == rhs
+        assert_holds("counting.thick-slim-recurrence", n)
 
 
 class TestAppendixIdentity:

@@ -1,8 +1,6 @@
 """Canonical forms: validation, statistics, involutions, and the
 permutation oracle."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 
@@ -18,13 +16,10 @@ from fcdiag import (
     enumerate_fc,
     fc_from_json,
     inversions,
-    is_321_avoiding,
     is_saturated_in,
     parse_fc,
-    perm_left_descents,
-    perm_right_descents,
 )
-from helpers import fc_elements, fc_list
+from helpers import assert_holds, fc_elements, fc_list
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
 
@@ -112,14 +107,7 @@ class TestShrink:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bijection_onto_lower_rank(self, n):
-        thick = [w for w in fc_list(n) if w.classify() is Classification.THICK]
-        images = sorted((w.shrink() for w in thick), key=lambda w: w.pairs)
-        target = sorted((w for w in fc_list(n - 1) if w.pairs), key=lambda w: w.pairs)
-        assert images == target
-        for w in thick:
-            assert w.shrink().size == w.size
-            assert w.length() == w.shrink().length() + w.size
-            assert w.shrink().grow() == w
+        assert_holds("fc.shrink-bijection", n)
 
 
 class TestDual:
@@ -130,11 +118,7 @@ class TestDual:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_involution_size_length(self, n):
-        for w in fc_list(n):
-            d = w.dual()
-            assert d.dual() == w
-            assert d.size == n - w.size
-            assert w.length() - d.length() == 2 * w.size - n
+        assert_holds("fc.dual-involution", n)
 
     @given(fc_elements())
     def test_involution_random(self, w):
@@ -160,11 +144,7 @@ class TestDeltaInvolution:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_carries_descents(self, n):
-        for w in fc_list(n):
-            if w.is_identity():
-                continue
-            reflected = frozenset(n + 1 - s for s in w.left_descents())
-            assert w.delta_involution().right_descents() == reflected
+        assert_holds("fc.delta-involution", n)
 
 
 class TestDescents:
@@ -187,12 +167,7 @@ class TestDescents:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_against_permutation_oracle(self, n):
-        for w in fc_list(n):
-            if w.is_identity():
-                continue
-            perm = w.to_permutation()
-            assert w.left_descents() == perm_left_descents(perm)
-            assert w.right_descents() == perm_right_descents(perm)
+        assert_holds("fc.descent-formulas", n)
 
 
 class TestSupportAndSaturation:
@@ -221,33 +196,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_images_are_exactly_the_321_avoiders(self, n):
-        perms = {w.to_permutation() for w in fc_list(n)}
-        assert len(perms) == len(fc_list(n))
-        avoiders = {
-            p for p in itertools.permutations(range(1, n + 2)) if is_321_avoiding(p)
-        }
-        assert perms == avoiders
+        assert_holds("fc.permutations-321", n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_thick_slim_partition(self, n):
-        elements = fc_list(n)
-        identity = [w for w in elements if w.classify() is Classification.IDENTITY]
-        thick = [w for w in elements if w.classify() is Classification.THICK]
-        slim = [w for w in elements if w.classify() is Classification.SLIM]
-        assert len(identity) == 1
-        assert len(thick) + len(slim) + 1 == len(elements)
-
-        # slim elements decompose uniquely as (shifted thick) * single * (low-rank tail)
-        built = []
-        for i in range(1, n + 1):
-            lefts = [()] + [
-                tuple((a + i, b + i) for a, b in g.pairs)
-                for g in fc_list(n - i)
-                if g.classify() is Classification.THICK
-            ]
-            rights = [d.pairs for d in fc_list(i - 1)]
-            built.extend(
-                FCElement(n, left + ((i, i),) + right) for left in lefts for right in rights
-            )
-        assert len(built) == len(set(built))
-        assert set(built) == set(slim)
+        assert_holds("fc.partition-thick-slim", n)

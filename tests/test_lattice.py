@@ -24,7 +24,7 @@ from fcdiag import (
     parse_fc,
     peaks,
 )
-from helpers import diagram_list, fc_elements, fc_list
+from helpers import assert_holds, diagram_list, fc_elements
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 W_BALLOT = "+-++--++-+--"
@@ -88,11 +88,7 @@ class TestBlockPathMaps:
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_roundtrips(self, n):
-        for w in fc_list(n):
-            path = fc_to_dyck(w)
-            assert dyck_to_fc(path) == w
-            assert ballot_to_dyck(dyck_to_ballot(path)) == path
-            assert fc_to_ballot(w) == dyck_to_ballot(path)
+        assert_holds("lattice.path-ballot-roundtrips", n)
 
     @given(fc_elements())
     def test_roundtrips_random(self, w):
@@ -115,9 +111,7 @@ class TestDiagramReading:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_some_witness_at_every_rank(self, n):
-        assert any(
-            diagram_to_ballot(fc_to_diagram(w)[0]) != fc_to_ballot(w) for w in fc_list(n)
-        )
+        assert_holds("lattice.readings-disagree", n)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_bijective_onto_ballots(self, k):

@@ -1,7 +1,5 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
-import random
-
 import pytest
 
 from fcdiag import (
@@ -21,10 +19,8 @@ from fcdiag import (
     multiply,
     narayana,
     parse_fc,
-    perm_left_descents,
-    perm_right_descents,
 )
-from helpers import diagram_list, fc_list, rewrite_word
+from helpers import assert_holds, fc_list, rewrite_word
 
 
 def gen(n, i):
@@ -84,17 +80,7 @@ class TestMonomialProduct:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_presentation_relations(self, n):
-        for i in range(1, n + 1):
-            assert monomial_product(gen(n, i), gen(n, i)) == (gen(n, i), 1)
-            for j in range(1, n + 1):
-                if abs(i - j) == 1:
-                    w, m = monomial_product(gen(n, i), gen(n, j))
-                    w, m2 = monomial_product(w, gen(n, i))
-                    assert (w, m + m2) == (gen(n, i), 0)
-                elif i != j:
-                    assert monomial_product(gen(n, i), gen(n, j)) == monomial_product(
-                        gen(n, j), gen(n, i)
-                    )
+        assert_holds("tl.presentation-relations", n)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_against_word_rewriting_oracle(self, n):
@@ -140,11 +126,7 @@ class TestTLElement:
             multiply(TLElement.identity(2), TLElement.identity(3))
 
     def test_associativity_random(self):
-        rng = random.Random(11)
-        pool = fc_list(4)
-        for _ in range(300):
-            x, y, z = (TLElement.monomial(rng.choice(pool)) for _ in range(3))
-            assert (x * y) * z == x * (y * z)
+        assert_holds("tl.associativity", 4)
 
 
 class TestDiagramDescents:
@@ -162,15 +144,7 @@ class TestDiagramDescents:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_three_way_agreement(self, n):
-        for w in fc_list(n):
-            if w.is_identity():
-                continue
-            left, right = descents_from_diagram(fc_to_diagram(w)[0])
-            assert left == w.left_descents()
-            assert right == w.right_descents()
-            perm = w.to_permutation()
-            assert left == perm_left_descents(perm)
-            assert right == perm_right_descents(perm)
+        assert_holds("tl.descents-three-ways", n)
 
 
 class TestCensus:
@@ -194,13 +168,4 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_classes_recount_and_factor(self, n):
-        by_key = {}
-        for d in diagram_list(n + 1):
-            key = equivalence_key(d)
-            by_key[key] = by_key.get(key, 0) + 1
-        for p in range(n + 1):
-            classes = census(n, p)
-            assert sum(size for _, size in classes) == narayana(n, p)
-            for key, size in classes:
-                assert size == by_key[key]
-                assert size == expected_class_size(n + 1, key)
+        assert_holds("tl.census", n)
