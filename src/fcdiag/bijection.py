@@ -263,8 +263,18 @@ def diagram_to_fc(diagram: Diagram) -> FCElement:
     The block starts are the rightward top tails in decreasing order and
     the block ends the shifted leftward bottom heads in decreasing order;
     pairing them up positionally always yields a valid canonical form.
+    Both are read off the partner array in one pass over the columns: top
+    dot x+1 starts a block when its partner lies to its right, on either
+    row, and bottom dot (x+1)' ends block x when its partner lies to its
+    left.
     """
-    comp = diagram.components()
-    i_list = sorted(comp.starts, reverse=True)
-    j_list = sorted(comp.ends, reverse=True)
-    return FCElement(diagram.strings - 1, tuple(zip(i_list, j_list)))
+    k = diagram.strings
+    partner = diagram.partner
+    starts: list[int] = []
+    ends: list[int] = []
+    for x in range(k - 1, -1, -1):
+        if partner[x] % k > x:
+            starts.append(x + 1)
+        if partner[k + x] % k < x:
+            ends.append(x)
+    return FCElement(k - 1, tuple(zip(starts, ends)))

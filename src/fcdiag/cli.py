@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lgamma, log, log10
 from typing import Sequence
 
 from . import counting, lattice, tl, verify
 from .bijection import diagram_of, diagram_to_fc, fc_to_diagram
 from .diagram import Diagram, diagram_from_json, parse_diagram
-from .errors import FCDiagramError
+from .errors import FCDiagramError, RankOutOfRangeError
 from .fc import FCElement, enumerate_fc, parse_fc
 from .svg import diagram_to_svg
 
@@ -44,11 +45,52 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
+# ``enum`` and ``census`` refuse to list more elements than this.
+ENUMERATION_CAP = 10**7
+
+
+def _log10_comb(a: int, b: int) -> float:
+    return (lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)) / log(10)
+
+
+def _check_listing_size(n: int, size: int | None) -> None:
+    """Domain error if rank ``n`` has more than ENUMERATION_CAP elements to list.
+
+    The count is C_{n+1}, or N(n, size) with one size.  It is computed
+    exactly when a bound shows it has at most about 120 digits.  A larger
+    count exceeds the cap by far and is only estimated, so that a huge rank
+    is refused without computing a count of millions of digits.
+    """
+    if size is None:
+        bits = 2 * n + 2  # C_{n+1} < 4^(n+1)
+    else:
+        # N(n, p) = N(n, n-p) <= C(n, q) C(n+1, q) <= (n+1)^(2q), q = min(p, n-p)
+        bits = 2 * min(size, n - size) * (n + 1).bit_length()
+    if bits <= 400:
+        count = counting.catalan(n + 1) if size is None else counting.narayana(n, size)
+        if count <= ENUMERATION_CAP:
+            return
+        amount = str(count)
+    else:
+        try:
+            if size is None:
+                log10_count = _log10_comb(2 * n + 2, n + 1) - log10(n + 2)
+            else:
+                log10_count = _log10_comb(n, size) + _log10_comb(n + 1, size) - log10(size + 1)
+            amount = f"about 10^{log10_count:.0f}"
+        except OverflowError:  # n beyond the float range, so the count is above n
+            amount = "more than 10^300"
+    of_size = "" if size is None else f" of size {size}"
+    raise RankOutOfRangeError(
+        f"rank {n} has {amount} elements{of_size}, "
+        f"more than the {ENUMERATION_CAP} that enum and census may list"
+    )
+
+
 def _cmd_enum(args) -> int:
     _check_at_most(args, "size", args.n)
-    for w in enumerate_fc(args.n):
-        if args.size is not None and w.size != args.size:
-            continue
+    _check_listing_size(args.n, args.size)
+    for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
 
@@ -133,7 +175,7 @@ def _cmd_table(args) -> int:
         for row in [header] + rows:
             print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
     if args.kind == "start-end" and args.format == "text":
-        print("(* = no closed form; value obtained by enumeration)")
+        print("(* = no closed form; value from the chain recurrence)")
     return 0
 
 
@@ -230,6 +272,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_census(args) -> int:
     _check_at_most(args, "p", args.n)
+    _check_listing_size(args.n, args.p)
     classes = tl.census(args.n, args.p)
     strings = args.n + 1
     if args.json:

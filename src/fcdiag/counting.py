@@ -22,8 +22,9 @@ Statistics and their counts, for rank n:
 * ``count_size_end(n, p, j)``    has size p and ends with j.
 * ``count_start_end(n, i, j)``   starts with i and ends with j.  A closed
                                  form exists only for j >= i-1; below that
-                                 the exact value is obtained by enumeration
-                                 and flagged as such.
+                                 the exact value comes from a recurrence
+                                 over block chains, in O(i*n) additions,
+                                 and is flagged as such.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import RankOutOfRangeError
-from .fc import enumerate_fc
 
 _catalan_table: list[int] = [1]
 
@@ -128,8 +128,9 @@ def count_size_end(n: int, p: int, j: int) -> int:
 class StartEndCount(NamedTuple):
     """An exact count plus a provenance flag.
 
-    ``closed_form`` is False when the value had to be obtained by direct
-    enumeration because no closed formula is known for that parameter range.
+    ``closed_form`` is False when no closed formula is known for that
+    parameter range; the value is then computed by the chain recurrence of
+    :func:`count_start_end`, and is just as exact.
     """
 
     value: int
@@ -141,7 +142,7 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
 
     Closed forms: C(n-j+i-1, i-1) for j >= i, and C(n, i-1) - 1 for
     j = i-1.  For j < i-1 no closed form is known and the exact value is
-    computed by filtering the enumeration (flagged via ``closed_form``).
+    computed by :func:`_chains_start_end` (flagged via ``closed_form``).
     """
     if not (1 <= i <= n and 1 <= j <= n):
         return StartEndCount(0, True)
@@ -149,10 +150,28 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
         return StartEndCount(comb(n - j + i - 1, i - 1), True)
     if j == i - 1:
         return StartEndCount(comb(n, i - 1) - 1, True)
-    value = sum(
-        1 for w in enumerate_fc(n) if w.pairs and w.pairs[0][0] == i and w.pairs[-1][1] == j
-    )
-    return StartEndCount(value, False)
+    return StartEndCount(_chains_start_end(n, i, j), False)
+
+
+def _chains_start_end(n: int, i: int, j: int) -> int:
+    """Count block chains [i,b_1][a_2,b_2]...[a_p,j] of rank n.
+
+    Let N(a, b) be the number of chains whose first start is i and whose
+    last block is [a, b].  Then N(a, b) = [a = i] + sum N(a', b') over
+    a < a' <= i and b' > b, for a <= b <= n.  Rows are filled from a = i
+    down to 1; ``column[b]`` holds the sum of N(a', b) over the rows done so
+    far, and ``above`` the sum of their entries right of b.  Only columns
+    b >= j can reach the end j, so the others are never filled.  The answer
+    is the sum of N(a, j) over all a: O(i*n) big-integer additions.
+    """
+    column = [0] * (n + 1)
+    for a in range(i, 0, -1):
+        above = 0
+        for b in range(n, max(a, j) - 1, -1):
+            here = above + (a == i)
+            above += column[b]
+            column[b] += here
+    return column[j]
 
 
 def appendix_binomial_identity_check(n: int, p: int) -> bool:

@@ -211,29 +211,51 @@ class FCElement:
 # enumeration and saturation
 
 
-def enumerate_fc(rank: int) -> Iterator[FCElement]:
+def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
     """Yield every FC element of the given rank exactly once.
 
-    Uses nested generation of the strictly decreasing start/end sequences in
-    depth-first order, so the output order is deterministic: the identity
-    first, then elements grouped under their leading blocks with starts and
-    ends taken in decreasing order.  The count is the Catalan number
-    C_{rank+1}.
+    Walks the tree of strictly decreasing start/end sequences in depth-first
+    order, so the output order is deterministic: the identity first, then
+    elements grouped under their leading blocks with starts and ends taken
+    in decreasing order.  The count is the Catalan number C_{rank+1}.
+
+    With ``size``, only the elements of exactly that many blocks are yielded,
+    in the same order; there are ``narayana(rank, size)`` of them.  The walk
+    stops descending at ``size`` blocks, and tries a start i only when the
+    i-1 starts below it leave room for the blocks still missing, so every
+    branch it takes ends in an element.  The walk keeps its own stack, so a
+    long chain never meets the interpreter's recursion limit.
     """
     if rank < 0:
         raise RankOutOfRangeError(f"rank must be nonnegative, got {rank}")
+    if size is not None and size < 0:
+        return
+
+    def lowest(depth: int) -> int:
+        """Smallest start for a block after ``depth`` others."""
+        return 1 if size is None else size - depth
 
     blocks: list[Pair] = []
-
-    def rec(max_i: int, max_j: int) -> Iterator[FCElement]:
-        yield FCElement(rank, tuple(blocks))
-        for i in range(max_i - 1, 0, -1):
-            for j in range(max_j - 1, i - 1, -1):
-                blocks.append((i, j))
-                yield from rec(i, j)
-                blocks.pop()
-
-    yield from rec(rank + 1, rank + 1)
+    while True:
+        if size is None or len(blocks) == size:
+            yield FCElement(rank, tuple(blocks))
+        # The next chain in depth-first order is the first child, if any ...
+        top_i, top_j = blocks[-1] if blocks else (rank + 1, rank + 1)
+        if (size is None or len(blocks) < size) and top_i > lowest(len(blocks)):
+            blocks.append((top_i - 1, top_j - 1))
+            continue
+        # ... or else the next sibling of the deepest block that has one.
+        while blocks:
+            i, j = blocks.pop()
+            if j > i:
+                blocks.append((i, j - 1))
+                break
+            if i > lowest(len(blocks)):
+                parent_j = blocks[-1][1] if blocks else rank + 1
+                blocks.append((i - 1, parent_j - 1))
+                break
+        else:
+            return
 
 
 def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:

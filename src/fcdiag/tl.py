@@ -234,12 +234,11 @@ def key_to_text(key: Key, strings: int) -> str:
 def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
-    Returned sorted by key; the sizes add up to ``narayana(n, p)``.
+    Returned sorted by key; the sizes add up to ``narayana(n, p)``, the
+    number of elements the sized enumeration draws.
     """
     counts: dict[Key, int] = {}
-    for w in enumerate_fc(n):
-        if w.size != p:
-            continue
+    for w in enumerate_fc(n, p):
         key = equivalence_key(diagram_of(w))
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items())

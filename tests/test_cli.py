@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fcdiag import count_start_end, narayana
 from fcdiag.cli import main
 
 
@@ -106,6 +107,20 @@ class TestEnumAndTable:
         assert code == 0
         assert len(out.splitlines()) == 20
 
+    def test_enum_above_the_listing_cap(self, capsys):
+        code, out, err = run(capsys, "enum", "--n", "15")
+        assert (code, out) == (1, "")
+        assert "rank 15 has 35357670 elements" in err
+        code, _, err = run(capsys, "enum", "--n", "1000000000")
+        assert code == 1 and "has about 10^602059978 elements" in err
+        assert run(capsys, "enum", "--n", "1000000000", "--size", "0")[:2] == (0, "n=1000000000:[]\n")
+
+    def test_table_start_end_past_brute_force(self, capsys):
+        code, out, _ = run(capsys, "table", "start-end", "--n", "60", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows[59][1] == f"{count_start_end(60, 60, 1).value}*"
+
     def test_table_csv(self, capsys):
         code, out, _ = run(capsys, "table", "narayana", "--n", "4", "--format", "csv")
         assert code == 0
@@ -129,6 +144,11 @@ class TestCensusCommand:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(line.endswith("\t1") for line in lines)
+
+    def test_above_the_listing_cap(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "40", "--p", "20")
+        assert (code, out) == (1, "")
+        assert f"rank 40 has {narayana(40, 20)} elements of size 20" in err
 
 
 class TestRender:

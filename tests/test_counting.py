@@ -5,6 +5,7 @@ re-derived inside the test so the formula, the frozen value, and the oracle
 must all agree.
 """
 
+import time
 from math import comb
 
 import pytest
@@ -189,6 +190,24 @@ class TestTwoParameterCounts:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_two_parameter_formulas_vs_enumeration(self, n):
         assert_holds("counting.formulas-vs-enumeration", n)
+
+
+class TestStartEndRecurrence:
+    """``count_start_end`` where no closed form is known, past the brute force."""
+
+    @pytest.mark.parametrize("n", [11, 20, 30])
+    def test_margins_are_the_catalan_triangle(self, n):
+        cells = {(i, j): count_start_end(n, i, j).value for i in range(1, n + 1) for j in range(1, n + 1)}
+        for i in range(1, n + 1):
+            assert sum(cells[i, j] for j in range(1, n + 1)) == triangle_start(n, i)
+        for j in range(1, n + 1):
+            assert sum(cells[i, j] for i in range(1, n + 1)) == triangle_end(n, j)
+
+    def test_large_cell_within_budget(self):
+        start = time.perf_counter()
+        got = count_start_end(300, 150, 20)
+        assert time.perf_counter() - start < 2.0
+        assert got.value > 0 and not got.closed_form
 
 
 class TestThickSlimRecurrence:

@@ -194,6 +194,15 @@ class TestEnumeration:
     def test_rank_one(self):
         assert set(fc_list(1)) == {FCElement(1), FCElement(1, ((1, 1),))}
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_sized_equals_filtered_in_order(self, n):
+        for p in range(-1, n + 2):
+            assert list(enumerate_fc(n, p)) == [w for w in fc_list(n) if w.size == p]
+
+    def test_sized_chain_longer_than_the_recursion_limit(self):
+        (w,) = enumerate_fc(2000, 2000)
+        assert w.pairs == tuple((i, i) for i in range(2000, 0, -1))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_images_are_exactly_the_321_avoiders(self, n):
         assert_holds("fc.permutations-321", n)
