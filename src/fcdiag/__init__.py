@@ -41,7 +41,6 @@ from .errors import (
     NotNormalizedError,
     NotStandardError,
     NotThickError,
-    ParityViolationError,
     ParseError,
     RankMismatchError,
     RankOutOfRangeError,

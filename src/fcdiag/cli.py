@@ -110,60 +110,35 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _table_rows(kind: str, n: int):
-    if kind == "narayana":
-        header = ["n\\p"] + [str(p) for p in range(n + 1)]
-        rows = [[str(m)] + [str(counting.narayana(m, p)) for p in range(n + 1)] for m in range(n + 1)]
-    elif kind == "triangle":
-        header = ["n\\i"] + [str(i) for i in range(n + 1)]
-        rows = [[str(m)] + [str(counting.triangle_start(m, i)) for i in range(n + 1)] for m in range(n + 1)]
-    elif kind == "first-block":
-        header = ["i\\j"] + [str(j) for j in range(1, n + 1)]
-        rows = [
-            [str(i)] + [str(counting.count_first_block(n, i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    elif kind == "last-block":
-        header = ["i\\j"] + [str(j) for j in range(1, n + 1)]
-        rows = [
-            [str(i)] + [str(counting.count_last_block(n, i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    elif kind == "start-size":
-        header = ["i\\p"] + [str(p) for p in range(1, n + 1)]
-        rows = [
-            [str(i)] + [str(counting.count_start_size(n, i, p)) for p in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    elif kind == "size-end":
-        header = ["p\\j"] + [str(j) for j in range(1, n + 1)]
-        rows = [
-            [str(p)] + [str(counting.count_size_end(n, p, j)) for j in range(1, n + 1)]
-            for p in range(1, n + 1)
-        ]
-    elif kind == "start-end":
-        header = ["i\\j"] + [str(j) for j in range(1, n + 1)]
-        rows = []
-        for i in range(1, n + 1):
-            row = [str(i)]
-            for j in range(1, n + 1):
-                value, closed = counting.count_start_end(n, i, j)
-                row.append(str(value) if closed else f"{value}*")
-            rows.append(row)
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(kind)
-    return header, rows
+def _start_end_cell(n: int, i: int, j: int) -> str:
+    value, closed = counting.count_start_end(n, i, j)
+    return str(value) if closed else f"{value}*"
 
 
-# Kinds indexed by generators or blocks are empty below rank 1.
-_TABLE_MIN_N = {"narayana": 0, "triangle": 0}
+# kind -> (corner label, lowest index, cell(n, row, col)).  Rows and columns
+# both run from the lowest index to n, so the kinds indexed by generators or
+# blocks, which start at 1, are empty below rank 1.  Cells look up their
+# ``counting`` function at call time, so a rebound module attribute (as in
+# ``perfbench/tracer.py``) takes effect.
+_TABLES = {
+    "narayana": ("n\\p", 0, lambda n, m, p: str(counting.narayana(m, p))),
+    "triangle": ("n\\i", 0, lambda n, m, i: str(counting.triangle_start(m, i))),
+    "first-block": ("i\\j", 1, lambda n, i, j: str(counting.count_first_block(n, i, j))),
+    "last-block": ("i\\j", 1, lambda n, i, j: str(counting.count_last_block(n, i, j))),
+    "start-size": ("i\\p", 1, lambda n, i, p: str(counting.count_start_size(n, i, p))),
+    "size-end": ("p\\j", 1, lambda n, p, j: str(counting.count_size_end(n, p, j))),
+    "start-end": ("i\\j", 1, _start_end_cell),
+}
 
 
 def _cmd_table(args) -> int:
-    low = _TABLE_MIN_N.get(args.kind, 1)
-    if args.n < low:
-        args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {args.n}")
-    header, rows = _table_rows(args.kind, args.n)
+    corner, low, cell_of = _TABLES[args.kind]
+    n = args.n
+    if n < low:
+        args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
+    indices = range(low, n + 1)
+    header = [corner] + [str(c) for c in indices]
+    rows = [[str(r)] + [cell_of(n, r, c) for c in indices] for r in indices]
     if args.format == "json":
         print(json.dumps({"header": header, "rows": rows}))
     elif args.format == "csv":
@@ -333,18 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("table", help="print an enumeration table")
-    p.add_argument(
-        "kind",
-        choices=[
-            "narayana",
-            "triangle",
-            "first-block",
-            "last-block",
-            "start-size",
-            "size-end",
-            "start-end",
-        ],
-    )
+    p.add_argument("kind", choices=list(_TABLES))
     p.add_argument(
         "--n", type=int, required=True, help="rank: >= 0 for narayana and triangle, >= 1 otherwise"
     )
@@ -410,11 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts print in full: lift Python's limit on int-to-str digits
+    # (3.11+) for the command, and restore it for the caller.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except FCDiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ convention the recurrences need.
 
 Statistics and their counts, for rank n:
 
-* ``catalan(m)``                 Catalan number C_m, defined by the
-                                 convolution recurrence.
+* ``catalan(m)``                 Catalan number C_m, in closed form; the
+                                 convolution recurrence that defines it
+                                 is a ``verify`` check.
 * ``narayana(n, p)``             elements of size p.
 * ``triangle_start(n, i)``       canonical word starts with generator i
                                  (Catalan triangle; i = 0 counts the
@@ -35,22 +36,6 @@ from typing import NamedTuple
 
 from .errors import RankOutOfRangeError
 
-_catalan_table: list[int] = [1]
-
-
-def catalan(m: int) -> int:
-    """Catalan number C_m via C_{r+1} = sum C_a C_{r-a}, C_0 = 1.
-
-    The table grows append-only, so concurrent readers always observe
-    consistent values.
-    """
-    if m < 0:
-        raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {m}")
-    while len(_catalan_table) <= m:
-        r = len(_catalan_table)
-        _catalan_table.append(sum(_catalan_table[a] * _catalan_table[r - 1 - a] for a in range(r)))
-    return _catalan_table[m]
-
 
 def _exact(numerator: int, denominator: int) -> int:
     q, r = divmod(numerator, denominator)
@@ -60,6 +45,17 @@ def _exact(numerator: int, denominator: int) -> int:
             "this contradicts the counting theorem"
         )
     return q
+
+
+def catalan(m: int) -> int:
+    """Catalan number C_m = C(2m, m) / (m+1).
+
+    The paper defines C_{m+1} = sum C_a C_{m-a} with C_0 = 1; that
+    recurrence is the ``verify`` check ``counting.catalan-convolution``.
+    """
+    if m < 0:
+        raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {m}")
+    return _exact(comb(2 * m, m), m + 1)
 
 
 def narayana(n: int, p: int) -> int:

@@ -41,7 +41,6 @@ from .errors import (
     CrossingError,
     IndexOutOfRangeError,
     NotMatchingError,
-    ParityViolationError,
     ParseError,
     StringMismatchError,
 )
@@ -58,9 +57,11 @@ def _boundary(code: int, strings: int) -> int:
 class Diagram:
     """A non-crossing perfect matching on two rows of ``strings`` dots.
 
-    Construction validates everything: matching, planarity, and the parity
-    invariant (same-row arrows join dots of different parity, cross-row
-    arrows dots of equal parity).  Instances are immutable and hashable.
+    Construction validates the matching and its planarity.  Planarity
+    implies the parity invariant (same-row arrows join dots of different
+    parity, cross-row arrows dots of equal parity): a non-crossing matching
+    joins dots an odd distance apart on the boundary walk, so that is not
+    checked separately.  Instances are immutable and hashable.
     """
 
     strings: int
@@ -104,23 +105,6 @@ class Diagram:
                         first,
                         second,
                     )
-
-        # Parity invariant.  For valid planar matchings this is implied by
-        # the crossing check, so it only guards encoding mistakes.  With
-        # d < q, the arrow is cross-row exactly when d < k <= q, and its row
-        # indices then differ by q - d - k; otherwise by q - d.
-        for d, q in enumerate(partner):
-            if d > q:
-                continue
-            if d < k <= q:
-                if (q - d - k) % 2 == 1:
-                    raise ParityViolationError(
-                        f"cross-row arrow {self.arrow_name((d, q))} joins dots of opposite parity"
-                    )
-            elif (q - d) % 2 == 0:
-                raise ParityViolationError(
-                    f"same-row arrow {self.arrow_name((d, q))} joins dots of equal parity"
-                )
 
     # ------------------------------------------------------------------
     # constructors
@@ -206,11 +190,6 @@ class Diagram:
         return tuple(
             (d, q) for d, q in enumerate(self.partner) if d < q
         )
-
-    def row_index(self, code: int) -> tuple[str, int]:
-        """Decode a dot code into ("top"|"bottom", 1-based index)."""
-        k = self.strings
-        return ("top", code + 1) if code < k else ("bottom", code - k + 1)
 
     def dot_name(self, code: int) -> str:
         return _dot_name(code, self.strings)

@@ -42,10 +42,6 @@ class CrossingError(FCDiagramError):
         self.second = second
 
 
-class ParityViolationError(FCDiagramError):
-    """An arrow joins dots of the wrong parity for its kind."""
-
-
 class StringMismatchError(FCDiagramError):
     """Two diagrams with different string counts cannot be concatenated."""
 

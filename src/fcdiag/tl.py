@@ -202,12 +202,11 @@ def descents_from_diagram(diagram: Diagram) -> tuple[frozenset[int], frozenset[i
 
     Left descents are the tails of the span-one top arcs, right descents
     the (unshifted) tails of the span-one bottom arcs: the shortest bubbles
-    on each row.
+    on each row.  Both are read straight off the partner array.
     """
-    comp = diagram.components()
-    k = diagram.strings
-    left = frozenset(x + 1 for x, y in comp.top_arcs if y == x + 1)
-    right = frozenset(x - k + 1 for x, y in comp.bottom_arcs if y == x + 1)
+    partner, k = diagram.partner, diagram.strings
+    left = frozenset(x + 1 for x in range(k - 1) if partner[x] == x + 1)
+    right = frozenset(x + 1 for x in range(k - 1) if partner[k + x] == k + x + 1)
     return left, right
 
 
@@ -218,9 +217,9 @@ Key = tuple[Arrow, ...]
 
 
 def equivalence_key(diagram: Diagram) -> Key:
-    """Canonical encoding of all top-to-bottom arrows of the diagram."""
-    comp = diagram.components()
-    return tuple(sorted(comp.positive | comp.vertical_or_negative))
+    """Canonical encoding of all top-to-bottom arrows of the diagram, by tail."""
+    partner, k = diagram.partner, diagram.strings
+    return tuple((x, partner[x]) for x in range(k) if partner[x] >= k)
 
 
 def key_to_text(key: Key, strings: int) -> str:

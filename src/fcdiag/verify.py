@@ -6,15 +6,17 @@ is registered with :func:`_check` under its suite, its name and its rank
 range.  A range is either capped by ``--max-n`` (the enumeration and
 sampling sweeps) or fixed (the closed-form identities in ``counting``).
 Diagram checks run on ``n + 1`` strings, so their rank is the rank of
-``W(A_n)``.  The two random-sample checks draw their triples from one RNG
-seeded by the rank, ``TRIPLE_SAMPLES`` in total over the uncapped range.
+``W(A_n)``.  The two triple checks share ``TRIPLE_SAMPLES`` equally among
+the ranks of their uncapped range: a rank with no more triples than its
+share runs every triple, a larger one draws its share from one RNG seeded
+by the rank.
 
 One runner reports, for each check, the first counterexample over its ranks
 in increasing order; ``SUITES`` maps each suite name to the function that
 runs its checks.  The same catalogue is run case by case by pytest: every
 (check, rank) pair at the CLI default ``--max-n``, and the acceptance tests
-at their own ranks.  Checks share no state, so the output is deterministic
-for a fixed ``max_n``.
+at their own ranks, each pair evaluated once per test session.  Checks
+share no state, so the output is deterministic for a fixed ``max_n``.
 """
 
 from __future__ import annotations
@@ -89,13 +91,19 @@ def _check(suite: str, name: str, first: int, last: int, *, capped: bool = True)
 
 
 def _sample_triples(pool: list, n: int, ranks: int) -> Iterator[tuple]:
-    """Random triples from ``pool`` at rank ``n``, seeded by ``n``.
+    """Triples from ``pool`` at rank ``n``: every one, or a seeded sample.
 
-    Each of the check's ``ranks`` ranks draws an equal share of
-    ``TRIPLE_SAMPLES``, rounded up.
+    Each of the check's ``ranks`` ranks gets an equal share of
+    ``TRIPLE_SAMPLES``, rounded up.  A pool with at most that many triples
+    yields all of them; a larger one draws its share at random, seeded
+    by ``n``.
     """
+    share = -(-TRIPLE_SAMPLES // ranks)
+    if len(pool) ** 3 <= share:
+        yield from itertools.product(pool, repeat=3)
+        return
     rng = random.Random(n)
-    for _ in range(-(-TRIPLE_SAMPLES // ranks)):
+    for _ in range(share):
         yield rng.choice(pool), rng.choice(pool), rng.choice(pool)
 
 
@@ -203,6 +211,15 @@ def _permutations_321(n):
 
 # ----------------------------------------------------------------------
 # counting
+
+
+@_check("counting", "catalan-convolution", 0, 100, capped=False)
+def _catalan_convolution(m):
+    """The recurrence that defines C_{m+1}, against the served closed form."""
+    if counting.catalan(m + 1) != sum(
+        counting.catalan(a) * counting.catalan(m - a) for a in range(m + 1)
+    ):
+        yield f"m={m}: catalan({m + 1}) is not the convolution of catalan(0..{m})"
 
 
 @_check("counting", "narayana-row-sums", 0, 20, capped=False)

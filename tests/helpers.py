@@ -1,5 +1,5 @@
-"""Shared test utilities: cached enumerations, the verify catalogue as an
-assertion, hypothesis strategies, and a word-rewriting oracle for
+"""Shared test utilities: cached enumerations, the verify catalogue as a
+memoized assertion, hypothesis strategies, and a word-rewriting oracle for
 Temperley-Lieb monomial products.
 
 The rewriter is deliberately independent of the diagram machinery: it works
@@ -34,11 +34,24 @@ def fc_by_permutation(rank: int) -> dict[tuple[int, ...], FCElement]:
     return {w.to_permutation(): w for w in fc_list(rank)}
 
 
+@lru_cache(maxsize=None)
+def _verdict(check: str, n: int) -> str | None:
+    return CATALOGUE[check].counterexample([n])
+
+
 def assert_holds(check: str, ranks) -> None:
-    """Assert that catalogue check ``suite.name`` holds at a rank or ranks."""
-    ranks = [ranks] if isinstance(ranks, int) else ranks
-    bad = CATALOGUE[check].counterexample(ranks)
-    assert bad is None, f"{check}: {bad}"
+    """Assert that catalogue check ``suite.name`` holds at a rank or ranks.
+
+    Each (check, rank) verdict is evaluated once per pytest session and
+    shared by every test that asks for it: the first counterexample
+    message, or None.  Only verdicts are cached, never enumerations.  They
+    are taken on the unpatched library, so a test that monkeypatches the
+    library must run checks through ``cli.main`` instead, as the
+    fault-injection tests do.
+    """
+    for n in [ranks] if isinstance(ranks, int) else ranks:
+        bad = _verdict(check, n)
+        assert bad is None, f"{check}: {bad}"
 
 
 # ----------------------------------------------------------------------

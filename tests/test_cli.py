@@ -1,6 +1,8 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import sys
+from math import comb
 
 import pytest
 
@@ -43,6 +45,21 @@ class TestCount:
     def test_catalan_default(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "8")
         assert (code, out) == (0, "4862\n")
+
+    def test_catalan_past_the_int_digit_limit(self, capsys):
+        # C_7201 has 4 330 digits, more than Python 3.11 prints by default
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        got = [run(capsys, "count", "--n", "7200", *flag) for flag in ([], ["--json"])]
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored by main
+            sys.set_int_max_str_digits(0)
+        try:
+            digits = str(comb(14402, 7201) // 7202)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert len(digits) == 4330
+        assert got == [(0, f"{digits}\n", ""), (0, f"[{digits}]\n", "")]
 
 
 class TestConversions:

@@ -26,6 +26,16 @@ def E(strings, i):
     return Diagram.generator(strings, i)
 
 
+def perfect_matchings(dots):
+    """Every perfect matching of the list ``dots``, as a list of pairs."""
+    if not dots:
+        yield []
+        return
+    for i, q in enumerate(dots[1:], start=1):
+        for rest in perfect_matchings(dots[1:i] + dots[i + 1 :]):
+            yield [(dots[0], q)] + rest
+
+
 class TestConstruction:
     def test_identity(self):
         d = Diagram.identity(3)
@@ -66,6 +76,21 @@ class TestConstruction:
         # a 2 * 10**12 partner array would not fit in memory
         with pytest.raises(NotMatchingError, match="dot 3 is unmatched"):
             parse_diagram(f"strings={10**12};1-2")
+
+    @pytest.mark.parametrize("k,matchings", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
+    def test_planar_matchings_are_the_diagrams_and_keep_parity(self, k, matchings):
+        accepted = set()
+        for count, arrows in enumerate(perfect_matchings(list(range(2 * k))), start=1):
+            try:
+                accepted.add(Diagram.from_arrows(k, arrows))
+            except CrossingError:
+                continue
+            # same-row arrows join dots of different parity, cross-row arrows
+            # dots of equal parity (d % k is a dot's 0-based index in its row)
+            for d, q in arrows:
+                assert ((d < k) == (q < k)) == ((d % k - q % k) % 2 == 1)
+        assert count == matchings
+        assert accepted == set(diagram_list(k))
 
     def test_partner_array_checked(self):
         with pytest.raises(NotMatchingError):

@@ -1,9 +1,11 @@
 """The verify catalogue under pytest.
 
 Every (check, rank) pair that ``fcdiag verify --all`` runs at the default
-``--max-n`` is one test case.  The fault-injection tests break one library
-function per suite and pin the exact FAIL lines, so a check that could
-never fail would show here.
+``--max-n`` is one test case.  Its verdict comes from the session memo in
+``helpers.assert_holds``, so a pair that a module or acceptance test has
+already run is not evaluated again.  The fault-injection tests break one
+library function per suite and pin the exact FAIL lines, so a check that
+could never fail would show here.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from fcdiag.bijection import diagram_to_fc
 from fcdiag.cli import build_parser, main
 from fcdiag.diagram import Diagram
 from fcdiag.fc import FCElement
+from helpers import assert_holds
 
 DEFAULT_MAX_N = build_parser().parse_args(["verify"]).max_n
 
@@ -25,15 +28,14 @@ CASES = [
 
 @pytest.mark.parametrize("key,n", CASES)
 def test_check_holds(key, n):
-    bad = verify.CATALOGUE[key].counterexample([n])
-    assert bad is None, bad
+    assert_holds(key, n)
 
 
 def test_catalogue_shape():
     assert DEFAULT_MAX_N == 8
-    assert len(CASES) == 334
+    assert len(CASES) == 435
     assert list(verify.SUITES) == ["fc", "counting", "diagram", "bijection", "tl", "lattice"]
-    assert len(verify.CATALOGUE) == 33
+    assert len(verify.CATALOGUE) == 34
 
 
 def test_fixed_ranges_ignore_max_n():
