@@ -9,38 +9,41 @@ whose rightward top tails are the block starts {i_t} of w and whose shifted
 leftward bottom heads are the block ends {j_t}.
 
 Reading a diagram off (``diagram_to_fc``) is therefore immediate.  Drawing
-the diagram of w takes one of three routes, each with its own role:
+the diagram of w takes one of three routes, each with one job:
 
-* ``diagram_of`` is the hot path.  It glues the generators of the canonical
-  word one by one onto a partner array (:meth:`Diagram.from_word`), linear
-  in the length, and raises if a circle closes, which a reduced word never
-  does.  Products, the census and every trace-free CLI drawing use it.
-* ``fc_to_diagram`` is the paper's direct algorithm, which places arrows in
-  five passes:
+* ``diagram_of`` serves.  It glues the generators of the canonical word one
+  by one onto a partner array (:meth:`Diagram.from_word`), linear in the
+  length, and raises if a circle closes, which a reduced word never does.
+  Products, the census and every trace-free CLI drawing use it.
+* ``fc_to_diagram`` reproduces the paper's direct algorithm, which places
+  arrows in five passes:
 
   (a) vertical strands outside the active window, namely below the smallest
-      start and above the largest end + 1;
+      start i_p and above the largest end + 1, j_1 + 1;
   (b) the positive arrows (i_s, (j_t+1)'), found by the arithmetic
       predicate ``dplus_condition``;
-  (c) the top arcs: (i_1, i_1+1) first, then for each later start not used
-      by a positive arrow, the lowest free top dot to its right that is not
-      itself a start;
-  (d) the bottom arcs, mirrored: (j_p', (j_p+1)') first, then for each
-      earlier end whose head dot is still free, the highest free bottom dot
-      to its left that is not itself a shifted end;
+  (c) the top arcs, for r = 1..p: start i_r, unless a positive arrow took
+      it, joins the lowest dot of its candidate set, the top dots
+      i_r+1 .. j_1+1 less the earlier starts and the dots already taken
+      by (c), so i_1 joins i_1+1;
+  (d) the bottom arcs, mirrored for r = p..1: head dot (j_r+1)', unless a
+      positive arrow took it, joins the highest dot of its candidate set,
+      the bottom dots i_p' .. j_r' less the later shifted ends (j_s+1)'
+      and the dots already taken by (d), so (j_p+1)' joins j_p';
   (e) whatever dots remain, joined left to right, lowest free top dot to
       lowest free bottom dot.
 
-  Every run also returns a :class:`BijectionTrace` recording, for each
-  block index r, the candidate sets from which the top and bottom partners
-  were chosen; it is the only source of ``--trace`` output.  Tests assert
-  the documented facts about these sets (a candidate set is empty exactly
-  when a positive arrow consumed its dot; the chosen partner is the
-  minimum, respectively maximum).
-* ``fc_to_diagram_reference`` is the oracle: it multiplies out the
-  canonical word as a stack of cup-cap generator diagrams with
-  :func:`concatenate`, sharing no code with the kernel.  All three must
-  agree everywhere.
+  Passes (b), (c) and (d) record what they choose, and every run returns
+  that record as a :class:`BijectionTrace`, the only source of ``--trace``
+  output.  The ``verify`` check ``bijection.trace-consistency`` asserts the
+  documented facts about it on both rows: a candidate set is empty exactly
+  when a positive arrow took its dot, the chosen dot is the minimum (top)
+  or maximum (bottom) of its set and is the partner in the drawn diagram,
+  and each positive pair is a drawn arrow that passes ``dplus_condition``.
+* ``fc_to_diagram_reference`` checks.  It multiplies out the canonical word
+  as a stack of cup-cap generator diagrams with :func:`concatenate`,
+  sharing no code with the kernel.  The ``verify`` check
+  ``bijection.oracle-equivalence`` asserts that all three routes agree.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .fc import FCElement, is_saturated_in
 
 @dataclass(frozen=True)
 class BijectionTrace:
-    """Intermediate data of the direct drawing algorithm.
+    """What the direct drawing algorithm chose, recorded as it drew.
 
     ``positive_pairs`` lists the (s, t) block-index pairs that produced a
     positive arrow.  ``top_sets[r-1]`` is the candidate set for the top
@@ -107,7 +110,7 @@ def dplus_condition(w: FCElement, s: int, t: int) -> bool:
 
 
 def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
-    """Draw the diagram of w directly from its canonical form."""
+    """Draw the diagram of w directly from its canonical form, with its trace."""
     k = w.rank + 1
     if not w.pairs:
         return Diagram.identity(k), BijectionTrace((), (), ())
@@ -147,30 +150,34 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
 
     positive_tails = {starts[s - 1] for s, _ in positive_pairs}
     positive_heads = {ends[t - 1] + 1 for _, t in positive_pairs}
-    start_set = set(starts)
-    shifted_ends = {j + 1 for j in ends}
+    top_sets: list[tuple[frozenset[int], int | None]] = [(frozenset(), None)] * p
+    bottom_sets = top_sets.copy()
 
-    # (c) top arcs
-    join(top(starts[0]), top(starts[0] + 1))
-    for r in range(2, p + 1):
-        i_r = starts[r - 1]
+    # (c) top arcs, first start first; each takes the lowest candidate
+    taken: set[int] = set()
+    for r in range(p):
+        i_r = starts[r]
         if i_r in positive_tails:
             continue
-        f_r = next(
-            x for x in range(i_r + 1, k + 1) if free(top(x)) and x not in start_set
-        )
+        cands = frozenset(range(i_r + 1, ends[0] + 2)).difference(starts[:r], taken)
+        f_r = min(cands)
+        taken.add(f_r)
         join(top(i_r), top(f_r))
+        top_sets[r] = (cands, f_r)
 
-    # (d) bottom arcs
-    join(bottom(ends[-1]), bottom(ends[-1] + 1))
-    for r in range(p - 1, 0, -1):
-        j_r = ends[r - 1]
+    # (d) bottom arcs, last end first; each takes the highest candidate
+    taken.clear()
+    for r in range(p - 1, -1, -1):
+        j_r = ends[r]
         if j_r + 1 in positive_heads:
             continue
-        g_r = next(
-            x for x in range(j_r, 0, -1) if free(bottom(x)) and x not in shifted_ends
+        cands = frozenset(range(starts[-1], j_r + 1)).difference(
+            [j + 1 for j in ends[r + 1 :]], taken
         )
+        g_r = max(cands)
+        taken.add(g_r)
         join(bottom(g_r), bottom(j_r + 1))
+        bottom_sets[r] = (cands, g_r)
 
     # (e) leftover strands, leftmost to leftmost
     free_top = [x for x in range(1, k + 1) if free(top(x))]
@@ -178,52 +185,8 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
     for a, b in zip(free_top, free_bottom, strict=True):
         join(top(a), bottom(b))
 
-    diagram = Diagram(k, tuple(partner))
-    trace = _build_trace(w, tuple(positive_pairs))
-    return diagram, trace
-
-
-def _build_trace(w: FCElement, positive_pairs: tuple[tuple[int, int], ...]) -> BijectionTrace:
-    """Candidate sets of the drawing algorithm, computed in closed form."""
-    starts = [i for i, _ in w.pairs]
-    ends = [j for _, j in w.pairs]
-    p = len(w.pairs)
-    positive_tails = {starts[s - 1] for s, _ in positive_pairs}
-    positive_heads = {ends[t - 1] + 1 for _, t in positive_pairs}
-
-    top_sets: list[tuple[frozenset[int], int | None]] = []
-    taken_f: set[int] = set()
-    for r in range(1, p + 1):
-        if r > 1 and starts[r - 1] in positive_tails:
-            top_sets.append((frozenset(), None))
-            continue
-        cands = (
-            frozenset(range(starts[r - 1] + 1, ends[0] + 2))
-            - set(starts[: r - 1])
-            - taken_f
-        )
-        f_r = min(cands) if cands else None
-        if f_r is not None:
-            taken_f.add(f_r)
-        top_sets.append((cands, f_r))
-
-    bottom_rev: list[tuple[frozenset[int], int | None]] = []
-    taken_g: set[int] = set()
-    for r in range(p, 0, -1):
-        if r < p and ends[r - 1] + 1 in positive_heads:
-            bottom_rev.append((frozenset(), None))
-            continue
-        cands = (
-            frozenset(range(starts[-1], ends[r - 1] + 1))
-            - {ends[s - 1] + 1 for s in range(r + 1, p + 1)}
-            - taken_g
-        )
-        g_r = max(cands) if cands else None
-        if g_r is not None:
-            taken_g.add(g_r)
-        bottom_rev.append((cands, g_r))
-
-    return BijectionTrace(positive_pairs, tuple(top_sets), tuple(reversed(bottom_rev)))
+    trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
+    return Diagram(k, tuple(partner)), trace
 
 
 def diagram_of(w: FCElement) -> Diagram:

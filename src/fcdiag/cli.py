@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from math import lgamma, log, log10
 from typing import Sequence
 
@@ -273,15 +274,12 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         )
     names = sorted(verify.SUITES) if (args.all or not args.suites) else args.suites
     results = verify.run_suites(names, args.max_n)
-    failed = 0
     for r in results:
-        if r.ok:
-            print(f"PASS {r.suite}.{r.name}")
-        else:
-            failed += 1
-            print(f"FAIL {r.suite}.{r.name}: {r.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
+        print(f"{r.status} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else ""))
+    status = Counter(r.status for r in results)
+    skipped = f", {status['SKIP']} skipped" if status["SKIP"] else ""
+    print(f"{status['PASS']}/{status['PASS'] + status['FAIL']} checks passed{skipped}")
+    return 1 if status["FAIL"] else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

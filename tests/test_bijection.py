@@ -17,7 +17,8 @@ from fcdiag import (
     parse_diagram,
     parse_fc,
 )
-from helpers import assert_holds, fc_list, generator_words, rewrite_word
+from fcdiag.verify import _trace_faults
+from helpers import assert_holds, fc_elements, fc_list, generator_words, rewrite_word
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 
@@ -160,22 +161,15 @@ class TestReader:
 class TestTrace:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_candidate_sets(self, n):
-        for w in fc_list(n):
-            d, trace = fc_to_diagram(w)
-            comp = d.components()
-            positive_tails = {x + 1 for x, _ in comp.positive}
-            positive_heads = {y - n for _, y in comp.positive}  # 1-based bottom index
-            for r in range(1, w.size + 1):
-                cands, f = trace.top_sets[r - 1]
-                assert (not cands) == (w.pairs[r - 1][0] in positive_tails)
-                if cands:
-                    assert f == min(cands)
-                    assert (w.pairs[r - 1][0] - 1, f - 1) in comp.top_arcs
-                bcands, g = trace.bottom_sets[r - 1]
-                assert (not bcands) == (w.pairs[r - 1][1] + 1 in positive_heads)
-                if bcands:
-                    assert g == max(bcands)
-                    assert (n + g, n + 1 + w.pairs[r - 1][1]) in comp.bottom_arcs
+        assert_holds("bijection.trace-consistency", n)
+
+    @settings(deadline=None)
+    @given(fc_elements(max_rank=40))
+    def test_long_elements(self, w):
+        # the exhaustive sweeps stop at rank 8; positive arrows are common here
+        drawn, trace = fc_to_diagram(w)
+        assert drawn == diagram_of(w)
+        assert list(_trace_faults(w, drawn, trace)) == []
 
 
 class TestStructuralProperties:

@@ -191,6 +191,17 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert out.strip().splitlines()[-1].endswith("checks passed")
 
+    def test_check_with_no_rank_is_skipped(self, capsys):
+        # readings-disagree covers ranks 2..8, so --max-n 1 runs none of it
+        code, out, _ = run(capsys, "verify", "lattice", "--max-n", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "PASS lattice.path-ballot-roundtrips",
+            "SKIP lattice.readings-disagree: no rank in 2..8 within --max-n 1",
+            "PASS lattice.diagram-ballot-bijective",
+            "2/2 checks passed, 1 skipped",
+        ]
+
 
 class TestErrorPaths:
     def test_bad_canonical_form(self, capsys):
