@@ -3,6 +3,7 @@ Temperley-Lieb monomial arithmetic for the type-A Coxeter group."""
 
 from .bijection import (
     BijectionTrace,
+    block_pairs,
     diagram_of,
     diagram_to_fc,
     dplus_condition,
@@ -19,6 +20,7 @@ from .counting import (
     count_start_end,
     count_start_size,
     narayana,
+    narayana_row,
     triangle_end,
     triangle_start,
 )
@@ -28,6 +30,7 @@ from .diagram import (
     concatenate,
     diagram_from_json,
     enumerate_diagrams,
+    generator_action,
     parse_diagram,
 )
 from .errors import (

@@ -8,13 +8,15 @@ by a remarkable fact: the diagram of w is the unique non-crossing diagram
 whose rightward top tails are the block starts {i_t} of w and whose shifted
 leftward bottom heads are the block ends {j_t}.
 
-Reading a diagram off (``diagram_to_fc``) is therefore immediate.  Drawing
-the diagram of w takes one of three routes, each with one job:
+Reading a diagram off (``diagram_to_fc``) is therefore immediate: one pass
+over the partner array (``block_pairs``).  Drawing the diagram of w takes
+one of three routes, each with one job:
 
 * ``diagram_of`` serves.  It glues the generators of the canonical word one
   by one onto a partner array (:meth:`Diagram.from_word`), linear in the
   length, and raises if a circle closes, which a reduced word never does.
-  Products, the census and every trace-free CLI drawing use it.
+  Every trace-free CLI drawing uses it.  Products and the census run the
+  same kernel (:func:`generator_action`) and read its bare partner list.
 * ``fc_to_diagram`` reproduces the paper's direct algorithm, which places
   arrows in five passes:
 
@@ -49,10 +51,11 @@ the diagram of w takes one of three routes, each with one job:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .diagram import Diagram, concatenate
 from .errors import IndexOutOfRangeError, UnexpectedLoopError
-from .fc import FCElement, is_saturated_in
+from .fc import FCElement, Pair, is_saturated_in
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,12 @@ def fc_to_diagram_reference(w: FCElement) -> Diagram:
 
 
 def diagram_to_fc(diagram: Diagram) -> FCElement:
-    """Read the FC element off a diagram.
+    """Read the FC element off a diagram."""
+    return FCElement(diagram.strings - 1, block_pairs(diagram.strings, diagram.partner))
+
+
+def block_pairs(strings: int, partner: Sequence[int]) -> tuple[Pair, ...]:
+    """The canonical block list of the FC element whose diagram is ``partner``.
 
     The block starts are the rightward top tails in decreasing order and
     the block ends the shifted leftward bottom heads in decreasing order;
@@ -229,10 +237,10 @@ def diagram_to_fc(diagram: Diagram) -> FCElement:
     Both are read off the partner array in one pass over the columns: top
     dot x+1 starts a block when its partner lies to its right, on either
     row, and bottom dot (x+1)' ends block x when its partner lies to its
-    left.
+    left.  ``partner`` must be a diagram's partner array on ``strings``
+    strings, validated or straight from :func:`generator_action`.
     """
-    k = diagram.strings
-    partner = diagram.partner
+    k = strings
     starts: list[int] = []
     ends: list[int] = []
     for x in range(k - 1, -1, -1):
@@ -240,4 +248,4 @@ def diagram_to_fc(diagram: Diagram) -> FCElement:
             starts.append(x + 1)
         if partner[k + x] % k < x:
             ends.append(x)
-    return FCElement(k - 1, tuple(zip(starts, ends)))
+    return tuple(zip(starts, ends))

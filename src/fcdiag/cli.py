@@ -7,11 +7,17 @@ allowed range.  Output is deterministic for fixed argv.
 
 Only ``to-diagram --trace`` runs the paper's five-pass drawing; every other
 command that draws an element's diagram uses the generator-action kernel.
+
+:func:`main` builds its argparse tree once per process, on its first call,
+and reuses it: parsing keeps no state between calls, so a request pays for
+its answer and not for building ten subcommand parsers.
+:func:`build_parser` still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -46,22 +52,30 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
-# ``enum`` and ``census`` refuse to list more elements than this.
+# ``enum`` and ``census`` refuse to list more elements than ENUMERATION_CAP,
+# and a listing whose elements add up to more than WORK_CAP blocks (enum
+# prints them) or strings (census draws each element on n+1 of them).  One
+# element at the work cap, 10^7 blocks, still takes about 3 GB to print.
 ENUMERATION_CAP = 10**7
+WORK_CAP = 10**7
 
 
 def _log10_comb(a: int, b: int) -> float:
     return (lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)) / log(10)
 
 
-def _check_listing_size(n: int, size: int | None) -> None:
-    """Domain error if rank ``n`` has more than ENUMERATION_CAP elements to list.
+def _check_listing_size(command: str, n: int, size: int | None) -> None:
+    """Domain error if ``command`` at rank ``n`` would list or build too much.
 
     The count is C_{n+1}, or N(n, size) with one size.  It is computed
     exactly when a bound shows it has at most about 120 digits.  A larger
     count exceeds the cap by far and is only estimated, so that a huge rank
-    is refused without computing a count of millions of digits.
+    is refused without computing a count of millions of digits.  Within
+    the element cap the work is exact: enum prints size * N(n, size)
+    blocks, or n C_{n+1} / 2 without a size (sizes p and n-p are equally
+    common); census draws (n+1) N(n, size) strings.
     """
+    of_size = "" if size is None else f" of size {size}"
     if size is None:
         bits = 2 * n + 2  # C_{n+1} < 4^(n+1)
     else:
@@ -70,6 +84,17 @@ def _check_listing_size(n: int, size: int | None) -> None:
     if bits <= 400:
         count = counting.catalan(n + 1) if size is None else counting.narayana(n, size)
         if count <= ENUMERATION_CAP:
+            if command == "census":
+                work, unit, verb = (n + 1) * count, "strings", "draw"
+            elif size is None:
+                work, unit, verb = n * count // 2, "blocks", "print"
+            else:
+                work, unit, verb = size * count, "blocks", "print"
+            if work > WORK_CAP:
+                raise RankOutOfRangeError(
+                    f"rank {n} has {count} elements{of_size}, {work} {unit} in all, "
+                    f"more than the {WORK_CAP} {unit} that {command} may {verb}"
+                )
             return
         amount = str(count)
     else:
@@ -81,7 +106,6 @@ def _check_listing_size(n: int, size: int | None) -> None:
             amount = f"about 10^{log10_count:.0f}"
         except OverflowError:  # n beyond the float range, so the count is above n
             amount = "more than 10^300"
-    of_size = "" if size is None else f" of size {size}"
     raise RankOutOfRangeError(
         f"rank {n} has {amount} elements{of_size}, "
         f"more than the {ENUMERATION_CAP} that enum and census may list"
@@ -90,7 +114,7 @@ def _check_listing_size(n: int, size: int | None) -> None:
 
 def _cmd_enum(args) -> int:
     _check_at_most(args, "size", args.n)
-    _check_listing_size(args.n, args.size)
+    _check_listing_size("enum", args.n, args.size)
     for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
@@ -99,7 +123,7 @@ def _cmd_enum(args) -> int:
 def _cmd_count(args) -> int:
     n = args.n
     if args.narayana:
-        values = [counting.narayana(n, p) for p in range(n + 1)]
+        values = counting.narayana_row(n)
     elif args.triangle:
         values = [counting.triangle_start(n, i) for i in range(n + 1)]
     else:
@@ -248,7 +272,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_census(args) -> int:
     _check_at_most(args, "p", args.n)
-    _check_listing_size(args.n, args.p)
+    _check_listing_size("census", args.n, args.p)
     classes = tl.census(args.n, args.p)
     strings = args.n + 1
     if args.json:
@@ -369,9 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main() uses: built on the first call, not at import.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     # Counts print in full: lift Python's limit on int-to-str digits
     # (3.11+) for the command, and restore it for the caller.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

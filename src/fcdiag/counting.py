@@ -11,7 +11,8 @@ Statistics and their counts, for rank n:
 * ``catalan(m)``                 Catalan number C_m, in closed form; the
                                  convolution recurrence that defines it
                                  is a ``verify`` check.
-* ``narayana(n, p)``             elements of size p.
+* ``narayana(n, p)``             elements of size p; ``narayana_row(n)``
+                                 gives all of them for one rank.
 * ``triangle_start(n, i)``       canonical word starts with generator i
                                  (Catalan triangle; i = 0 counts the
                                  identity alone).
@@ -63,6 +64,19 @@ def narayana(n: int, p: int) -> int:
     if n < 0 or p < 0 or p > n:
         return 0
     return _exact(comb(n, p) * comb(n + 1, p), p + 1)
+
+
+def narayana_row(n: int) -> list[int]:
+    """``[narayana(n, p) for p in 0..n]``, each from its left neighbour.
+
+    N(n, p+1) = N(n, p) (n-p)(n+1-p) / ((p+1)(p+2)), so the row costs one
+    multiplication and one exact division per entry instead of two fresh
+    binomials.  Empty for n < 0.
+    """
+    row = [1] if n >= 0 else []
+    for p in range(n):
+        row.append(_exact(row[-1] * (n - p) * (n + 1 - p), (p + 1) * (p + 2)))
+    return row
 
 
 def triangle_start(n: int, i: int) -> int:

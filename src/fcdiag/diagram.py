@@ -18,10 +18,12 @@ on the boundary walk of the rectangle, top row left to right and then
 bottom row right to left; on that circular order the matching must nest
 like balanced brackets.
 
-Products of generators are built by :meth:`Diagram.from_word`, which glues
+Products of generators are built by :func:`generator_action`, which glues
 one cup-cap generator at a time below a partner array in place: four writes
 per letter, or one closed circle.  This kernel is the hot path of every
-product and every trace-free drawing.
+product, the census and every trace-free drawing.  It returns the bare
+partner list; :meth:`Diagram.from_word` is the validating wrapper that
+turns it into a :class:`Diagram`.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning
@@ -134,33 +136,10 @@ class Diagram:
     def from_word(cls, strings: int, word: Iterable[int]) -> tuple[Diagram, int]:
         """The product of the generators along ``word``, and its circle count.
 
-        Starts from the identity partner array and glues each e_a below it
-        in place.  If bottom dots a' and (a+1)' already form a cap, the glue
-        closes one circle and nothing else changes; otherwise the strands
-        ending at a' and (a+1)' are joined to each other and a' is capped
-        with (a+1)'.  Linear in the word length; the result is validated
-        once.  Equals folding :func:`concatenate` over :meth:`generator`.
+        The validating wrapper around :func:`generator_action`.
         """
-        word = tuple(word)
-        k = strings
-        if word and not 1 <= min(word) <= max(word) <= k - 1:
-            bad = next(a for a in word if not 1 <= a <= k - 1)
-            raise IndexOutOfRangeError(
-                f"generator index must satisfy 1 <= i <= {k - 1}, got {bad}"
-            )
-        partner = list(range(k, 2 * k)) + list(range(k))
-        loops = 0
-        for a in word:
-            left = k + a - 1
-            right = left + 1
-            x = partner[left]
-            if x == right:
-                loops += 1
-                continue
-            y = partner[right]
-            partner[x], partner[y] = y, x
-            partner[left], partner[right] = right, left
-        return cls(k, tuple(partner)), loops
+        partner, loops = generator_action(strings, word)
+        return cls(strings, tuple(partner)), loops
 
     @classmethod
     def from_arrows(cls, strings: int, arrows: Iterable[Arrow]) -> Diagram:
@@ -295,6 +274,47 @@ class Components:
 
 def _dot_name(code: int, strings: int) -> str:
     return str(code + 1) if code < strings else f"{code - strings + 1}'"
+
+
+# ----------------------------------------------------------------------
+# the generator-action kernel
+
+
+def generator_action(strings: int, word: Iterable[int]) -> tuple[list[int], int]:
+    """Partner list and circle count of the product of the generators in ``word``.
+
+    Starts from the identity partner array and glues each e_a below it in
+    place.  If bottom dots a' and (a+1)' already form a cap, the glue
+    closes one circle and nothing else changes; otherwise the strands
+    ending at a' and (a+1)' are joined to each other and a' is capped with
+    (a+1)'.  Linear in the word length.  Equals folding :func:`concatenate`
+    over :meth:`Diagram.generator`.
+
+    The list is not validated: every step keeps it a non-crossing perfect
+    matching, so callers that only read it (products, the census) use it
+    as it is, and :meth:`Diagram.from_word` validates it once.  Generator
+    indices outside 1..strings-1 raise.
+    """
+    word = tuple(word)
+    k = strings
+    if word and not 1 <= min(word) <= max(word) <= k - 1:
+        bad = next(a for a in word if not 1 <= a <= k - 1)
+        raise IndexOutOfRangeError(
+            f"generator index must satisfy 1 <= i <= {k - 1}, got {bad}"
+        )
+    partner = list(range(k, 2 * k)) + list(range(k))
+    loops = 0
+    for a in word:
+        left = k + a - 1
+        right = left + 1
+        x = partner[left]
+        if x == right:
+            loops += 1
+            continue
+        y = partner[right]
+        partner[x], partner[y] = y, x
+        partner[left], partner[right] = right, left
+    return partner, loops
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,15 @@ e_i e_{i+-1} e_i = e_i, and e_i e_j = e_j e_i for |i-j| > 1.  Its monomial
 basis is indexed by FC elements: e_w is the product of generators along the
 canonical word of w.  A product of monomials e_{w1} e_{w2} is the diagram of
 the concatenated word word(w1) + word(w2), built in one pass by the
-generator-action kernel :meth:`Diagram.from_word`, which also counts the
-closed circles; reading that diagram back gives the result, already in
-canonical form.  Neither factor is drawn on its own.  The paper's five-pass
-drawing (:func:`fc_to_diagram`) and the concatenation oracle
-(:func:`concatenate`) are checked against this route by the tests, not used
-by it.
+generator-action kernel :func:`generator_action`, which also counts the
+closed circles; reading the block list off its bare partner list
+(:func:`block_pairs`) gives the result, already in canonical form.  Neither
+factor is drawn on its own, and no :class:`Diagram` is built: the kernel
+keeps its list a non-crossing matching, so revalidating it would only
+repeat work.  The result is an :class:`FCElement`, checked by its own
+constructor.  The paper's five-pass drawing (:func:`fc_to_diagram`) and the
+concatenation oracle (:func:`concatenate`) are checked against this route
+by the tests, not used by it.
 
 :class:`DeltaPoly` is the coefficient ring (integer polynomials in delta,
 exact, never specialized to a number) and :class:`TLElement` a finite linear
@@ -23,18 +26,25 @@ the cross-arrow equivalence: two diagrams are equivalent when their
 top-to-bottom arrows coincide exactly.  Fixing those arrows, the remaining
 dots pair up within the gaps between consumed dots, so each equivalence
 class has a product of small Catalan numbers as its cardinality
-(``expected_class_size``); the census is empirical, grouped by
-``equivalence_key``.
+(``expected_class_size``); the census is empirical: it runs the kernel on
+each element's canonical word and groups the bare partner lists by the
+same key that ``equivalence_key`` reads off a diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .bijection import diagram_of, diagram_to_fc
+from .bijection import block_pairs
 from .counting import catalan
-from .diagram import Arrow, Diagram
-from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
+from .diagram import Arrow, Diagram, generator_action
+from .errors import (
+    NotMatchingError,
+    NotNormalizedError,
+    RankMismatchError,
+    UnexpectedLoopError,
+)
 from .fc import FCElement, enumerate_fc
 
 
@@ -176,12 +186,14 @@ def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
 
     Returns (w3, m).  The product is the diagram of the word
     word(w1) + word(w2), so w3 comes out in canonical form with no
-    rewriting and m is the number of circles the word closes.
+    rewriting and m is the number of circles the word closes.  w3 is read
+    straight off the kernel's partner list.
     """
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply ranks {w1.rank} and {w2.rank}")
-    product, loops = Diagram.from_word(w1.rank + 1, w1.word() + w2.word())
-    return diagram_to_fc(product), loops
+    strings = w1.rank + 1
+    partner, loops = generator_action(strings, w1.word() + w2.word())
+    return FCElement(w1.rank, block_pairs(strings, partner)), loops
 
 
 def multiply(x: TLElement, y: TLElement) -> TLElement:
@@ -218,8 +230,11 @@ Key = tuple[Arrow, ...]
 
 def equivalence_key(diagram: Diagram) -> Key:
     """Canonical encoding of all top-to-bottom arrows of the diagram, by tail."""
-    partner, k = diagram.partner, diagram.strings
-    return tuple((x, partner[x]) for x in range(k) if partner[x] >= k)
+    return _cross_arrows(diagram.strings, diagram.partner)
+
+
+def _cross_arrows(strings: int, partner: Sequence[int]) -> Key:
+    return tuple((x, partner[x]) for x in range(strings) if partner[x] >= strings)
 
 
 def key_to_text(key: Key, strings: int) -> str:
@@ -234,11 +249,18 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
     Returned sorted by key; the sizes add up to ``narayana(n, p)``, the
-    number of elements the sized enumeration draws.
+    number of elements the sized enumeration draws.  Each element is keyed
+    off the kernel's partner list for its canonical word, with no
+    :class:`Diagram` built; like ``diagram_of``, a word that closes a
+    circle raises.
     """
+    strings = n + 1
     counts: dict[Key, int] = {}
     for w in enumerate_fc(n, p):
-        key = equivalence_key(diagram_of(w))
+        partner, loops = generator_action(strings, w.word())
+        if loops:
+            raise UnexpectedLoopError(f"reduced word of {w} closed {loops} circles")
+        key = _cross_arrows(strings, partner)
         counts[key] = counts.get(key, 0) + 1
     return sorted(counts.items())
 

@@ -12,7 +12,9 @@ share runs every triple, a larger one draws its share from one RNG seeded
 by the rank.
 
 One runner reports, for each check, the first counterexample over its ranks
-in increasing order, or a skip when ``--max-n`` leaves it no rank;
+in increasing order (a domain error the library raises counts as one, and
+the run goes on with the next check), or a skip when ``--max-n`` leaves it
+no rank;
 ``SUITES`` maps each suite name to the function that runs its checks.  The
 same catalogue is run case by case by pytest: every (check, rank) pair at
 the CLI default ``--max-n``, and the acceptance tests at their own ranks,
@@ -37,6 +39,7 @@ from .bijection import (
     fc_to_diagram_reference,
 )
 from .diagram import Diagram, concatenate, enumerate_diagrams
+from .errors import FCDiagramError
 from .fc import (
     Classification,
     FCElement,
@@ -72,10 +75,17 @@ class Check:
         return range(self.first, (min(self.last, max_n) if self.capped else self.last) + 1)
 
     def counterexample(self, ranks: Iterable[int]) -> str | None:
-        """The first failure over ``ranks`` in order, or None if all hold."""
+        """The first failure over ``ranks`` in order, or None if all hold.
+
+        A domain error raised while checking a rank is that rank's
+        failure, reported with the error's class and message.
+        """
         for n in ranks:
-            for message in self.cases(n):
-                return message
+            try:
+                for message in self.cases(n):
+                    return message
+            except FCDiagramError as exc:
+                return f"rank {n}: {type(exc).__name__}: {exc}"
         return None
 
 

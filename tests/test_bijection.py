@@ -8,12 +8,14 @@ from fcdiag import (
     FCElement,
     IndexOutOfRangeError,
     UnexpectedLoopError,
+    block_pairs,
     diagram_of,
     diagram_to_fc,
     dplus_condition,
     enumerate_diagrams,
     fc_to_diagram,
     fc_to_diagram_reference,
+    generator_action,
     parse_diagram,
     parse_fc,
 )
@@ -136,6 +138,24 @@ class TestKernel:
         rank, word = rank_word
         diagram, loops = Diagram.from_word(rank + 1, word)
         assert (diagram_to_fc(diagram), loops) == rewrite_word(rank, word)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_bare_list_revalidates(self, n):
+        # products and the census read the kernel's list without a Diagram
+        k = n + 1
+        for w in fc_list(n):
+            partner, loops = generator_action(k, w.word())
+            assert (Diagram(k, partner), loops) == Diagram.from_word(k, w.word())
+            assert block_pairs(k, partner) == w.pairs
+
+    @settings(deadline=None)
+    @given(generator_words(max_rank=4, max_length=10))
+    def test_bare_list_revalidates_on_any_word(self, rank_word):
+        rank, word = rank_word
+        partner, loops = generator_action(rank + 1, word)
+        assert (Diagram(rank + 1, partner), loops) == Diagram.from_word(rank + 1, word)
+        reading = FCElement(rank, block_pairs(rank + 1, partner))
+        assert (reading, loops) == rewrite_word(rank, word)
 
 
 class TestReader:

@@ -2,11 +2,12 @@
 
 import json
 import sys
+import time
 from math import comb
 
 import pytest
 
-from fcdiag import count_start_end, narayana
+from fcdiag import cli, count_start_end, narayana
 from fcdiag.cli import main
 
 
@@ -132,6 +133,20 @@ class TestEnumAndTable:
         assert code == 1 and "has about 10^602059978 elements" in err
         assert run(capsys, "enum", "--n", "1000000000", "--size", "0")[:2] == (0, "n=1000000000:[]\n")
 
+    def test_enum_above_the_work_cap(self, capsys):
+        # one element, but of 10^400 blocks
+        n = str(10**400)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enum", "--n", n, "--size", n)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: rank {n} has 1 elements of size {n}, {n} blocks in all, "
+            f"more than the {cli.WORK_CAP} blocks that enum may print\n"
+        )
+        code, _, err = run(capsys, "enum", "--n", "13")
+        assert code == 1 and "17383860 blocks in all" in err
+
     def test_table_start_end_past_brute_force(self, capsys):
         code, out, _ = run(capsys, "table", "start-end", "--n", "60", "--format", "csv")
         assert code == 0
@@ -166,6 +181,20 @@ class TestCensusCommand:
         code, out, err = run(capsys, "census", "--n", "40", "--p", "20")
         assert (code, out) == (1, "")
         assert f"rank 40 has {narayana(40, 20)} elements of size 20" in err
+
+    def test_above_the_work_cap(self, capsys):
+        # one element, drawn on 10^400 + 1 strings
+        n = 10**400
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "--n", str(n), "--p", str(n))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: rank {n} has 1 elements of size {n}, {n + 1} strings in all, "
+            f"more than the {cli.WORK_CAP} strings that census may draw\n"
+        )
+        code, _, err = run(capsys, "census", "--n", "13", "--p", "6")
+        assert code == 1 and "736164 elements of size 6, 10306296 strings in all" in err
 
 
 class TestRender:
@@ -262,3 +291,48 @@ class TestNumericRanges:
         assert run(capsys, "table", "narayana", "--n", "0")[0] == 0
         assert run(capsys, "table", "start-end", "--n", "1")[0] == 0
         assert run(capsys, "verify", "lattice", "--max-n", "1")[0] == 0
+
+
+class TestSharedParser:
+    """main() reuses one parser; every outcome equals a fresh parser's."""
+
+    def argv_list(self, tmp_path):
+        return [
+            ["enum", "--n", "3", "--size", "2"],
+            ["count", "--n", "5", "--narayana", "--json"],
+            ["table", "start-end", "--n", "4"],
+            ["to-diagram", "--trace", "n=3:[2,2][1,1]"],
+            ["to-fc", "--json", "strings=2;1-2,1'-2'"],
+            ["mul", "n=4:[1,4]", "n=4:[4,4][3,3][1,1]"],
+            ["convert", "--from", "fc", "--to", "ballot", "n=5:[4,5][3,3][1,1]"],
+            ["render", "n=2:[1,2]", "--svg", str(tmp_path / "out.svg")],
+            ["census", "--n", "3", "--p", "1", "--json"],
+            ["verify", "lattice", "--max-n", "2"],
+            ["count", "--n", "-3"],  # usage error
+            ["convert", "--from", "ballot", "--to", "diagram", "+-"],  # usage error after parsing
+            ["table", "narayana", "--n", "-1"],  # usage error raised by the command
+            ["to-diagram", "n=5:[3,3][4,5]"],  # domain error
+            ["count", "--n", "3", "--narayana", "--triangle"],  # mutually exclusive
+            ["--help"],
+            ["census", "--help"],
+            ["enum", "--n", "2"],
+        ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        argvs = self.argv_list(tmp_path)
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+        shared = [self.outcome(capsys, argv) for argv in argvs + argvs]
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = [self.outcome(capsys, argv) for argv in argvs]
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0] * 10 + [2, 2, 2, 1, 2, 0, 0, 0]

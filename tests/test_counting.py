@@ -21,6 +21,7 @@ from fcdiag import (
     count_start_end,
     count_start_size,
     narayana,
+    narayana_row,
     triangle_end,
     triangle_start,
 )
@@ -68,6 +69,11 @@ class TestNarayana:
 
     def test_row_n4(self):
         assert [narayana(4, p) for p in range(5)] == [1, 10, 20, 10, 1]
+
+    def test_row_by_neighbour_ratio(self):
+        assert narayana_row(-1) == [] and narayana_row(0) == [1]
+        for n in range(301):
+            assert narayana_row(n) == [narayana(n, p) for p in range(n + 1)]
 
     @given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60))
     def test_symmetry(self, n, p):

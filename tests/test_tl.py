@@ -1,5 +1,7 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
+from collections import Counter
+
 import pytest
 
 from fcdiag import (
@@ -11,6 +13,8 @@ from fcdiag import (
     TLElement,
     census,
     descents_from_diagram,
+    diagram_of,
+    enumerate_fc,
     equivalence_key,
     expected_class_size,
     fc_to_diagram,
@@ -169,3 +173,10 @@ class TestCensus:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_classes_recount_and_factor(self, n):
         assert_holds("tl.census", n)
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_equals_recount_through_diagram_of(self, n):
+        # the census keys the kernel's bare list; this keys validated diagrams
+        for p in range(n + 1):
+            recount = Counter(equivalence_key(diagram_of(w)) for w in enumerate_fc(n, p))
+            assert census(n, p) == sorted(recount.items())

@@ -14,6 +14,7 @@ from fcdiag import counting, lattice, tl, verify
 from fcdiag.bijection import diagram_to_fc
 from fcdiag.cli import build_parser, main
 from fcdiag.diagram import Diagram
+from fcdiag.errors import CrossingError
 from fcdiag.fc import FCElement
 from helpers import assert_holds
 
@@ -116,3 +117,19 @@ def test_fault_in_diagram_reading(capsys, monkeypatch):
         1,
         ["FAIL lattice.readings-disagree: rank 2: tail/head reading agrees with the block ballot everywhere"],
     )
+
+
+def test_fault_that_raises(capsys, monkeypatch):
+    def crossing(w):
+        raise CrossingError("arrows 1'-3' and 3-2' cross")
+
+    monkeypatch.setattr(verify, "fc_to_diagram", crossing)
+    assert main(["verify", "bijection", "--max-n", "6"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL bijection.roundtrips: rank 0: CrossingError: arrows 1'-3' and 3-2' cross",
+        "FAIL bijection.oracle-equivalence: rank 0: CrossingError: arrows 1'-3' and 3-2' cross",
+        "PASS bijection.uniqueness",
+        "PASS bijection.multiplication-compatible",
+        "FAIL bijection.trace-consistency: rank 0: CrossingError: arrows 1'-3' and 3-2' cross",
+        "2/5 checks passed",
+    ]
