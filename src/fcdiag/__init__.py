@@ -21,6 +21,7 @@ from .counting import (
     count_start_size,
     narayana,
     narayana_row,
+    start_end_row,
     triangle_end,
     triangle_start,
 )

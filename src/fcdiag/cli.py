@@ -54,8 +54,12 @@ def _check_at_most(args, option: str, high: int) -> None:
 
 # ``enum`` and ``census`` refuse to list more elements than ENUMERATION_CAP,
 # and a listing whose elements add up to more than WORK_CAP blocks (enum
-# prints them) or strings (census draws each element on n+1 of them).  One
+# prints them) or strings (census once drew each element on n+1 of them).  One
 # element at the work cap, 10^7 blocks, still takes about 3 GB to print.
+# The census now walks its classes without building any element, so these
+# element-count bounds overstate its work; they are kept unchanged so that
+# its refusals stay as they were, until a bound on the classes it lists
+# replaces them.
 ENUMERATION_CAP = 10**7
 WORK_CAP = 10**7
 
@@ -73,7 +77,8 @@ def _check_listing_size(command: str, n: int, size: int | None) -> None:
     is refused without computing a count of millions of digits.  Within
     the element cap the work is exact: enum prints size * N(n, size)
     blocks, or n C_{n+1} / 2 without a size (sizes p and n-p are equally
-    common); census draws (n+1) N(n, size) strings.
+    common); census is charged (n+1) N(n, size) strings, the cost of
+    drawing every element, though it draws none.
     """
     of_size = "" if size is None else f" of size {size}"
     if size is None:
@@ -135,35 +140,40 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _start_end_cell(n: int, i: int, j: int) -> str:
-    value, closed = counting.count_start_end(n, i, j)
-    return str(value) if closed else f"{value}*"
+def _cells(cell):
+    """Row function of a table whose cells are counted one at a time."""
+    return lambda n, row, columns: [cell(n, row, column) for column in columns]
 
 
-# kind -> (corner label, lowest index, cell(n, row, col)).  Rows and columns
-# both run from the lowest index to n, so the kinds indexed by generators or
-# blocks, which start at 1, are empty below rank 1.  Cells look up their
-# ``counting`` function at call time, so a rebound module attribute (as in
-# ``perfbench/tracer.py``) takes effect.
+def _start_end_row(n: int, i: int, columns) -> list[str]:
+    # one chain recurrence per row; ``columns`` is always 1..n
+    return [str(value) if closed else f"{value}*" for value, closed in counting.start_end_row(n, i)]
+
+
+# kind -> (corner label, lowest index, row(n, row index, column indices)).
+# Rows and columns both run from the lowest index to n, so the kinds
+# indexed by generators or blocks, which start at 1, are empty below rank
+# 1.  Rows and cells look up their ``counting`` function at call time, so a
+# rebound module attribute (as in ``perfbench/tracer.py``) takes effect.
 _TABLES = {
-    "narayana": ("n\\p", 0, lambda n, m, p: str(counting.narayana(m, p))),
-    "triangle": ("n\\i", 0, lambda n, m, i: str(counting.triangle_start(m, i))),
-    "first-block": ("i\\j", 1, lambda n, i, j: str(counting.count_first_block(n, i, j))),
-    "last-block": ("i\\j", 1, lambda n, i, j: str(counting.count_last_block(n, i, j))),
-    "start-size": ("i\\p", 1, lambda n, i, p: str(counting.count_start_size(n, i, p))),
-    "size-end": ("p\\j", 1, lambda n, p, j: str(counting.count_size_end(n, p, j))),
-    "start-end": ("i\\j", 1, _start_end_cell),
+    "narayana": ("n\\p", 0, _cells(lambda n, m, p: str(counting.narayana(m, p)))),
+    "triangle": ("n\\i", 0, _cells(lambda n, m, i: str(counting.triangle_start(m, i)))),
+    "first-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_first_block(n, i, j)))),
+    "last-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_last_block(n, i, j)))),
+    "start-size": ("i\\p", 1, _cells(lambda n, i, p: str(counting.count_start_size(n, i, p)))),
+    "size-end": ("p\\j", 1, _cells(lambda n, p, j: str(counting.count_size_end(n, p, j)))),
+    "start-end": ("i\\j", 1, _start_end_row),
 }
 
 
 def _cmd_table(args) -> int:
-    corner, low, cell_of = _TABLES[args.kind]
+    corner, low, row_of = _TABLES[args.kind]
     n = args.n
     if n < low:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
     indices = range(low, n + 1)
     header = [corner] + [str(c) for c in indices]
-    rows = [[str(r)] + [cell_of(n, r, c) for c in indices] for r in indices]
+    rows = [[str(r)] + row_of(n, r, indices) for r in indices]
     if args.format == "json":
         print(json.dumps({"header": header, "rows": rows}))
     elif args.format == "csv":

@@ -27,6 +27,8 @@ Statistics and their counts, for rank n:
                                  the exact value comes from a recurrence
                                  over block chains, in O(i*n) additions,
                                  and is flagged as such.
+                                 ``start_end_row(n, i)`` gives all j for
+                                 one i from a single run of it.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
 
     Closed forms: C(n-j+i-1, i-1) for j >= i, and C(n, i-1) - 1 for
     j = i-1.  For j < i-1 no closed form is known and the exact value is
-    computed by :func:`_chains_start_end` (flagged via ``closed_form``).
+    computed by :func:`_chain_ends` (flagged via ``closed_form``).
     """
     if not (1 <= i <= n and 1 <= j <= n):
         return StartEndCount(0, True)
@@ -160,19 +162,36 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
         return StartEndCount(comb(n - j + i - 1, i - 1), True)
     if j == i - 1:
         return StartEndCount(comb(n, i - 1) - 1, True)
-    return StartEndCount(_chains_start_end(n, i, j), False)
+    return StartEndCount(_chain_ends(n, i, j)[j], False)
 
 
-def _chains_start_end(n: int, i: int, j: int) -> int:
-    """Count block chains [i,b_1][a_2,b_2]...[a_p,j] of rank n.
+def start_end_row(n: int, i: int) -> list[StartEndCount]:
+    """``[count_start_end(n, i, j) for j in 1..n]``, in one chain recurrence.
+
+    One run of :func:`_chain_ends` from start i counts the chains ending at
+    every j at once, so a row costs O(i*n) additions instead of that much
+    per cell, and the whole start-end table O(n^3) instead of O(n^4).
+    """
+    if not 1 <= i <= n:
+        return [StartEndCount(0, True)] * max(n, 0)
+    chains = _chain_ends(n, i, 1)
+    return [
+        StartEndCount(chains[j], False) if j < i - 1 else count_start_end(n, i, j)
+        for j in range(1, n + 1)
+    ]
+
+
+def _chain_ends(n: int, i: int, j: int) -> list[int]:
+    """Count block chains [i,b_1][a_2,b_2]...[a_p,b] of rank n by their end b.
 
     Let N(a, b) be the number of chains whose first start is i and whose
     last block is [a, b].  Then N(a, b) = [a = i] + sum N(a', b') over
     a < a' <= i and b' > b, for a <= b <= n.  Rows are filled from a = i
     down to 1; ``column[b]`` holds the sum of N(a', b) over the rows done so
-    far, and ``above`` the sum of their entries right of b.  Only columns
-    b >= j can reach the end j, so the others are never filled.  The answer
-    is the sum of N(a, j) over all a: O(i*n) big-integer additions.
+    far, and ``above`` the sum of their entries right of b.  Only the ends
+    b >= j are filled, since no others can reach them.  The returned
+    ``column[b]`` is the number of chains ending at b, for every b >= j:
+    O(i*n) big-integer additions.
     """
     column = [0] * (n + 1)
     for a in range(i, 0, -1):
@@ -181,7 +200,7 @@ def _chains_start_end(n: int, i: int, j: int) -> int:
             here = above + (a == i)
             above += column[b]
             column[b] += here
-    return column[j]
+    return column
 
 
 def appendix_binomial_identity_check(n: int, p: int) -> bool:

@@ -26,26 +26,24 @@ the cross-arrow equivalence: two diagrams are equivalent when their
 top-to-bottom arrows coincide exactly.  Fixing those arrows, the remaining
 dots pair up within the gaps between consumed dots, so each equivalence
 class has a product of small Catalan numbers as its cardinality
-(``expected_class_size``); the census is empirical: it runs the kernel on
-each element's canonical word and groups the bare partner lists by the
-same key that ``equivalence_key`` reads off a diagram.
+(``expected_class_size``).  The census is served from that gap formula
+class by class: it walks the keys of one element size directly and builds
+no element and no diagram, so its cost follows the number of classes, not
+the Narayana number of elements.  Its oracles are the ``verify`` check
+``tl.census``, which recounts the keys of all diagrams grouped by element
+size, and the tests, which recount the kernel drawings of the size-p
+elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .bijection import block_pairs
 from .counting import catalan
 from .diagram import Arrow, Diagram, generator_action
-from .errors import (
-    NotMatchingError,
-    NotNormalizedError,
-    RankMismatchError,
-    UnexpectedLoopError,
-)
-from .fc import FCElement, enumerate_fc
+from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
+from .fc import FCElement
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,7 @@ Key = tuple[Arrow, ...]
 
 def equivalence_key(diagram: Diagram) -> Key:
     """Canonical encoding of all top-to-bottom arrows of the diagram, by tail."""
-    return _cross_arrows(diagram.strings, diagram.partner)
-
-
-def _cross_arrows(strings: int, partner: Sequence[int]) -> Key:
+    partner, strings = diagram.partner, diagram.strings
     return tuple((x, partner[x]) for x in range(strings) if partner[x] >= strings)
 
 
@@ -248,21 +243,96 @@ def key_to_text(key: Key, strings: int) -> str:
 def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
-    Returned sorted by key; the sizes add up to ``narayana(n, p)``, the
-    number of elements the sized enumeration draws.  Each element is keyed
-    off the kernel's partner list for its canonical word, with no
-    :class:`Diagram` built; like ``diagram_of``, a word that closes a
-    circle raises.
+    Returned sorted by key; the sizes add up to ``narayana(n, p)``, and the
+    list is empty unless 0 <= p <= n.  The classes are generated, not
+    found: on k = n+1 strings, arrows (x_t, k+y_t) with x and y increasing
+    are the cross arrows of some diagram exactly when every gap between
+    them has even length, that is x_t and y_t are both of the parity of
+    t-1 and the number c of arrows has the parity of k.  The class of such
+    a key has the Catalan gap product as its size, and each of its
+    diagrams is an element of size (k-c)/2 plus the number of arrows with
+    y_t > x_t.  Written as 2p - k = sum of +1 per such arrow and -1 per
+    other arrow, that size is what the walk steers by (:func:`_next_arrow`).
+    It adds arrows depth first with x, then y, increasing, so the keys come
+    out already sorted, and it enters only branches that end in a key of
+    size p.  The sizes are computed here, not by ``expected_class_size``,
+    which the ``verify`` check holds them against.
     """
-    strings = n + 1
-    counts: dict[Key, int] = {}
-    for w in enumerate_fc(n, p):
-        partner, loops = generator_action(strings, w.word())
-        if loops:
-            raise UnexpectedLoopError(f"reduced word of {w} closed {loops} circles")
-        key = _cross_arrows(strings, partner)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items())
+    k = n + 1
+    if not 0 <= p <= n:
+        return []
+    # At most min(p, k-p) caps lie on each row, so no gap holds more pairs.
+    catalan = [1]
+    for g in range(min(p, k - p)):
+        catalan.append(catalan[-1] * 2 * (2 * g + 1) // (g + 2))
+    classes: list[tuple[Key, int]] = []
+    key: list[Arrow] = []
+    stack: list[tuple[int, ...]] = []  # (x, y, a, b, need, weight) before each arrow
+    a = b = 0  # next free top dot, next free bottom dot
+    need = 2 * p - k  # what the arrows still to come must sum to
+    weight = 1  # Catalan product of the gaps closed so far
+    while True:
+        if a == b and need == a - k:
+            # Only straight arrows reach the lowest sum: one key, no gaps.
+            classes.append((tuple(key) + tuple((t, k + t) for t in range(a, k)), weight))
+            arrow = None
+        else:
+            if need == 0 and (k - a) % 2 == 0:
+                classes.append((tuple(key), weight * catalan[(k - a) // 2] * catalan[(k - b) // 2]))
+            arrow = _next_arrow(k, a, b, b, need)
+        while arrow is None:
+            if not stack:
+                return classes
+            x, y, a, b, need, weight = stack.pop()
+            key.pop()
+            arrow = _next_arrow(k, x, y + 2, b, need)
+        x, y = arrow
+        stack.append((x, y, a, b, need, weight))
+        key.append((x, k + y))
+        weight *= catalan[(x - a) // 2] * catalan[(y - b) // 2]
+        need -= 1 if y > x else -1
+        a, b = x + 1, y + 1
+
+
+def _next_arrow(k: int, x: int, y: int, b: int, need: int) -> tuple[int, int] | None:
+    """First arrow at or after (x, y), in x-then-y order, that can reach ``need``.
+
+    Bottom dots start at b, and y shares the parity of x.  From next free
+    dots a (top) and b' (bottom), the arrows still to come can sum to
+    exactly max(a,b')-k, ..., hi in steps of 2, where hi is
+    min(k-2-a, k-b'), raised to 0 when k-a is even and the key may stop
+    there.  An arrow (x, y) leaves a = x+1, b' = y+1 and adds +1 if
+    y > x, else -1; it fits when ``need`` minus that lies in the range.
+    So in one row x the arrows with y <= x fit all or none, and those with
+    y > x that fit come first.  Rows below b fit all or none alike, and
+    from row b on, a row with no fitting arrow has none after it either.
+    The test ``TestCensus::test_next_arrow`` checks all of this against
+    the exhaustive reach sets.
+    """
+    may_stop = (k - x) % 2 == 1  # k-(x+1) is even, in every row x of this parity
+    while x < k:
+        whole_row = y == b
+        if y <= x:
+            hi = k - 3 - x
+            if may_stop and hi < 0:
+                hi = 0
+            if x + 1 - k <= need + 1 <= hi:
+                return x, y
+            y = x + 2
+        if y < k:
+            hi = min(k - 3 - x, k - 1 - y)
+            if may_stop and hi < 0:
+                hi = 0
+            if y + 1 - k <= need - 1 <= hi:
+                return x, y
+        if not whole_row:
+            x += 2
+        elif x < b:
+            x = b
+        else:
+            return None
+        y = b
+    return None
 
 
 def expected_class_size(strings: int, key: Key) -> int:
@@ -281,11 +351,13 @@ def expected_class_size(strings: int, key: Key) -> int:
             if x in used:
                 if run % 2:
                     raise NotMatchingError("gap of odd length cannot be matched")
-                out *= catalan(run // 2)
+                if run:
+                    out *= catalan(run // 2)
                 run = 0
             else:
                 run += 1
         if run % 2:
             raise NotMatchingError("gap of odd length cannot be matched")
-        out *= catalan(run // 2)
+        if run:
+            out *= catalan(run // 2)
     return out

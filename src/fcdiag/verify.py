@@ -552,13 +552,19 @@ def _descents_three_ways(n):
 
 @_check("tl", "census", 1, 7)
 def _census(n):
-    recount = Counter(tl.equivalence_key(d) for d in enumerate_diagrams(n + 1))
+    # every diagram on n+1 strings, keyed and grouped by the size of its element
+    recount: dict[int, Counter] = {}
+    for d in enumerate_diagrams(n + 1):
+        recount.setdefault(diagram_to_fc(d).size, Counter())[tl.equivalence_key(d)] += 1
     for p in range(n + 1):
         classes = tl.census(n, p)
+        of_size = recount.get(p, Counter())
         if sum(size for _, size in classes) != counting.narayana(n, p):
             yield f"(n,p)=({n},{p}): class sizes do not sum to the Narayana number"
+        if [key for key, _ in classes] != sorted(of_size):
+            yield f"(n,p)=({n},{p}): class keys differ from the diagram recount"
         for key, size in classes:
-            if size != recount[key]:
+            if size != of_size[key]:
                 yield f"(n,p)=({n},{p}): class size differs from diagram recount"
             elif size != tl.expected_class_size(n + 1, key):
                 yield f"(n,p)=({n},{p}): class size is not the Catalan gap product"

@@ -22,6 +22,7 @@ from fcdiag import (
     count_start_size,
     narayana,
     narayana_row,
+    start_end_row,
     triangle_end,
     triangle_start,
 )
@@ -207,6 +208,11 @@ class TestStartEndRecurrence:
             assert sum(cells[i, j] for j in range(1, n + 1)) == triangle_start(n, i)
         for j in range(1, n + 1):
             assert sum(cells[i, j] for i in range(1, n + 1)) == triangle_end(n, j)
+
+    @pytest.mark.parametrize("n", range(0, 25))
+    def test_row_equals_cells(self, n):
+        for i in range(-1, n + 3):
+            assert start_end_row(n, i) == [count_start_end(n, i, j) for j in range(1, n + 1)]
 
     def test_large_cell_within_budget(self):
         start = time.perf_counter()

@@ -1,9 +1,13 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
+import time
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+import fcdiag.fc
+from fcdiag import tl
 from fcdiag import (
     DeltaPoly,
     FCElement,
@@ -176,7 +180,59 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_equals_recount_through_diagram_of(self, n):
-        # the census keys the kernel's bare list; this keys validated diagrams
+        # the element-side oracle: kernel drawings of every size-p element
         for p in range(n + 1):
             recount = Counter(equivalence_key(diagram_of(w)) for w in enumerate_fc(n, p))
             assert census(n, p) == sorted(recount.items())
+
+    @pytest.mark.parametrize("n", range(0, 17))
+    def test_sizes_sum_and_factor(self, n):
+        for p in range(n + 1):
+            classes = census(n, p)
+            assert sum(size for _, size in classes) == narayana(n, p)
+            for key, size in classes:
+                assert size == expected_class_size(n + 1, key)
+            keys = [key for key, _ in classes]
+            assert all(left < right for left, right in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_size_out_of_range(self, n):
+        assert census(n, -1) == census(n, n + 1) == []
+
+    def test_enumerates_no_element(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census enumerated elements")
+
+        monkeypatch.setattr(fcdiag.fc, "enumerate_fc", refuse)
+        monkeypatch.setattr(tl, "enumerate_fc", refuse, raising=False)
+        start = time.perf_counter()
+        classes = census(12, 6)
+        assert time.perf_counter() - start < 1
+        assert sum(size for _, size in classes) == narayana(12, 6)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_next_arrow(self, k):
+        # every sum the arrows after free top dot a and bottom dot b can
+        # reach, +1 per arrow with y > x and -1 per other arrow
+        @lru_cache(maxsize=None)
+        def reach(a, b):
+            sums = {0} if (k - a) % 2 == 0 else set()
+            for x in range(a, k, 2):
+                for y in range(b, k, 2):
+                    step = 1 if y > x else -1
+                    sums.update(s + step for s in reach(x + 1, y + 1))
+            return frozenset(sums)
+
+        for a in range(k + 1):
+            for b in range(a % 2, k + 1, 2):
+                # the sum still needed has the parity of the free dots
+                for need in range(a - k - 2, k + 3, 2):
+                    fitting = [
+                        (x, y)
+                        for x in range(a, k, 2)
+                        for y in range(b, k, 2)
+                        if need - (1 if y > x else -1) in reach(x + 1, y + 1)
+                    ] + [None]
+                    assert tl._next_arrow(k, a, b, b, need) == fitting[0]
+                    for (x, y), after in zip(fitting, fitting[1:]):
+                        assert tl._next_arrow(k, x, y + 2, b, need) == after
