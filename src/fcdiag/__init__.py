@@ -9,6 +9,7 @@ from .bijection import (
     dplus_condition,
     fc_to_diagram,
     fc_to_diagram_reference,
+    reference_drawings,
 )
 from .counting import (
     StartEndCount,

@@ -44,18 +44,23 @@ one of three routes, each with one job:
   and each positive pair is a drawn arrow that passes ``dplus_condition``.
 * ``fc_to_diagram_reference`` checks.  It multiplies out the canonical word
   as a stack of cup-cap generator diagrams with :func:`concatenate`,
-  sharing no code with the kernel.  The ``verify`` check
-  ``bijection.oracle-equivalence`` asserts that all three routes agree.
+  sharing no code with the kernel.  ``reference_drawings`` runs the same
+  oracle over a whole rank: it draws each element by extending its
+  parent's drawing with the last block, so each generator product is
+  taken once per rank rather than once per element containing it.  Both
+  entry points share one fold and its circle check.  The ``verify`` check
+  ``bijection.oracle-equivalence`` asserts, over that sweep, that all
+  three routes agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import Diagram, concatenate
 from .errors import IndexOutOfRangeError, UnexpectedLoopError
-from .fc import FCElement, Pair, is_saturated_in
+from .fc import FCElement, Pair, enumerate_fc, is_saturated_in
 
 
 @dataclass(frozen=True)
@@ -211,10 +216,36 @@ def fc_to_diagram_reference(w: FCElement) -> Diagram:
     bug somewhere and raises.
     """
     k = w.rank + 1
-    diagram = Diagram.identity(k)
+    return _fold(w, Diagram.identity(k), (Diagram.generator(k, a) for a in w.word()))
+
+
+def reference_drawings(rank: int) -> Iterator[tuple[FCElement, Diagram]]:
+    """Oracle sweep: ``(w, fc_to_diagram_reference(w))`` in ``enumerate_fc`` order.
+
+    ``enumerate_fc`` walks depth first, so the last element of size p-1
+    yielded before an element w of size p is its parent, w without its
+    last block.  The sweep keeps the drawings of that path and draws w
+    by folding the parent's drawing with the generators of the last
+    block, built once for the rank.  Every generator product it takes is
+    one the per-element oracle takes too, so it raises at the same first
+    element with the same message.
+    """
+    k = rank + 1
+    generators = [Diagram.generator(k, a) for a in range(1, k)]
+    path = [Diagram.identity(k)]  # path[q]: drawing of the current size-q prefix
+    for w in enumerate_fc(rank):
+        if w.pairs:
+            del path[w.size :]
+            i, j = w.pairs[-1]
+            path.append(_fold(w, path[-1], generators[i - 1 : j]))
+        yield w, path[-1]
+
+
+def _fold(w: FCElement, diagram: Diagram, generators: Iterable[Diagram]) -> Diagram:
+    """Concatenate ``generators`` below ``diagram``, raising if a circle closes."""
     total_loops = 0
-    for a in w.word():
-        diagram, loops = concatenate(diagram, Diagram.generator(k, a))
+    for generator in generators:
+        diagram, loops = concatenate(diagram, generator)
         total_loops += loops
     if total_loops:
         raise UnexpectedLoopError(

@@ -145,6 +145,12 @@ def _cells(cell):
     return lambda n, row, columns: [cell(n, row, column) for column in columns]
 
 
+def _narayana_row(n: int, m: int, columns) -> list[str]:
+    # one Narayana row per table row; ``columns`` is always 0..n
+    row = counting.narayana_row(m)
+    return [str(row[p]) if p <= m else "0" for p in columns]
+
+
 def _start_end_row(n: int, i: int, columns) -> list[str]:
     # one chain recurrence per row; ``columns`` is always 1..n
     return [str(value) if closed else f"{value}*" for value, closed in counting.start_end_row(n, i)]
@@ -156,7 +162,7 @@ def _start_end_row(n: int, i: int, columns) -> list[str]:
 # 1.  Rows and cells look up their ``counting`` function at call time, so a
 # rebound module attribute (as in ``perfbench/tracer.py``) takes effect.
 _TABLES = {
-    "narayana": ("n\\p", 0, _cells(lambda n, m, p: str(counting.narayana(m, p)))),
+    "narayana": ("n\\p", 0, _narayana_row),
     "triangle": ("n\\i", 0, _cells(lambda n, m, i: str(counting.triangle_start(m, i)))),
     "first-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_first_block(n, i, j)))),
     "last-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_last_block(n, i, j)))),

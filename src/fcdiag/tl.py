@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bijection import block_pairs
-from .counting import catalan
 from .diagram import Arrow, Diagram, generator_action
 from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
 from .fc import FCElement
@@ -195,16 +194,23 @@ def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
 
 
 def multiply(x: TLElement, y: TLElement) -> TLElement:
-    """Bilinear extension of the monomial product."""
+    """Bilinear extension of the monomial product.
+
+    Each result term's coefficients are summed exponent by exponent in a
+    plain dict, and its :class:`DeltaPoly` is built once at the end.
+    """
     if x.rank != y.rank:
         raise RankMismatchError(f"cannot multiply ranks {x.rank} and {y.rank}")
-    acc: dict[FCElement, DeltaPoly] = {}
+    acc: dict[FCElement, dict[int, int]] = {}
     for w1, c1 in x.terms:
         for w2, c2 in y.terms:
             w3, m = monomial_product(w1, w2)
-            contribution = c1 * c2 * DeltaPoly.delta(m)
-            acc[w3] = acc.get(w3, DeltaPoly.zero()) + contribution
-    return TLElement.from_dict(x.rank, acc)
+            poly = acc.setdefault(w3, {})
+            for e1, a1 in c1.coeffs:
+                for e2, a2 in c2.coeffs:
+                    e = e1 + e2 + m
+                    poly[e] = poly.get(e, 0) + a1 * a2
+    return TLElement.from_dict(x.rank, {w: DeltaPoly.from_dict(poly) for w, poly in acc.items()})
 
 
 def descents_from_diagram(diagram: Diagram) -> tuple[frozenset[int], frozenset[int]]:
@@ -340,24 +346,27 @@ def expected_class_size(strings: int, key: Key) -> int:
 
     The free dots on each row split into gaps between consumed dots; a gap
     of 2g dots can be matched within itself in catalan(g) ways, and the
-    class size is the product over all gaps of both rows.
+    class size is the product over all gaps of both rows.  ``key`` lists
+    its arrows by tail, as :func:`equivalence_key` gives them, so on a
+    diagram's key the tails and the heads both increase, and each gap is
+    read off two consecutive tails or two consecutive heads.
     """
-    used_top = {x for x, _ in key}
-    used_bottom = {y - strings for _, y in key}
+    gaps = []
+    a, b = 0, strings  # lowest free dot after the last tail, after the last head
+    for x, y in key:
+        gaps.append(x - a)
+        gaps.append(y - b)
+        a, b = x + 1, y + 1
+    gaps.append(strings - a)
+    gaps.append(2 * strings - b)
+    catalan = [1]
     out = 1
-    for used in (used_top, used_bottom):
-        run = 0
-        for x in range(strings):
-            if x in used:
-                if run % 2:
-                    raise NotMatchingError("gap of odd length cannot be matched")
-                if run:
-                    out *= catalan(run // 2)
-                run = 0
-            else:
-                run += 1
-        if run % 2:
-            raise NotMatchingError("gap of odd length cannot be matched")
-        if run:
-            out *= catalan(run // 2)
+    for gap in gaps:
+        if gap:
+            if gap % 2:
+                raise NotMatchingError("gap of odd length cannot be matched")
+            while len(catalan) <= gap // 2:
+                g = len(catalan) - 1
+                catalan.append(catalan[-1] * 2 * (2 * g + 1) // (g + 2))
+            out *= catalan[gap // 2]
     return out

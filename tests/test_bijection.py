@@ -13,12 +13,15 @@ from fcdiag import (
     diagram_to_fc,
     dplus_condition,
     enumerate_diagrams,
+    enumerate_fc,
     fc_to_diagram,
     fc_to_diagram_reference,
     generator_action,
     parse_diagram,
     parse_fc,
+    reference_drawings,
 )
+from fcdiag import bijection
 from fcdiag.verify import _trace_faults
 from helpers import assert_holds, fc_elements, fc_list, generator_words, rewrite_word
 
@@ -95,6 +98,34 @@ class TestDirectAlgorithm:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_equals_concatenation_oracle(self, n):
         assert_holds("bijection.oracle-equivalence", n)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_reference_sweep_equals_per_element_oracle(self, n):
+        # the sweep behind oracle-equivalence extends each parent's drawing
+        assert list(reference_drawings(n)) == [
+            (w, fc_to_diagram_reference(w)) for w in enumerate_fc(n)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_reference_sweep_raises_like_per_element_oracle(self, n, monkeypatch):
+        # only reachable if concatenation miscounted circles: here gluing e_1
+        # below anything but the identity reports one, deep in the sweep
+        concatenate = bijection.concatenate
+        identity = Diagram.identity(n + 1)
+
+        def miscounted(upper, lower):
+            product, loops = concatenate(upper, lower)
+            return product, loops + (lower.partner[0] == 1 and upper != identity)
+
+        def first_error(drawings):
+            with pytest.raises(UnexpectedLoopError) as error:
+                for _ in drawings:
+                    pass
+            return str(error.value)
+
+        monkeypatch.setattr(bijection, "concatenate", miscounted)
+        per_element = (fc_to_diagram_reference(w) for w in enumerate_fc(n))
+        assert first_error(reference_drawings(n)) == first_error(per_element)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_start_end_data(self, n):

@@ -1,5 +1,6 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
+import random
 import time
 from collections import Counter
 from functools import lru_cache
@@ -135,6 +136,35 @@ class TestTLElement:
 
     def test_associativity_random(self):
         assert_holds("tl.associativity", 4)
+
+    def test_multiply_matches_term_by_term_formula(self):
+        # multi-term factors with signed coefficients, so that terms cancel
+        def formula(x, y):
+            acc = {}
+            for w1, c1 in x.terms:
+                for w2, c2 in y.terms:
+                    w3, m = monomial_product(w1, w2)
+                    acc[w3] = acc.get(w3, DeltaPoly.zero()) + c1 * c2 * DeltaPoly.delta(m)
+            return TLElement.from_dict(x.rank, acc)
+
+        def element(rng, rank):
+            pool = fc_list(rank)
+            terms = {}
+            for w in rng.sample(pool, min(rng.randint(1, 4), len(pool))):
+                coeffs = {rng.randrange(2): rng.choice((-1, 1)) for _ in range(2)}
+                terms[w] = DeltaPoly.from_dict(coeffs)
+            return TLElement.from_dict(rank, terms)
+
+        rng = random.Random(10)
+        cancelled = 0
+        for _ in range(1000):
+            rank = rng.randint(1, 5)
+            x, y = element(rng, rank), element(rng, rank)
+            product = multiply(x, y)
+            assert product == formula(x, y)
+            images = {monomial_product(w1, w2)[0] for w1, _ in x.terms for w2, _ in y.terms}
+            cancelled += len(product.terms) < len(images)
+        assert cancelled > 0, "no product cancelled a term"
 
 
 class TestDiagramDescents:

@@ -10,7 +10,7 @@ could never fail would show here.
 
 import pytest
 
-from fcdiag import counting, lattice, tl, verify
+from fcdiag import bijection, counting, lattice, tl, verify
 from fcdiag.bijection import diagram_to_fc
 from fcdiag.cli import build_parser, main
 from fcdiag.diagram import Diagram
@@ -90,6 +90,23 @@ def test_fault_in_concatenate(capsys, monkeypatch):
     assert _fail_lines(capsys, "diagram") == (
         1,
         ["FAIL diagram.identity-neutral: 1 strings: identity is not neutral on strings=1;1-1'"],
+    )
+
+
+def test_fault_in_oracle_concatenation(capsys, monkeypatch):
+    concatenate = bijection.concatenate
+
+    def one_loop_too_many(upper, lower):
+        diagram, loops = concatenate(upper, lower)
+        return diagram, loops + 1
+
+    monkeypatch.setattr(bijection, "concatenate", one_loop_too_many)
+    assert _fail_lines(capsys, "bijection") == (
+        1,
+        [
+            "FAIL bijection.oracle-equivalence: rank 1: UnexpectedLoopError: "
+            "reduced word of n=1:[1,1] closed 1 circles during concatenation"
+        ],
     )
 
 
