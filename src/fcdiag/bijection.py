@@ -13,10 +13,11 @@ over the partner array (``block_pairs``).  Drawing the diagram of w takes
 one of three routes, each with one job:
 
 * ``diagram_of`` serves.  It glues the generators of the canonical word one
-  by one onto a partner array (:meth:`Diagram.from_word`), linear in the
-  length, and raises if a circle closes, which a reduced word never does.
-  Every trace-free CLI drawing uses it.  Products and the census run the
-  same kernel (:func:`generator_action`) and read its bare partner list.
+  by one onto a partner array (:func:`run_action`, fed the block list as
+  ascending runs), linear in the length, validates the result as a
+  :class:`Diagram`, and raises if a circle closes, which a reduced word
+  never does.  Every trace-free CLI drawing uses it.  Products run the
+  same kernel and read its bare partner list.
 * ``fc_to_diagram`` reproduces the paper's direct algorithm, which places
   arrows in five passes:
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import Diagram, concatenate
+from .diagram import Diagram, concatenate, run_action
 from .errors import IndexOutOfRangeError, UnexpectedLoopError
 from .fc import FCElement, Pair, enumerate_fc, is_saturated_in
 
@@ -203,10 +204,10 @@ def diagram_of(w: FCElement) -> Diagram:
     A reduced word never closes a circle, so a nonzero loop count means a
     bug somewhere and raises.
     """
-    diagram, loops = Diagram.from_word(w.rank + 1, w.word())
+    partner, loops = run_action(w.rank + 1, w.pairs)
     if loops:
         raise UnexpectedLoopError(f"reduced word of {w} closed {loops} circles")
-    return diagram
+    return Diagram(w.rank + 1, partner)
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:
@@ -255,8 +256,12 @@ def _fold(w: FCElement, diagram: Diagram, generators: Iterable[Diagram]) -> Diag
 
 
 def diagram_to_fc(diagram: Diagram) -> FCElement:
-    """Read the FC element off a diagram."""
-    return FCElement(diagram.strings - 1, block_pairs(diagram.strings, diagram.partner))
+    """Read the FC element off a diagram.
+
+    A validated diagram is a non-crossing matching, so its block list is
+    canonical by construction and is not revalidated.
+    """
+    return FCElement._trusted(diagram.strings - 1, block_pairs(diagram.strings, diagram.partner))
 
 
 def block_pairs(strings: int, partner: Sequence[int]) -> tuple[Pair, ...]:
@@ -264,12 +269,15 @@ def block_pairs(strings: int, partner: Sequence[int]) -> tuple[Pair, ...]:
 
     The block starts are the rightward top tails in decreasing order and
     the block ends the shifted leftward bottom heads in decreasing order;
-    pairing them up positionally always yields a valid canonical form.
-    Both are read off the partner array in one pass over the columns: top
-    dot x+1 starts a block when its partner lies to its right, on either
-    row, and bottom dot (x+1)' ends block x when its partner lies to its
-    left.  ``partner`` must be a diagram's partner array on ``strings``
-    strings, validated or straight from :func:`generator_action`.
+    pairing them up positionally always yields a valid canonical form of
+    int pairs, which is why its two callers, ``tl.monomial_product`` and
+    :func:`diagram_to_fc`, build their result with the unchecked
+    constructor of :class:`FCElement`.  Both are read off the partner
+    array in one pass over the columns: top dot x+1 starts a block when
+    its partner lies to its right, on either row, and bottom dot (x+1)'
+    ends block x when its partner lies to its left.  ``partner`` must be a
+    diagram's partner array on ``strings`` strings, validated or straight
+    from :func:`run_action`.
     """
     k = strings
     starts: list[int] = []

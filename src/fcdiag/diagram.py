@@ -18,12 +18,15 @@ on the boundary walk of the rectangle, top row left to right and then
 bottom row right to left; on that circular order the matching must nest
 like balanced brackets.
 
-Products of generators are built by :func:`generator_action`, which glues
-one cup-cap generator at a time below a partner array in place: four writes
-per letter, or one closed circle.  This kernel is the hot path of every
-product, the census and every trace-free drawing.  It returns the bare
-partner list; :meth:`Diagram.from_word` is the validating wrapper that
-turns it into a :class:`Diagram`.
+Products of generators are built by one kernel, :func:`run_action`, which
+glues one cup-cap generator at a time below a partner array in place: four
+writes per letter, or one closed circle.  It takes the word as ascending
+runs [i, j] = e_i e_{i+1} ... e_j, so the block list of an FC element is
+its input as it stands.  This kernel is the hot path of every product and
+every trace-free drawing.  It returns the bare partner list;
+:func:`generator_action` feeds it a checked word one letter per run, and
+:meth:`Diagram.from_word` is the validating wrapper that turns the list
+into a :class:`Diagram`.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning
@@ -37,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
     CrossingError,
@@ -78,6 +81,37 @@ class Diagram:
         m = 2 * k
         if len(partner) != m:
             raise NotMatchingError(f"partner array must have length {m}, got {len(partner)}")
+
+        # One walk along the boundary, which visits the top row left to
+        # right and then the bottom row right to left, so the b-th dot
+        # visited sits at boundary position b.  Each dot either opens, when
+        # its partner lies further along, or closes the last dot still
+        # open, which must be its partner and point back at it.  That is a
+        # non-crossing perfect matching exactly; anything else is named by
+        # _diagnose.
+        last = 3 * k - 1
+        stack: list[int] = []
+        for b, d in enumerate(chain(range(k), range(m - 1, k - 1, -1))):
+            q = partner[d]
+            if not 0 <= q < m:
+                self._diagnose()
+            if (q if q < k else last - q) > b:
+                stack.append(d)
+            elif not stack or stack.pop() != q or partner[q] != d:
+                self._diagnose()
+        if stack:
+            self._diagnose()
+
+    def _diagnose(self) -> NoReturn:
+        """Raise the error naming the first fault of an invalid partner array.
+
+        Two passes, for the message only: every dot is matched in range, to
+        another dot and back; then the boundary walk nests like balanced
+        brackets.
+        """
+        k = self.strings
+        partner = self.partner
+        m = 2 * k
         for d, q in enumerate(partner):
             if not 0 <= q < m:
                 raise NotMatchingError(f"dot {self.dot_name(d)} is matched out of range")
@@ -88,9 +122,6 @@ class Diagram:
                     f"matching is not an involution at dot {self.dot_name(d)}"
                 )
 
-        # Planarity: balanced brackets along the boundary walk, which visits
-        # the top row left to right and then the bottom row right to left,
-        # so the b-th dot visited sits at boundary position b.
         last = 3 * k - 1
         stack: list[int] = []
         for b, d in enumerate(chain(range(k), range(m - 1, k - 1, -1))):
@@ -107,6 +138,7 @@ class Diagram:
                         first,
                         second,
                     )
+        raise NotMatchingError("partner array is not a non-crossing perfect matching")
 
     # ------------------------------------------------------------------
     # constructors
@@ -283,17 +315,10 @@ def _dot_name(code: int, strings: int) -> str:
 def generator_action(strings: int, word: Iterable[int]) -> tuple[list[int], int]:
     """Partner list and circle count of the product of the generators in ``word``.
 
-    Starts from the identity partner array and glues each e_a below it in
-    place.  If bottom dots a' and (a+1)' already form a cap, the glue
-    closes one circle and nothing else changes; otherwise the strands
-    ending at a' and (a+1)' are joined to each other and a' is capped with
-    (a+1)'.  Linear in the word length.  Equals folding :func:`concatenate`
-    over :meth:`Diagram.generator`.
-
-    The list is not validated: every step keeps it a non-crossing perfect
-    matching, so callers that only read it (products, the census) use it
-    as it is, and :meth:`Diagram.from_word` validates it once.  Generator
-    indices outside 1..strings-1 raise.
+    Checks the generator indices, which must lie in 1..strings-1, and
+    feeds the word to :func:`run_action` one letter per run.  Equals
+    folding :func:`concatenate` over :meth:`Diagram.generator`.  The list
+    is not validated; :meth:`Diagram.from_word` validates it once.
     """
     word = tuple(word)
     k = strings
@@ -302,18 +327,37 @@ def generator_action(strings: int, word: Iterable[int]) -> tuple[list[int], int]
         raise IndexOutOfRangeError(
             f"generator index must satisfy 1 <= i <= {k - 1}, got {bad}"
         )
+    return run_action(k, zip(word, word))
+
+
+def run_action(strings: int, runs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Partner list and circle count of the product of the ascending runs.
+
+    Run (i, j) stands for e_i e_{i+1} ... e_j.  Starts from the identity
+    partner array and glues each generator below it in place.  If bottom
+    dots a' and (a+1)' already form a cap, the glue closes one circle and
+    nothing else changes; otherwise the strands ending at a' and (a+1)'
+    are joined to each other and a' is capped with (a+1)'.  Linear in the
+    word length.
+
+    Nothing is checked: every run must satisfy 1 <= i <= j <= strings-1,
+    as the blocks of an :class:`FCElement` of rank strings-1 do.  Every
+    step keeps the list a non-crossing perfect matching, so callers that
+    only read it (products) use it as it is.
+    """
+    k = strings
     partner = list(range(k, 2 * k)) + list(range(k))
     loops = 0
-    for a in word:
-        left = k + a - 1
-        right = left + 1
-        x = partner[left]
-        if x == right:
-            loops += 1
-            continue
-        y = partner[right]
-        partner[x], partner[y] = y, x
-        partner[left], partner[right] = right, left
+    for i, j in runs:
+        for left in range(k + i - 1, k + j):
+            right = left + 1
+            x = partner[left]
+            if x == right:
+                loops += 1
+                continue
+            y = partner[right]
+            partner[x], partner[y] = y, x
+            partner[left], partner[right] = right, left
     return partner, loops
 
 

@@ -56,7 +56,10 @@ class FCElement:
 
     Constructing the object validates the canonical-form inequalities, so
     every live instance is known to be well formed.  Values are immutable
-    and hashable; all methods are pure.
+    and hashable; all methods are pure.  The one way round validation is a
+    private unchecked constructor, kept for block lists that
+    ``bijection.block_pairs`` reads off a diagram and that are canonical by
+    construction.
     """
 
     rank: int
@@ -65,7 +68,7 @@ class FCElement:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or self.rank < 0:
             raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {self.rank!r}")
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        pairs = tuple([(int(i), int(j)) for i, j in self.pairs])
         object.__setattr__(self, "pairs", pairs)
         n = self.rank
         prev_i = prev_j = n + 1
@@ -81,6 +84,20 @@ class FCElement:
                     f"block {t}: end indices must strictly decrease, {j} follows {prev_j}"
                 )
             prev_i, prev_j = i, j
+
+    @classmethod
+    def _trusted(cls, rank: int, pairs: tuple[Pair, ...]) -> FCElement:
+        """An element built without validation, for ``block_pairs`` output only.
+
+        ``block_pairs`` pairs the starts and ends of a non-crossing matching,
+        which always form a canonical block list of int pairs; the tests run
+        the validating constructor on every such result up to rank 8 and on
+        random words.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "pairs", pairs)
+        return self
 
     # ------------------------------------------------------------------
     # basic statistics
@@ -277,6 +294,7 @@ def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
 
 _HEAD_RE = re.compile(r"^n=(\d+):(.*)$")
 _BLOCK_RE = re.compile(r"\[(\d+),(\d+)\]")
+_BODY_RE = re.compile(r"(?:\[\d+,\d+\])*")
 
 
 def parse_fc(text: str) -> FCElement:
@@ -288,12 +306,12 @@ def parse_fc(text: str) -> FCElement:
     body = m.group(2)
     if body == "[]":
         return FCElement(rank)
-    pairs = [(int(a), int(b)) for a, b in _BLOCK_RE.findall(body)]
-    if _BLOCK_RE.sub("", body):
+    if not _BODY_RE.fullmatch(body):
         raise ParseError(f"trailing junk in FC element text form: {text!r}")
+    pairs = _BLOCK_RE.findall(body)
     if not pairs:
         raise ParseError(f"missing block list in FC element text form: {text!r}")
-    return FCElement(rank, tuple(pairs))
+    return FCElement(rank, pairs)  # the constructor turns the digit strings into ints
 
 
 def fc_from_json(obj: dict) -> FCElement:

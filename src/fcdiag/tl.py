@@ -7,15 +7,18 @@ e_i e_{i+-1} e_i = e_i, and e_i e_j = e_j e_i for |i-j| > 1.  Its monomial
 basis is indexed by FC elements: e_w is the product of generators along the
 canonical word of w.  A product of monomials e_{w1} e_{w2} is the diagram of
 the concatenated word word(w1) + word(w2), built in one pass by the
-generator-action kernel :func:`generator_action`, which also counts the
-closed circles; reading the block list off its bare partner list
+generator-action kernel :func:`run_action`, which takes the two block lists
+as they stand, one ascending run per block, and also counts the closed
+circles.  Reading the block list off its bare partner list
 (:func:`block_pairs`) gives the result, already in canonical form.  Neither
-factor is drawn on its own, and no :class:`Diagram` is built: the kernel
-keeps its list a non-crossing matching, so revalidating it would only
-repeat work.  The result is an :class:`FCElement`, checked by its own
-constructor.  The paper's five-pass drawing (:func:`fc_to_diagram`) and the
-concatenation oracle (:func:`concatenate`) are checked against this route
-by the tests, not used by it.
+factor is drawn on its own, no word is spelled out, and nothing is
+revalidated: the kernel keeps its list a non-crossing matching, and
+``block_pairs`` reads a canonical block list off any such matching, so the
+result is built by the unchecked constructor of :class:`FCElement`.  The
+tests run the validating constructor on every product up to rank 8 and on
+random words.  The paper's five-pass drawing (:func:`fc_to_diagram`) and
+the concatenation oracle (:func:`concatenate`) are checked against this
+route by the tests, not used by it.
 
 :class:`DeltaPoly` is the coefficient ring (integer polynomials in delta,
 exact, never specialized to a number) and :class:`TLElement` a finite linear
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bijection import block_pairs
-from .diagram import Arrow, Diagram, generator_action
+from .diagram import Arrow, Diagram, run_action
 from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
 from .fc import FCElement
 
@@ -183,14 +186,15 @@ def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
 
     Returns (w3, m).  The product is the diagram of the word
     word(w1) + word(w2), so w3 comes out in canonical form with no
-    rewriting and m is the number of circles the word closes.  w3 is read
-    straight off the kernel's partner list.
+    rewriting and m is the number of circles the word closes.  The kernel
+    glues the blocks of w1 and then of w2 as runs, and w3 is read straight
+    off its partner list without revalidation.
     """
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply ranks {w1.rank} and {w2.rank}")
     strings = w1.rank + 1
-    partner, loops = generator_action(strings, w1.word() + w2.word())
-    return FCElement(w1.rank, block_pairs(strings, partner)), loops
+    partner, loops = run_action(strings, w1.pairs + w2.pairs)
+    return FCElement._trusted(w1.rank, block_pairs(strings, partner)), loops
 
 
 def multiply(x: TLElement, y: TLElement) -> TLElement:

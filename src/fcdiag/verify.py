@@ -38,7 +38,7 @@ from .bijection import (
     fc_to_diagram,
     reference_drawings,
 )
-from .diagram import Diagram, concatenate, enumerate_diagrams
+from .diagram import Arrow, Diagram, concatenate, enumerate_diagrams
 from .errors import FCDiagramError
 from .fc import (
     Classification,
@@ -466,8 +466,13 @@ def _multiplication_compatible(n):
             yield f"{w1} * {w2}: diagram product disagrees"
 
 
-def _trace_faults(w: FCElement, drawn: Diagram, trace) -> Iterator[str]:
+def _trace_faults(
+    w: FCElement, drawn: Diagram, trace, positive: frozenset[Arrow]
+) -> Iterator[str]:
     """Where the trace of drawing ``w`` as ``drawn`` breaks the paper's rules.
+
+    ``positive`` is ``drawn.components().positive``, which the caller has
+    at hand.
 
     On each row, block r's candidate set is empty exactly when a positive
     arrow of ``drawn`` took its dot (start i_r on top, (j_r+1)' below);
@@ -476,7 +481,6 @@ def _trace_faults(w: FCElement, drawn: Diagram, trace) -> Iterator[str]:
     the positive arrows of ``drawn``, and each passes ``dplus_condition``.
     """
     k = w.rank + 1
-    positive = drawn.components().positive
     tails = {x for x, _ in positive}
     heads = {y for _, y in positive}
     for r, (i, j) in enumerate(w.pairs, start=1):
@@ -506,12 +510,13 @@ def _trace_faults(w: FCElement, drawn: Diagram, trace) -> Iterator[str]:
 def _trace_consistency(n):
     for w in enumerate_fc(n):
         d, trace = fc_to_diagram(w)
-        if d.components().size != w.size:
+        parts = d.components()
+        if parts.size != w.size:
             yield f"{w}: diagram size differs from element size"
         elif d.flip_vertical().flip_horizontal() != diagram_of(w.delta_involution()):
             yield f"{w}: rotation does not match delta_involution"
         else:
-            yield from _trace_faults(w, d, trace)
+            yield from _trace_faults(w, d, trace, parts.positive)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fcdiag import (
     fc_to_diagram,
     fc_to_diagram_reference,
     generator_action,
+    monomial_product,
     parse_diagram,
     parse_fc,
     reference_drawings,
@@ -26,6 +27,13 @@ from fcdiag.verify import _trace_faults
 from helpers import assert_holds, fc_elements, fc_list, generator_words, rewrite_word
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
+
+
+def assert_revalidates(w: FCElement) -> None:
+    """The validating constructor accepts a result built without it, unchanged."""
+    rebuilt = FCElement(w.rank, w.pairs)
+    assert rebuilt == w and hash(rebuilt) == hash(w)
+    assert all(type(x) is int for pair in w.pairs for x in pair)
 
 
 class TestPositiveArrowPredicate:
@@ -157,11 +165,13 @@ class TestKernel:
         assert diagram_of(W_EXAMPLE) == fc_to_diagram(W_EXAMPLE)[0]
         assert diagram_of(FCElement(0)) == Diagram.identity(1)
 
-    def test_diagram_of_raises_on_a_closed_circle(self, monkeypatch):
-        # only reachable if a canonical word were not reduced
-        monkeypatch.setattr(FCElement, "word", lambda self: (1, 1))
+    def test_diagram_of_raises_on_a_closed_circle(self):
+        # only reachable if a canonical word were not reduced: plant one
+        # that is not, past the validating constructor
+        w = FCElement(1, ((1, 1),))
+        object.__setattr__(w, "pairs", ((1, 1), (1, 1)))
         with pytest.raises(UnexpectedLoopError):
-            diagram_of(FCElement(1, ((1, 1),)))
+            diagram_of(w)
 
     @settings(deadline=None)
     @given(generator_words(max_rank=4, max_length=10))
@@ -172,21 +182,34 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_bare_list_revalidates(self, n):
-        # products and the census read the kernel's list without a Diagram
+        # products read the kernel's list without a Diagram, and products
+        # and diagram_to_fc build their results without validation
         k = n + 1
         for w in fc_list(n):
             partner, loops = generator_action(k, w.word())
-            assert (Diagram(k, partner), loops) == Diagram.from_word(k, w.word())
+            drawn = Diagram(k, partner)
+            assert (drawn, loops) == Diagram.from_word(k, w.word())
             assert block_pairs(k, partner) == w.pairs
+            assert_revalidates(diagram_to_fc(drawn))
+            for v in (w, w.dual(), w.delta_involution()):
+                assert_revalidates(monomial_product(w, v)[0])
 
     @settings(deadline=None)
     @given(generator_words(max_rank=4, max_length=10))
     def test_bare_list_revalidates_on_any_word(self, rank_word):
         rank, word = rank_word
         partner, loops = generator_action(rank + 1, word)
-        assert (Diagram(rank + 1, partner), loops) == Diagram.from_word(rank + 1, word)
+        drawn = Diagram(rank + 1, partner)
+        assert (drawn, loops) == Diagram.from_word(rank + 1, word)
         reading = FCElement(rank, block_pairs(rank + 1, partner))
         assert (reading, loops) == rewrite_word(rank, word)
+        assert_revalidates(diagram_to_fc(drawn))
+        # split the word, reduce both halves, and multiply them back
+        half = len(word) // 2
+        (x, m1), (y, m2) = rewrite_word(rank, word[:half]), rewrite_word(rank, word[half:])
+        product, m3 = monomial_product(x, y)
+        assert_revalidates(product)
+        assert (product, m1 + m2 + m3) == (reading, loops)
 
 
 class TestReader:
@@ -220,7 +243,7 @@ class TestTrace:
         # the exhaustive sweeps stop at rank 8; positive arrows are common here
         drawn, trace = fc_to_diagram(w)
         assert drawn == diagram_of(w)
-        assert list(_trace_faults(w, drawn, trace)) == []
+        assert list(_trace_faults(w, drawn, trace, drawn.components().positive)) == []
 
 
 class TestStructuralProperties:

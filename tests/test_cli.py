@@ -31,6 +31,11 @@ class TestMul:
             "result": {"n": 4, "pairs": [[4, 4], [1, 1]]},
         }
 
+    def test_non_canonical_factor_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "mul", "n=3:[2,3][2,2]", "n=3:[1,2]")
+        assert (code, out) == (1, "")
+        assert err == "error: block 2: start indices must strictly decrease, 2 follows 2\n"
+
     def test_rank_mismatch_is_domain_error(self, capsys):
         code, _, err = run(capsys, "mul", "n=3:[]", "n=4:[]")
         assert code == 1

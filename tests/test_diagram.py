@@ -1,6 +1,8 @@
 """Diagrams: validation, generators, concatenation, components, flips,
 enumeration, and serialization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from fcdiag import (
     diagram_from_json,
     diagram_to_svg,
     enumerate_diagrams,
+    generator_action,
     parse_diagram,
 )
 from helpers import assert_holds, diagram_list, generator_words
@@ -97,6 +100,98 @@ class TestConstruction:
             Diagram(2, (1, 0, 3, 2, 4, 5))  # wrong length
         with pytest.raises(NotMatchingError, match="itself"):
             Diagram(2, (0, 2, 1, 3))
+
+
+def two_pass_verdict(k, partner):
+    """Error class and message of a two-pass validation, or None if valid.
+
+    An independent statement of the partner-array checks in two passes:
+    first every dot is matched in range, to another dot and back; then the
+    boundary walk must nest like balanced brackets.
+    """
+    m = 2 * k
+
+    def name(d):
+        return str(d + 1) if d < k else f"{d - k + 1}'"
+
+    def arrow(d):
+        return "-".join(name(c) for c in sorted((d, partner[d])))
+
+    if len(partner) != m:
+        return NotMatchingError, f"partner array must have length {m}, got {len(partner)}"
+    for d, q in enumerate(partner):
+        if not 0 <= q < m:
+            return NotMatchingError, f"dot {name(d)} is matched out of range"
+        if q == d:
+            return NotMatchingError, f"dot {name(d)} is matched to itself"
+        if partner[q] != d:
+            return NotMatchingError, f"matching is not an involution at dot {name(d)}"
+    stack = []
+    for b, d in enumerate([*range(k), *range(m - 1, k - 1, -1)]):
+        q = partner[d]
+        if (q if q < k else 3 * k - 1 - q) > b:
+            stack.append(d)
+        else:
+            top = stack.pop()
+            if top != q:
+                return CrossingError, f"arrows {arrow(top)} and {arrow(d)} cross"
+    return None
+
+
+def validator_verdict(k, partner):
+    try:
+        Diagram(k, partner)
+    except (NotMatchingError, CrossingError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def partner_arrays(draw):
+    """A string count and a partner array: random, or a mutated drawing."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    m = 2 * k
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return k, draw(st.lists(st.integers(min_value=-1, max_value=m), min_size=m, max_size=m))
+    word = draw(st.lists(st.integers(min_value=1, max_value=k - 1), max_size=12)) if k > 1 else []
+    partner, _ = generator_action(k, word)
+    dots = st.integers(min_value=0, max_value=m - 1)
+    for kind in draw(st.lists(st.sampled_from(["swap", "set", "rewire", "rewire"]), max_size=3)):
+        a, b = draw(dots), draw(dots)
+        pa, pb = partner[a], partner[b]
+        if kind == "swap":
+            partner[a], partner[b] = pb, pa
+        elif kind == "set":
+            partner[a] = draw(st.integers(min_value=-1, max_value=m))
+        elif 0 <= min(pa, pb) and max(pa, pb) < m and len({a, b, pa, pb}) == 4:
+            if partner[pa] == a and partner[pb] == b:
+                # arrows a-pa and b-pb become a-pb and b-pa: still a matching
+                partner[a], partner[pb], partner[b], partner[pa] = pb, a, pa, b
+    return k, partner
+
+
+class TestOnePassValidation:
+    """The constructor walks once and names faults as the two passes do."""
+
+    @settings(max_examples=300)
+    @given(partner_arrays())
+    def test_same_verdict_as_two_passes(self, k_partner):
+        k, partner = k_partner
+        assert validator_verdict(k, partner) == two_pass_verdict(k, partner)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_same_verdict_on_every_small_array(self, k):
+        m = 2 * k
+        accepted = 0
+        for partner in itertools.product(range(-1, m + 1), repeat=m):
+            verdict = validator_verdict(k, partner)
+            assert verdict == two_pass_verdict(k, partner)
+            accepted += verdict is None
+        assert accepted == catalan(k)
+
+    def test_diagnose_raises_when_it_finds_nothing(self):
+        with pytest.raises(NotMatchingError, match="not a non-crossing perfect matching"):
+            Diagram.identity(3)._diagnose()
 
 
 class TestConcatenate:

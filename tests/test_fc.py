@@ -68,6 +68,31 @@ class TestTextAndJson:
         with pytest.raises(ParseError):
             parse_fc(bad)
 
+    def test_parse_message_not_a_text_form(self):
+        with pytest.raises(ParseError) as exc:
+            parse_fc("5:[1,2]")
+        assert str(exc.value) == "not an FC element text form: '5:[1,2]'"
+
+    @pytest.mark.parametrize("bad", ["n=3:[1,1]x[2,2]", "n=3:[2,2]x", "n=3:[2,2] [1,1]", "n=3:[[1,1]"])
+    def test_parse_message_trailing_junk(self, bad):
+        with pytest.raises(ParseError) as exc:
+            parse_fc(bad)
+        assert str(exc.value) == f"trailing junk in FC element text form: {bad!r}"
+
+    def test_parse_message_missing_block_list(self):
+        with pytest.raises(ParseError) as exc:
+            parse_fc("n=3:")
+        assert str(exc.value) == "missing block list in FC element text form: 'n=3:'"
+
+    def test_parse_validates_the_canonical_form(self):
+        with pytest.raises(NotStandardError, match="start indices must strictly decrease"):
+            parse_fc("n=3:[2,3][2,2]")
+
+    def test_constructor_coerces_to_int(self):
+        w = FCElement(3, [("2", "3")])
+        assert w.pairs == ((2, 3),) and type(w.pairs[0][0]) is int
+        assert w == FCElement(3, ((2, 3),)) and hash(w) == hash(FCElement(3, ((2, 3),)))
+
     @given(fc_elements())
     def test_text_roundtrip_random(self, w):
         assert parse_fc(w.to_text()) == w
