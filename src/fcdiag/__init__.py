@@ -22,7 +22,6 @@ from .counting import (
     count_start_size,
     narayana,
     narayana_row,
-    start_end_row,
     triangle_end,
     triangle_start,
 )

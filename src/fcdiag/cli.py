@@ -151,11 +151,6 @@ def _narayana_row(n: int, m: int, columns) -> list[str]:
     return [str(row[p]) if p <= m else "0" for p in columns]
 
 
-def _start_end_row(n: int, i: int, columns) -> list[str]:
-    # one chain recurrence per row; ``columns`` is always 1..n
-    return [str(value) if closed else f"{value}*" for value, closed in counting.start_end_row(n, i)]
-
-
 # kind -> (corner label, lowest index, row(n, row index, column indices)).
 # Rows and columns both run from the lowest index to n, so the kinds
 # indexed by generators or blocks, which start at 1, are empty below rank
@@ -168,7 +163,7 @@ _TABLES = {
     "last-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_last_block(n, i, j)))),
     "start-size": ("i\\p", 1, _cells(lambda n, i, p: str(counting.count_start_size(n, i, p)))),
     "size-end": ("p\\j", 1, _cells(lambda n, p, j: str(counting.count_size_end(n, p, j)))),
-    "start-end": ("i\\j", 1, _start_end_row),
+    "start-end": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_start_end(n, i, j).value))),
 }
 
 
@@ -190,8 +185,6 @@ def _cmd_table(args) -> int:
         widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
         for row in [header] + rows:
             print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
-    if args.kind == "start-end" and args.format == "text":
-        print("(* = no closed form; value from the chain recurrence)")
     return 0
 
 

@@ -22,13 +22,10 @@ Statistics and their counts, for rank n:
 * ``count_last_block(n, i, j)``  trailing block equals [i, j].
 * ``count_start_size(n, i, p)``  starts with i and has size p.
 * ``count_size_end(n, p, j)``    has size p and ends with j.
-* ``count_start_end(n, i, j)``   starts with i and ends with j.  A closed
-                                 form exists only for j >= i-1; below that
-                                 the exact value comes from a recurrence
-                                 over block chains, in O(i*n) additions,
-                                 and is flagged as such.
-                                 ``start_end_row(n, i)`` gives all j for
-                                 one i from a single run of it.
+* ``count_start_end(n, i, j)``   starts with i and ends with j:
+                                 C(n-j+i-1, i-1) - C(n-j+i-1, i-j-1), by
+                                 a reflection argument given in its
+                                 docstring.
 """
 
 from __future__ import annotations
@@ -138,11 +135,10 @@ def count_size_end(n: int, p: int, j: int) -> int:
 
 
 class StartEndCount(NamedTuple):
-    """An exact count plus a provenance flag.
+    """An exact count plus a provenance flag that is always True.
 
-    ``closed_form`` is False when no closed formula is known for that
-    parameter range; the value is then computed by the chain recurrence of
-    :func:`count_start_end`, and is just as exact.
+    ``perfbench/tracer.py`` still reads ``closed_form``; ROADMAP item 3
+    retires it.
     """
 
     value: int
@@ -152,55 +148,34 @@ class StartEndCount(NamedTuple):
 def count_start_end(n: int, i: int, j: int) -> StartEndCount:
     """Number of elements starting with i and ending with j.
 
-    Closed forms: C(n-j+i-1, i-1) for j >= i, and C(n, i-1) - 1 for
-    j = i-1.  For j < i-1 no closed form is known and the exact value is
-    computed by :func:`_chain_ends` (flagged via ``closed_form``).
+    C(n-j+i-1, i-1) - C(n-j+i-1, i-j-1) for 1 <= i, j <= n, the second
+    binomial being 0 for j >= i; 0 outside that range.  An element
+    [i_1,j_1]...[i_p,j_p] is its starts A and ends B, |A| = |B|, with
+    max A = i, min B = j and i_t <= j_t: the ballot condition
+    D(x) = |A & [1,x]| - |B & [1,x]| >= 0 for all x.  Free are
+    A' = A - {i} in [1, i-1] and B' = B - {j} in [j+1, n], of equal size.
+    For j >= i no start exceeds an end (A <= i <= j <= B), and the count is
+    sum_p C(i-1, p-1) C(n-j, p-1) = C(n-j+i-1, i-1) by Vandermonde.
+
+    For j < i only j <= x < i can break the condition.  Write (A', B') as
+    a walk of n-j+i-1 steps of +-1: for x = 1..j, +1 if x is in A' else
+    -1; for x = j+1..i-1, that step, then -1 if x is in B' else +1; for
+    x = i..n, the B' step alone.  Equal sizes mean n-j up-steps, ending
+    at h = n-i-j+1.  After x in [j, i-1] the walk stands at 2 D(x) - j + 2,
+    and within its first H = 2i-j-2 steps nowhere else at -j (parity, and
+    |height| < j before x = j), so a bad pair is a walk touching -j within
+    H steps.  Reflecting the tail after the first touch (the tail swap at
+    the first break) maps these one to one onto all walks ending at
+    -2j-h = i-j-1-n, which have i-j-1 up-steps: each touches -j by step
+    H, where it stands at most n-i+1 above its end.  ``verify`` checks
+    every cell against the block-chain recurrence for n <= 40 and against
+    brute force for n <= 10.
     """
     if not (1 <= i <= n and 1 <= j <= n):
         return StartEndCount(0, True)
-    if j >= i:
-        return StartEndCount(comb(n - j + i - 1, i - 1), True)
-    if j == i - 1:
-        return StartEndCount(comb(n, i - 1) - 1, True)
-    return StartEndCount(_chain_ends(n, i, j)[j], False)
-
-
-def start_end_row(n: int, i: int) -> list[StartEndCount]:
-    """``[count_start_end(n, i, j) for j in 1..n]``, in one chain recurrence.
-
-    One run of :func:`_chain_ends` from start i counts the chains ending at
-    every j at once, so a row costs O(i*n) additions instead of that much
-    per cell, and the whole start-end table O(n^3) instead of O(n^4).
-    """
-    if not 1 <= i <= n:
-        return [StartEndCount(0, True)] * max(n, 0)
-    chains = _chain_ends(n, i, 1)
-    return [
-        StartEndCount(chains[j], False) if j < i - 1 else count_start_end(n, i, j)
-        for j in range(1, n + 1)
-    ]
-
-
-def _chain_ends(n: int, i: int, j: int) -> list[int]:
-    """Count block chains [i,b_1][a_2,b_2]...[a_p,b] of rank n by their end b.
-
-    Let N(a, b) be the number of chains whose first start is i and whose
-    last block is [a, b].  Then N(a, b) = [a = i] + sum N(a', b') over
-    a < a' <= i and b' > b, for a <= b <= n.  Rows are filled from a = i
-    down to 1; ``column[b]`` holds the sum of N(a', b) over the rows done so
-    far, and ``above`` the sum of their entries right of b.  Only the ends
-    b >= j are filled, since no others can reach them.  The returned
-    ``column[b]`` is the number of chains ending at b, for every b >= j:
-    O(i*n) big-integer additions.
-    """
-    column = [0] * (n + 1)
-    for a in range(i, 0, -1):
-        above = 0
-        for b in range(n, max(a, j) - 1, -1):
-            here = above + (a == i)
-            above += column[b]
-            column[b] += here
-    return column
+    steps = n - j + i - 1
+    broken = comb(steps, i - j - 1) if i > j else 0
+    return StartEndCount(comb(steps, i - 1) - broken, True)
 
 
 def appendix_binomial_identity_check(n: int, p: int) -> bool:

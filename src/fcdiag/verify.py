@@ -322,13 +322,41 @@ def _formulas_vs_enumeration(n):
         got = counting.count_start_end(n, i, j)
         if got.value != start_end[i, j]:
             yield f"count_start_end({n},{i},{j}) != brute count"
-        if got.closed_form != (j >= i - 1):
+        if not got.closed_form:
             yield f"count_start_end({n},{i},{j}): wrong closed-form flag"
     for i, p in itertools.product(range(1, n + 1), repeat=2):
         if counting.count_start_size(n, i, p) != start_size[i, p]:
             yield f"count_start_size({n},{i},{p}) != brute count"
         if counting.count_size_end(n, p, i) != size_end[p, i]:
             yield f"count_size_end({n},{p},{i}) != brute count"
+
+
+def _chain_column(n: int, i: int) -> list[int]:
+    """Block chains [i,b_1][a_2,b_2]...[a_p,b] of rank n, counted by end b.
+
+    N(a, b), the chains with first start i and last block [a, b], is
+    [a = i] plus the sum of N(a', b') over a < a' <= i and b' > b.  Rows
+    run from a = i down to 1; ``column[b]`` sums N(a', b) over the rows
+    done and ``above`` their entries right of b: O(i*n) additions.
+    """
+    column = [0] * (n + 1)
+    for a in range(i, 0, -1):
+        above = 0
+        for b in range(n, a - 1, -1):
+            here = above + (a == i)
+            above += column[b]
+            column[b] += here
+    return column
+
+
+@_check("counting", "start-end-vs-chains", 1, 40, capped=False)
+def _start_end_vs_chains(n):
+    """Every start-end cell against the block-chain recurrence."""
+    for i in range(1, n + 1):
+        chains = _chain_column(n, i)
+        for j in range(1, n + 1):
+            if counting.count_start_end(n, i, j).value != chains[j]:
+                yield f"count_start_end({n},{i},{j}) != chain count {chains[j]}"
 
 
 @_check("counting", "binomial-identity", 0, 30, capped=False)

@@ -156,7 +156,7 @@ class TestEnumAndTable:
         code, out, _ = run(capsys, "table", "start-end", "--n", "60", "--format", "csv")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert rows[59][1] == f"{count_start_end(60, 60, 1).value}*"
+        assert rows[59][1] == str(count_start_end(60, 60, 1).value)
 
     def test_table_csv(self, capsys):
         code, out, _ = run(capsys, "table", "narayana", "--n", "4", "--format", "csv")
@@ -164,9 +164,11 @@ class TestEnumAndTable:
         assert out.splitlines()[-1] == "4,1,10,20,10,1"
 
     def test_table_start_end_flags_enumerated_cells(self, capsys):
+        # every cell is a closed form, so none is flagged or footnoted
         code, out, _ = run(capsys, "table", "start-end", "--n", "5")
         assert code == 0
-        assert "*" in out
+        assert "*" not in out and "(" not in out
+        assert out.splitlines()[-1].split() == ["5", "14", "14", "9", "4", "1"]
 
     def test_table_json(self, capsys):
         code, out, _ = run(capsys, "table", "triangle", "--n", "3", "--format", "json")

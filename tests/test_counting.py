@@ -22,10 +22,10 @@ from fcdiag import (
     count_start_size,
     narayana,
     narayana_row,
-    start_end_row,
     triangle_end,
     triangle_start,
 )
+from fcdiag.verify import _chain_column
 from helpers import assert_holds, fc_list
 
 
@@ -191,7 +191,7 @@ class TestTwoParameterCounts:
         assert got.value == 14 == filtered(
             5, lambda w: bool(w.pairs) and w.pairs[0][0] == 4 and w.pairs[-1][1] == 1
         )
-        assert not got.closed_form
+        assert got.closed_form
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_two_parameter_formulas_vs_enumeration(self, n):
@@ -199,7 +199,7 @@ class TestTwoParameterCounts:
 
 
 class TestStartEndRecurrence:
-    """``count_start_end`` where no closed form is known, past the brute force."""
+    """``count_start_end`` against the block-chain recurrence, past the brute force."""
 
     @pytest.mark.parametrize("n", [11, 20, 30])
     def test_margins_are_the_catalan_triangle(self, n):
@@ -211,14 +211,24 @@ class TestStartEndRecurrence:
 
     @pytest.mark.parametrize("n", range(0, 25))
     def test_row_equals_cells(self, n):
-        for i in range(-1, n + 3):
-            assert start_end_row(n, i) == [count_start_end(n, i, j) for j in range(1, n + 1)]
+        # rows 1..n are the chain recurrence's columns; the rows around them are empty
+        if n:
+            assert_holds("counting.start-end-vs-chains", n)
+        for i in (-1, 0, n + 1, n + 2):
+            assert [count_start_end(n, i, j) for j in range(1, n + 1)] == [(0, True)] * n
+
+    @given(st.data())
+    def test_cell_equals_chain_count(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=150))
+        i = data.draw(st.integers(min_value=1, max_value=n))
+        j = data.draw(st.integers(min_value=1, max_value=n))
+        assert count_start_end(n, i, j) == (_chain_column(n, i)[j], True)
 
     def test_large_cell_within_budget(self):
         start = time.perf_counter()
         got = count_start_end(300, 150, 20)
         assert time.perf_counter() - start < 2.0
-        assert got.value > 0 and not got.closed_form
+        assert got.value > 0 and got.closed_form
 
 
 class TestThickSlimRecurrence:

@@ -8,6 +8,8 @@ library function per suite and pin the exact FAIL lines, so a check that
 could never fail would show here.
 """
 
+from math import comb
+
 import pytest
 
 from fcdiag import bijection, counting, lattice, tl, verify
@@ -34,14 +36,15 @@ def test_check_holds(key, n):
 
 def test_catalogue_shape():
     assert DEFAULT_MAX_N == 8
-    assert len(CASES) == 435
+    assert len(CASES) == 475
     assert list(verify.SUITES) == ["fc", "counting", "diagram", "bijection", "tl", "lattice"]
-    assert len(verify.CATALOGUE) == 34
+    assert len(verify.CATALOGUE) == 35
 
 
 def test_fixed_ranges_ignore_max_n():
     check = verify.CATALOGUE["counting.binomial-identity"]
     assert check.ranks(1) == check.ranks(8) == range(0, 31)
+    assert verify.CATALOGUE["counting.start-end-vs-chains"].ranks(1) == range(1, 41)
     assert verify.CATALOGUE["fc.catalan-count"].ranks(3) == range(0, 4)
 
 
@@ -77,6 +80,21 @@ def test_fault_in_narayana(capsys, monkeypatch):
             "FAIL counting.formulas-vs-enumeration: narayana(6,2) != brute count 105",
         ],
     )
+
+
+def test_fault_in_start_end_reflection(capsys, monkeypatch):
+    # the reflection formula without its second binomial; the check has a
+    # fixed range, so --max-n 1 still runs it while brute force stops at 1
+    monkeypatch.setattr(
+        counting,
+        "count_start_end",
+        lambda n, i, j: counting.StartEndCount(comb(n - j + i - 1, i - 1), True),
+    )
+    assert main(["verify", "counting", "--max-n", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL counting.start-end-vs-chains: count_start_end(2,2,1) != chain count 1"
+    ]
 
 
 def test_fault_in_concatenate(capsys, monkeypatch):
