@@ -9,9 +9,8 @@ step-by-step reading R -> +1, U -> -1, so prefix sums stay nonnegative.
 The classical bijection with FC elements sends the block (i, j) to a peak
 of the path at the point (j, i), where a *peak* is a point reached by a U
 step that is immediately followed by an R step.  The identity has no peaks
-and maps to R...RU...U.  ``fc_to_ballot`` composes the two maps but is
-implemented by its direct run-length formula, which the tests check against
-the composition.
+and maps to R...RU...U.  ``fc_to_ballot`` is the composition
+``dyck_to_ballot(fc_to_dyck(w))``.
 
 ``diagram_to_ballot`` reads a diagram's dots in the total order (top row
 left to right, then bottom row left to right) and writes + for each arrow
@@ -147,17 +146,7 @@ def ballot_to_dyck(ballot: Ballot) -> DyckPath:
 
 
 def fc_to_ballot(w: FCElement) -> Ballot:
-    """Direct run-length formula; equals dyck_to_ballot(fc_to_dyck(w))."""
-    side = w.rank + 1
-    signs: list[int] = []
-    prev_i = prev_j = 0
-    for i, j in reversed(w.pairs):
-        signs.extend([1] * (j - prev_j))
-        signs.extend([-1] * (i - prev_i))
-        prev_i, prev_j = i, j
-    signs.extend([1] * (side - prev_j))
-    signs.extend([-1] * (side - prev_i))
-    return Ballot(tuple(signs))
+    return dyck_to_ballot(fc_to_dyck(w))
 
 
 def diagram_to_ballot(diagram: Diagram) -> Ballot:

@@ -2,31 +2,28 @@
 
 Dots sit on two horizontal rows; same-row arrows bow into the rectangle,
 cross-row arrows run as gentle S-curves.  Output depends only on the
-diagram and the keyword options, byte for byte.
+diagram, byte for byte.
 """
 
 from __future__ import annotations
 
 from .diagram import Diagram
 
+_UNIT = 36.0  # column spacing
+_MARGIN = 28.0
+_DOT_RADIUS = 3.0
 
-def diagram_to_svg(
-    diagram: Diagram,
-    *,
-    unit: float = 36.0,
-    margin: float = 28.0,
-    dot_radius: float = 3.0,
-    labels: bool = True,
-) -> str:
+
+def diagram_to_svg(diagram: Diagram) -> str:
     k = diagram.strings
-    row_gap = 2.0 * unit
-    width = 2 * margin + (k - 1) * unit
-    height = 2 * margin + row_gap
+    row_gap = 2.0 * _UNIT
+    width = 2 * _MARGIN + (k - 1) * _UNIT
+    height = 2 * _MARGIN + row_gap
 
     def x_of(index: int) -> float:  # 1-based column
-        return margin + (index - 1) * unit
+        return _MARGIN + (index - 1) * _UNIT
 
-    y_top, y_bot = margin, margin + row_gap
+    y_top, y_bot = _MARGIN, _MARGIN + row_gap
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -58,16 +55,15 @@ def diagram_to_svg(
 
     parts.append('<g fill="black">')
     for i in range(1, k + 1):
-        parts.append(f'<circle cx="{x_of(i):.1f}" cy="{y_top:.1f}" r="{dot_radius:.1f}"/>')
-        parts.append(f'<circle cx="{x_of(i):.1f}" cy="{y_bot:.1f}" r="{dot_radius:.1f}"/>')
+        parts.append(f'<circle cx="{x_of(i):.1f}" cy="{y_top:.1f}" r="{_DOT_RADIUS:.1f}"/>')
+        parts.append(f'<circle cx="{x_of(i):.1f}" cy="{y_bot:.1f}" r="{_DOT_RADIUS:.1f}"/>')
     parts.append("</g>")
 
-    if labels:
-        parts.append('<g fill="gray" font-size="10" text-anchor="middle">')
-        for i in range(1, k + 1):
-            parts.append(f'<text x="{x_of(i):.1f}" y="{y_top - 8:.1f}">{i}</text>')
-            parts.append(f'<text x="{x_of(i):.1f}" y="{y_bot + 16:.1f}">{i}′</text>')
-        parts.append("</g>")
+    parts.append('<g fill="gray" font-size="10" text-anchor="middle">')
+    for i in range(1, k + 1):
+        parts.append(f'<text x="{x_of(i):.1f}" y="{y_top - 8:.1f}">{i}</text>')
+        parts.append(f'<text x="{x_of(i):.1f}" y="{y_bot + 16:.1f}">{i}′</text>')
+    parts.append("</g>")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -93,7 +93,6 @@ class TestBlockPathMaps:
     @given(fc_elements())
     def test_roundtrips_random(self, w):
         assert dyck_to_fc(fc_to_dyck(w)) == w
-        assert fc_to_ballot(w) == dyck_to_ballot(fc_to_dyck(w))
 
 
 class TestDiagramReading:

@@ -134,9 +134,6 @@ class TestTLElement:
         with pytest.raises(RankMismatchError):
             multiply(TLElement.identity(2), TLElement.identity(3))
 
-    def test_associativity_random(self):
-        assert_holds("tl.associativity", 4)
-
     def test_multiply_matches_term_by_term_formula(self):
         # multi-term factors with signed coefficients, so that terms cancel
         def formula(x, y):

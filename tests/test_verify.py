@@ -2,8 +2,8 @@
 
 Every (check, rank) pair that ``fcdiag verify --all`` runs at the default
 ``--max-n`` is one test case.  Its verdict comes from the session memo in
-``helpers.assert_holds``, so a pair that a module or acceptance test has
-already run is not evaluated again.  The fault-injection tests break one
+``helpers.assert_holds``, so a pair that another test has already asked for
+is not evaluated again.  The fault-injection tests break one
 library function per suite and pin the exact FAIL lines, so a check that
 could never fail would show here.
 """
