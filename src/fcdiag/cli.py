@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from collections import Counter
@@ -117,6 +118,29 @@ def _check_listing_size(command: str, n: int, size: int | None) -> None:
     )
 
 
+# An FC text form names its rank in a few digits, but drawing or
+# multiplying the element builds a partner array of 2(n+1) entries, and
+# render writes an SVG of O(n) lines: at rank 10^6 render peaked at 1.7 GB
+# for a 259 MB file, at 10^5 near 180 MB.  mul, to-diagram, render and
+# convert --from fc refuse a rank above DRAW_RANK_CAP.
+DRAW_RANK_CAP = 10**5
+
+
+def _parse_drawable_fc(text: str) -> FCElement:
+    """``parse_fc``, then a domain error if the rank is above DRAW_RANK_CAP.
+
+    Parsing builds only the blocks the text lists, so a large rank is
+    refused before anything of its size is allocated.
+    """
+    w = parse_fc(text)
+    if w.rank > DRAW_RANK_CAP:
+        raise RankOutOfRangeError(
+            f"rank {w.rank} is more than {DRAW_RANK_CAP}, the highest rank that "
+            "mul, to-diagram, render and convert accept in FC text form"
+        )
+    return w
+
+
 def _cmd_enum(args) -> int:
     _check_at_most(args, "size", args.n)
     _check_listing_size("enum", args.n, args.size)
@@ -174,13 +198,15 @@ def _cmd_table(args) -> int:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
     indices = range(low, n + 1)
     header = [corner] + [str(c) for c in indices]
-    rows = [[str(r)] + row_of(n, r, indices) for r in indices]
+    rows = ([str(r)] + row_of(n, r, indices) for r in indices)
+    if args.format == "csv":
+        # each row is printed as it is built; json and text need them all
+        for row in itertools.chain([header], rows):
+            print(",".join(row))
+        return 0
+    rows = list(rows)
     if args.format == "json":
         print(json.dumps({"header": header, "rows": rows}))
-    elif args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
     else:
         widths = [max(len(r[c]) for r in [header] + rows) for c in range(len(header))]
         for row in [header] + rows:
@@ -189,7 +215,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_to_diagram(args) -> int:
-    w = parse_fc(args.element)
+    w = _parse_drawable_fc(args.element)
     if args.trace:
         diagram, trace = fc_to_diagram(w)
     else:
@@ -214,7 +240,7 @@ def _cmd_to_fc(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    w1, w2 = parse_fc(args.left), parse_fc(args.right)
+    w1, w2 = _parse_drawable_fc(args.left), _parse_drawable_fc(args.right)
     w3, m = tl.monomial_product(w1, w2)
     if args.json:
         print(json.dumps({"delta_exponent": m, "result": w3.to_json()}))
@@ -224,7 +250,7 @@ def _cmd_mul(args) -> int:
 
 
 _CONVERT_PARSERS = {
-    "fc": parse_fc,
+    "fc": _parse_drawable_fc,
     "dyck": lattice.parse_dyck,
     "ballot": lattice.parse_ballot,
     "diagram": parse_diagram,
@@ -267,7 +293,7 @@ def _cmd_render(args) -> int:
     if text.startswith("strings="):
         diagram = parse_diagram(text)
     else:
-        diagram = diagram_of(parse_fc(text))
+        diagram = diagram_of(_parse_drawable_fc(text))
     svg = diagram_to_svg(diagram)
     try:
         with open(args.svg, "w", encoding="utf-8") as handle:

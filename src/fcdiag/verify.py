@@ -635,7 +635,12 @@ def _readings_disagree(n):
 @_check("lattice", "diagram-ballot-bijective", 0, 8)
 def _diagram_ballot_bijective(n):
     k = n + 1
-    ballots = [lattice.diagram_to_ballot(d) for d in enumerate_diagrams(k)]
+    ballots = []
+    for d in enumerate_diagrams(k):
+        ballot = lattice.diagram_to_ballot(d)
+        if len(ballot.signs) != 2 * k:
+            yield f"{d}: tail/head reading {ballot} has {len(ballot.signs)} signs, not {2 * k}"
+        ballots.append(ballot)
     if len(set(ballots)) != len(ballots) or len(ballots) != counting.catalan(k):
         yield f"{k} strings: tail/head reading is not injective onto ballots"
 

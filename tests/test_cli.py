@@ -219,6 +219,29 @@ class TestRender:
         assert err.startswith("error: cannot write ") and str(target) in err
         assert err.count("\n") == 1
 
+    def test_rank_above_the_draw_cap(self, capsys, tmp_path):
+        # a few characters would otherwise draw 2(n+1) dots: 1.7 GB to render at 10^6
+        target = tmp_path / "out.svg"
+        cap = cli.DRAW_RANK_CAP
+        start = time.perf_counter()
+        for rank in (10**6, cap + 1):
+            text = f"n={rank}:[]"
+            for argv in (
+                ["render", text, "--svg", str(target)],
+                ["to-diagram", text],
+                ["mul", "n=3:[]", text],
+                ["convert", "--from", "fc", "--to", "ballot", text],
+            ):
+                assert run(capsys, *argv) == (
+                    1,
+                    "",
+                    f"error: rank {rank} is more than {cap}, the highest rank that "
+                    "mul, to-diagram, render and convert accept in FC text form\n",
+                ), argv
+        assert time.perf_counter() - start < 2
+        assert not target.exists()
+        assert run(capsys, "convert", "--from", "fc", "--to", "fc", f"n={cap}:[]")[:2] == (0, f"n={cap}:[]\n")
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):

@@ -154,6 +154,20 @@ def test_fault_in_diagram_reading(capsys, monkeypatch):
     )
 
 
+def test_fault_in_ballot_length(capsys, monkeypatch):
+    # still a valid ballot, injective and Catalan in number: only the length is wrong
+    diagram_to_ballot = lattice.diagram_to_ballot
+    monkeypatch.setattr(
+        lattice,
+        "diagram_to_ballot",
+        lambda d: lattice.Ballot(diagram_to_ballot(d).signs + (1, -1)),
+    )
+    assert _fail_lines(capsys, "lattice") == (
+        1,
+        ["FAIL lattice.diagram-ballot-bijective: strings=1;1-1': tail/head reading +-+- has 4 signs, not 2"],
+    )
+
+
 def test_fault_that_raises(capsys, monkeypatch):
     def crossing(w):
         raise CrossingError("arrows 1'-3' and 3-2' cross")
