@@ -24,7 +24,7 @@ from fcdiag import (
 )
 from fcdiag import bijection
 from fcdiag.verify import _trace_faults
-from helpers import fc_elements, fc_list, generator_words, rewrite_word
+from helpers import assert_holds, fc_elements, fc_list, generator_words, rewrite_word
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 
@@ -102,6 +102,10 @@ class TestDirectAlgorithm:
         d, trace = fc_to_diagram(FCElement(4))
         assert d == Diagram.identity(5)
         assert trace.positive_pairs == ()
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_equals_concatenation_oracle(self, n):
+        assert_holds("bijection.oracle-equivalence", n)
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_reference_sweep_equals_per_element_oracle(self, n):
@@ -219,8 +223,20 @@ class TestReader:
         d = parse_diagram("strings=6;1-2,3-6,4-5,1'-2',3'-4',5'-6'")
         assert diagram_to_fc(d) == W_EXAMPLE
 
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_roundtrip_from_elements(self, n):
+        assert_holds("bijection.roundtrips", n)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_roundtrip_from_diagrams(self, k):
+        assert_holds("bijection.roundtrips", k - 1)
+
 
 class TestTrace:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_candidate_sets(self, n):
+        assert_holds("bijection.trace-consistency", n)
+
     @settings(deadline=None)
     @given(fc_elements(max_rank=40))
     def test_long_elements(self, w):
@@ -228,3 +244,18 @@ class TestTrace:
         drawn, trace = fc_to_diagram(w)
         assert drawn == diagram_of(w)
         assert list(_trace_faults(w, drawn, trace, drawn.components().positive)) == []
+
+
+class TestStructuralProperties:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_uniqueness_of_start_end_data(self, n):
+        # that the one match is the drawn diagram is test_start_end_data
+        assert_holds("bijection.uniqueness", n)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_rotation_matches_delta_involution(self, n):
+        assert_holds("bijection.trace-consistency", n)
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_multiplication_compatibility(self, n):
+        assert_holds("bijection.multiplication-compatible", n)

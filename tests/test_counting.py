@@ -27,7 +27,7 @@ from fcdiag import (
     triangle_start,
 )
 from fcdiag.verify import _chain_column
-from helpers import fc_list
+from helpers import assert_holds, fc_list
 
 
 def filtered(n, pred):
@@ -81,6 +81,10 @@ class TestNarayana:
     def test_symmetry(self, n, p):
         assert narayana(n, p) == narayana(n, n - p if p <= n else -1)
 
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_row_sums(self, n):
+        assert_holds("counting.narayana-row-sums", n)
+
 
 class TestCatalanTriangle:
     def test_known_columns(self):
@@ -107,6 +111,18 @@ class TestCatalanTriangle:
     def test_reversal_symmetry(self, n):
         for j in range(1, n + 1):
             assert triangle_end(n, j) == triangle_start(n, n - j + 1)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_recurrences(self, n):
+        assert_holds("counting.triangle-recurrence", n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mixed_recurrence_via_catalan(self, n):
+        assert_holds("counting.mixed-recurrence", n)
+
+    @pytest.mark.parametrize("n", range(0, 16))
+    def test_rows_partition_catalan(self, n):
+        assert_holds("counting.triangle-row-sums", n)
 
 
 class TestTwoParameterCounts:
@@ -178,6 +194,10 @@ class TestTwoParameterCounts:
         )
         assert got.closed_form
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_all_two_parameter_formulas_vs_enumeration(self, n):
+        assert_holds("counting.formulas-vs-enumeration", n)
+
 
 class TestStartEndRecurrence:
     """``count_start_end`` against the block-chain recurrence, past the brute force."""
@@ -190,13 +210,15 @@ class TestStartEndRecurrence:
         for j in range(1, n + 1):
             assert sum(cells[i, j] for i in range(1, n + 1)) == triangle_end(n, j)
 
-    def test_zero_outside_the_square(self):
-        # inside 1..n the cells are counting.start-end-vs-chains's; around them, zeros
-        for n in range(25):
-            around = range(-1, n + 3)
-            for i, j in itertools.product(around, around):
-                if not (1 <= i <= n and 1 <= j <= n):
-                    assert count_start_end(n, i, j) == (0, True), (n, i, j)
+    @pytest.mark.parametrize("n", range(0, 25))
+    def test_row_equals_cells(self, n):
+        # inside 1..n the cells are the chain recurrence's columns; around them, zeros
+        if n:
+            assert_holds("counting.start-end-vs-chains", n)
+        around = range(-1, n + 3)
+        for i, j in itertools.product(around, around):
+            if not (1 <= i <= n and 1 <= j <= n):
+                assert count_start_end(n, i, j) == (0, True), (n, i, j)
 
     @given(st.data())
     def test_cell_equals_chain_count(self, data):
@@ -210,6 +232,12 @@ class TestStartEndRecurrence:
         got = count_start_end(300, 150, 20)
         assert time.perf_counter() - start < 2.0
         assert got.value > 0 and got.closed_form
+
+
+class TestThickSlimRecurrence:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_narayana_recurrence(self, n):
+        assert_holds("counting.thick-slim-recurrence", n)
 
 
 class TestAppendixIdentity:

@@ -22,7 +22,7 @@ from fcdiag import (
     generator_action,
     parse_diagram,
 )
-from helpers import diagram_list, generator_words
+from helpers import assert_holds, diagram_list, generator_words
 
 
 def E(strings, i):
@@ -286,6 +286,10 @@ class TestFlips:
         assert E(4, 2).flip_vertical() == E(4, 2)
         assert E(6, 1).flip_horizontal() == E(6, 5)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_involutions(self, k):
+        assert_holds("diagram.flip-involutions", k - 1)
+
     def test_vertical_flip_reverses_concatenation(self):
         d12, _ = concatenate(E(3, 1), E(3, 2))
         d21, _ = concatenate(E(3, 2), E(3, 1))
@@ -296,6 +300,18 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 2), (3, 5), (5, 42), (7, 429)])
     def test_catalan_counts(self, k, count):
         assert len(diagram_list(k)) == count == catalan(k)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_distinct(self, k):
+        assert_holds("diagram.catalan-count", k - 1)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_reconstruction_from_row_arcs(self, k):
+        assert_holds("diagram.arc-reconstruction", k - 1)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_row_arcs_persist_under_concatenation(self, k):
+        assert_holds("diagram.arc-persistence", k - 1)
 
 
 class TestSerialization:

@@ -19,7 +19,7 @@ from fcdiag import (
     is_saturated_in,
     parse_fc,
 )
-from helpers import fc_elements, fc_list
+from helpers import assert_holds, fc_elements, fc_list
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
 
@@ -130,12 +130,20 @@ class TestShrink:
         with pytest.raises(NotThickError):
             FCElement(3, ((3, 3),)).shrink()
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bijection_onto_lower_rank(self, n):
+        assert_holds("fc.shrink-bijection", n)
+
 
 class TestDual:
     def test_examples(self):
         assert FCElement(3, ((1, 1),)).dual() == FCElement(3, ((3, 3), (2, 2)))
         assert FCElement(2).dual() == FCElement(2, ((2, 2), (1, 1)))
         assert FCElement(4, ((4, 4), (3, 3), (2, 2), (1, 1))).dual() == FCElement(4)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_involution_size_length(self, n):
+        assert_holds("fc.dual-involution", n)
 
     @given(fc_elements())
     def test_involution_random(self, w):
@@ -159,6 +167,10 @@ class TestDeltaInvolution:
             assert image.to_permutation() == permutation_of_word(n, reflected_reversed)
             assert image.delta_involution() == w
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_carries_descents(self, n):
+        assert_holds("fc.delta-involution", n)
+
 
 class TestDescents:
     def test_example_left(self):
@@ -177,6 +189,10 @@ class TestDescents:
             FCElement(4).left_descents()
         with pytest.raises(IdentityHasNoDescentsError):
             FCElement(4).right_descents()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_against_permutation_oracle(self, n):
+        assert_holds("fc.descent-formulas", n)
 
 
 class TestSupportAndSaturation:
@@ -211,3 +227,11 @@ class TestEnumeration:
     def test_sized_chain_longer_than_the_recursion_limit(self):
         (w,) = enumerate_fc(2000, 2000)
         assert w.pairs == tuple((i, i) for i in range(2000, 0, -1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_images_are_exactly_the_321_avoiders(self, n):
+        assert_holds("fc.permutations-321", n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_thick_slim_partition(self, n):
+        assert_holds("fc.partition-thick-slim", n)

@@ -12,6 +12,7 @@ from fcdiag import (
     InvalidPathError,
     ParseError,
     ballot_to_dyck,
+    catalan,
     diagram_to_ballot,
     dyck_to_ballot,
     dyck_to_fc,
@@ -23,7 +24,7 @@ from fcdiag import (
     parse_fc,
     peaks,
 )
-from helpers import fc_elements
+from helpers import assert_holds, diagram_list, fc_elements
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 W_BALLOT = "+-++--++-+--"
@@ -85,6 +86,10 @@ class TestBlockPathMaps:
         assert dyck_to_ballot(parse_dyck("RRRUUU")).to_text() == "+++---"
         assert ballot_to_dyck(parse_ballot("+-+-")).to_text() == "RURU"
 
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_roundtrips(self, n):
+        assert_holds("lattice.path-ballot-roundtrips", n)
+
     @given(fc_elements())
     def test_roundtrips_random(self, w):
         assert dyck_to_fc(fc_to_dyck(w)) == w
@@ -102,3 +107,13 @@ class TestDiagramReading:
         d, _ = fc_to_diagram(W_EXAMPLE)
         assert diagram_to_ballot(d).to_text() != W_BALLOT
         assert diagram_to_ballot(d).to_text() == "+-++--+-+-+-"
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_some_witness_at_every_rank(self, n):
+        assert_holds("lattice.readings-disagree", n)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_bijective_onto_ballots(self, k):
+        images = {diagram_to_ballot(d) for d in diagram_list(k)}
+        assert len(images) == catalan(k)
+        assert all(len(b.signs) == 2 * k for b in images)

@@ -29,7 +29,7 @@ from fcdiag import (
     narayana,
     parse_fc,
 )
-from helpers import fc_list, rewrite_word
+from helpers import assert_holds, fc_list, rewrite_word
 
 
 def gen(n, i):
@@ -86,6 +86,10 @@ class TestMonomialProduct:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             monomial_product(FCElement(2), FCElement(3))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_presentation_relations(self, n):
+        assert_holds("tl.presentation-relations", n)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_against_word_rewriting_oracle(self, n):
@@ -173,6 +177,10 @@ class TestDiagramDescents:
         d, _ = fc_to_diagram(parse_fc("n=5:[4,5][3,3][1,1]"))
         assert descents_from_diagram(d) == ({4, 1}, {5, 3, 1})
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_three_way_agreement(self, n):
+        assert_holds("tl.descents-three-ways", n)
+
 
 class TestCensus:
     def test_single_generator_rank_one(self):
@@ -192,6 +200,10 @@ class TestCensus:
         assert key_to_text(key, 3) == "1-3'"
         d, _ = fc_to_diagram(FCElement(1, ((1, 1),)))
         assert key_to_text(equivalence_key(d), 2) == "-"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_recount_and_factor(self, n):
+        assert_holds("tl.census", n)
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_equals_recount_through_diagram_of(self, n):
