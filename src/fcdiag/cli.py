@@ -55,12 +55,12 @@ def _check_at_most(args, option: str, high: int) -> None:
 
 # ``enum`` and ``census`` refuse to list more elements than ENUMERATION_CAP,
 # and a listing whose elements add up to more than WORK_CAP blocks (enum
-# prints them) or strings (census once drew each element on n+1 of them).  One
-# element at the work cap, 10^7 blocks, still takes about 3 GB to print.
-# The census now walks its classes without building any element, so these
-# element-count bounds overstate its work; they are kept unchanged so that
-# its refusals stay as they were, until a bound on the classes it lists
-# replaces them.
+# prints them) or strings (census once drew each element on n+1 of them).
+# One element or class key near the work cap would still take gigabytes, so
+# each item is bounded as well, by DRAW_RANK_CAP below.  The census now
+# walks its classes without building any element, so these element-count
+# bounds overstate its work; they are kept unchanged so that its refusals
+# stay as they were, until a bound on the classes it lists replaces them.
 ENUMERATION_CAP = 10**7
 WORK_CAP = 10**7
 
@@ -122,7 +122,11 @@ def _check_listing_size(command: str, n: int, size: int | None) -> None:
 # multiplying the element builds a partner array of 2(n+1) entries, and
 # render writes an SVG of O(n) lines: at rank 10^6 render peaked at 1.7 GB
 # for a 259 MB file, at 10^5 near 180 MB.  mul, to-diagram, render and
-# convert --from fc refuse a rank above DRAW_RANK_CAP.
+# convert --from fc refuse a rank above DRAW_RANK_CAP.  The same cap bounds
+# each item that enum and census print: enum refuses a --size above it
+# (one element of 10^6 blocks peaked at 300 MB) and census a --n above it
+# (one class key on 10^6 + 1 strings at 231 MB).  Both are checked after
+# the listing bounds, whose refusals keep their messages.
 DRAW_RANK_CAP = 10**5
 
 
@@ -144,6 +148,10 @@ def _parse_drawable_fc(text: str) -> FCElement:
 def _cmd_enum(args) -> int:
     _check_at_most(args, "size", args.n)
     _check_listing_size("enum", args.n, args.size)
+    if args.size is not None and args.size > DRAW_RANK_CAP:
+        raise RankOutOfRangeError(
+            f"size {args.size} is more than {DRAW_RANK_CAP}, the largest size that enum prints"
+        )
     for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
@@ -308,6 +316,10 @@ def _cmd_render(args) -> int:
 def _cmd_census(args) -> int:
     _check_at_most(args, "p", args.n)
     _check_listing_size("census", args.n, args.p)
+    if args.n > DRAW_RANK_CAP:
+        raise RankOutOfRangeError(
+            f"rank {args.n} is more than {DRAW_RANK_CAP}, the highest rank that census lists"
+        )
     classes = tl.census(args.n, args.p)
     strings = args.n + 1
     if args.json:

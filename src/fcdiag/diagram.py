@@ -53,11 +53,6 @@ from .errors import (
 Arrow = tuple[int, int]  # (tail code, head code), tail < head
 
 
-def _boundary(code: int, strings: int) -> int:
-    """Position of a dot code on the rectangle's boundary walk."""
-    return code if code < strings else 3 * strings - 1 - code
-
-
 @dataclass(frozen=True)
 class Diagram:
     """A non-crossing perfect matching on two rows of ``strings`` dots.
@@ -88,7 +83,7 @@ class Diagram:
         # its partner lies further along, or closes the last dot still
         # open, which must be its partner and point back at it.  That is a
         # non-crossing perfect matching exactly; anything else is named by
-        # _diagnose.
+        # _diagnose, given the open dot that a closing dot failed to close.
         last = 3 * k - 1
         stack: list[int] = []
         for b, d in enumerate(chain(range(k), range(m - 1, k - 1, -1))):
@@ -97,17 +92,22 @@ class Diagram:
                 self._diagnose()
             if (q if q < k else last - q) > b:
                 stack.append(d)
-            elif not stack or stack.pop() != q or partner[q] != d:
+            elif not stack:
                 self._diagnose()
+            elif (top := stack.pop()) != q or partner[q] != d:
+                self._diagnose((top, d))
         if stack:
             self._diagnose()
 
-    def _diagnose(self) -> NoReturn:
+    def _diagnose(self, pair: tuple[int, int] | None = None) -> NoReturn:
         """Raise the error naming the first fault of an invalid partner array.
 
-        Two passes, for the message only: every dot is matched in range, to
-        another dot and back; then the boundary walk nests like balanced
-        brackets.
+        Matching faults come first, in code order: a dot matched out of
+        range, to itself, or not back.  An array free of them is a perfect
+        matching, and the walk can only have stopped at a ``pair``
+        (top, d): dot d closed while top, an open dot other than its
+        partner, lay on top of the stack.  The partner of d opened before
+        top and the partner of top comes after d, so their arrows cross.
         """
         k = self.strings
         partner = self.partner
@@ -121,24 +121,14 @@ class Diagram:
                 raise NotMatchingError(
                     f"matching is not an involution at dot {self.dot_name(d)}"
                 )
-
-        last = 3 * k - 1
-        stack: list[int] = []
-        for b, d in enumerate(chain(range(k), range(m - 1, k - 1, -1))):
-            q = partner[d]
-            if (q if q < k else last - q) > b:
-                stack.append(d)
-            else:
-                top = stack.pop()
-                if top != q:
-                    first = self._arrow_of(top)
-                    second = self._arrow_of(d)
-                    raise CrossingError(
-                        f"arrows {self.arrow_name(first)} and {self.arrow_name(second)} cross",
-                        first,
-                        second,
-                    )
-        raise NotMatchingError("partner array is not a non-crossing perfect matching")
+        if pair is None:
+            raise NotMatchingError("partner array is not a non-crossing perfect matching")
+        first, second = (self._arrow_of(d) for d in pair)
+        raise CrossingError(
+            f"arrows {self.arrow_name(first)} and {self.arrow_name(second)} cross",
+            first,
+            second,
+        )
 
     # ------------------------------------------------------------------
     # constructors
@@ -246,26 +236,19 @@ class Diagram:
     def flip_vertical(self) -> Diagram:
         """Swap the two rows; an involution."""
         k = self.strings
-
-        def swap(d: int) -> int:
-            return d + k if d < k else d - k
-
-        partner = [0] * (2 * k)
-        for d, q in enumerate(self.partner):
-            partner[swap(d)] = swap(q)
-        return Diagram(k, tuple(partner))
+        return self._relabel([*range(k, 2 * k), *range(k)])
 
     def flip_horizontal(self) -> Diagram:
         """Mirror left to right; an involution realizing i -> k-i on generators."""
         k = self.strings
+        return self._relabel([*range(k - 1, -1, -1), *range(2 * k - 1, k - 1, -1)])
 
-        def mirror(d: int) -> int:
-            return k - 1 - d if d < k else 3 * k - 1 - d
-
-        partner = [0] * (2 * k)
+    def _relabel(self, label: list[int]) -> Diagram:
+        """The diagram matching label[d] with label[q] wherever d matches q."""
+        partner = [0] * len(label)
         for d, q in enumerate(self.partner):
-            partner[mirror(d)] = mirror(q)
-        return Diagram(k, tuple(partner))
+            partner[label[d]] = label[q]
+        return Diagram(self.strings, tuple(partner))
 
     # ------------------------------------------------------------------
     # serialization
@@ -433,11 +416,7 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
     k = strings
     m = 2 * k
     seq = [-1] * m
-
-    # boundary position -> dot code
-    code_of = [0] * m
-    for d in range(m):
-        code_of[_boundary(d, k)] = d
+    code_of = [*range(k), *range(m - 1, k - 1, -1)]  # boundary position -> dot code
 
     def fill(lo_pos: int, hi_pos: int) -> Iterator[None]:
         if lo_pos >= hi_pos:

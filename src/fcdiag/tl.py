@@ -330,9 +330,7 @@ def _next_arrow(k: int, x: int, y: int, b: int, need: int) -> tuple[int, int] | 
                 return x, y
             y = x + 2
         if y < k:
-            hi = min(k - 3 - x, k - 1 - y)
-            if may_stop and hi < 0:
-                hi = 0
+            hi = min(k - 3 - x, k - 1 - y)  # >= 0: y has x's parity, so x+2 <= y < k
             if y + 1 - k <= need - 1 <= hi:
                 return x, y
         if not whole_row:

@@ -48,6 +48,14 @@ class TestCount:
         assert code == 0
         assert out == "1 10 20 10 1\n"
 
+    def test_triangle_row(self, capsys):
+        assert run(capsys, "count", "--n", "4", "--triangle") == (0, "1 4 9 14 14\n", "")
+        assert run(capsys, "count", "--n", "4", "--triangle", "--json") == (
+            0,
+            "[1, 4, 9, 14, 14]\n",
+            "",
+        )
+
     def test_catalan_default(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "8")
         assert (code, out) == (0, "4862\n")
@@ -110,6 +118,26 @@ class TestConversions:
             run(capsys, "convert", "--from", "ballot", "--to", "diagram", "+-")
         assert exc.value.code == 2
 
+    def test_convert_diagram_to_fc_and_dyck(self, capsys):
+        text = "strings=3;1-2,3-1',2'-3'"
+        assert run(capsys, "convert", "--from", "diagram", "--to", "fc", text) == (
+            0,
+            "n=2:[1,2]\n",
+            "",
+        )
+        assert run(capsys, "convert", "--from", "diagram", "--to", "dyck", text) == (
+            0,
+            "RRURUU\n",
+            "",
+        )
+
+    def test_convert_fc_to_diagram(self, capsys):
+        assert run(capsys, "convert", "--from", "fc", "--to", "diagram", "n=2:[1,2]") == (
+            0,
+            "strings=3;1-2,3-1',2'-3'\n",
+            "",
+        )
+
     def test_convert_dyck_roundtrip(self, capsys):
         code, out, _ = run(capsys, "convert", "--from", "fc", "--to", "dyck", "n=1:[1,1]")
         assert (code, out) == (0, "RURU\n")
@@ -151,6 +179,30 @@ class TestEnumAndTable:
         )
         code, _, err = run(capsys, "enum", "--n", "13")
         assert code == 1 and "17383860 blocks in all" in err
+
+    def test_enum_count_past_the_float_range(self, capsys):
+        n = 10**400
+        assert run(capsys, "enum", "--n", str(n)) == (
+            1,
+            "",
+            f"error: rank {n} has more than 10^300 elements, "
+            "more than the 10000000 that enum and census may list\n",
+        )
+
+    def test_enum_size_above_the_draw_cap(self, capsys):
+        # one element inside the work cap, but 10^6 blocks took 300 MB to print
+        cap = cli.DRAW_RANK_CAP
+        start = time.perf_counter()
+        for size in (10**6, cap + 1):
+            assert run(capsys, "enum", "--n", str(size), "--size", str(size)) == (
+                1,
+                "",
+                f"error: size {size} is more than {cap}, the largest size that enum prints\n",
+            )
+        code, out, err = run(capsys, "enum", "--n", str(cap), "--size", str(cap))
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out == f"n={cap}:" + "".join(f"[{i},{i}]" for i in range(cap, 0, -1)) + "\n"
 
     def test_table_start_end_past_brute_force(self, capsys):
         code, out, _ = run(capsys, "table", "start-end", "--n", "60", "--format", "csv")
@@ -203,6 +255,29 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--n", "13", "--p", "6")
         assert code == 1 and "736164 elements of size 6, 10306296 strings in all" in err
 
+    def test_estimated_count_above_the_listing_cap(self, capsys):
+        assert run(capsys, "census", "--n", "10000", "--p", "5000") == (
+            1,
+            "",
+            "error: rank 10000 has about 10^6013 elements of size 5000, "
+            "more than the 10000000 that enum and census may list\n",
+        )
+
+    def test_rank_above_the_draw_cap(self, capsys):
+        # one class key inside the work cap, but on 10^6 + 1 strings it took 231 MB
+        cap = cli.DRAW_RANK_CAP
+        start = time.perf_counter()
+        for n in (10**6, cap + 1):
+            assert run(capsys, "census", "--n", str(n), "--p", "0") == (
+                1,
+                "",
+                f"error: rank {n} is more than {cap}, the highest rank that census lists\n",
+            )
+        code, out, err = run(capsys, "census", "--n", str(cap), "--p", "0")
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out == ",".join(f"{i}-{i}'" for i in range(1, cap + 2)) + "\t1\n"
+
 
 class TestRender:
     def test_writes_svg(self, capsys, tmp_path):
@@ -211,6 +286,13 @@ class TestRender:
         assert code == 0
         assert out.strip() == str(target)
         assert target.read_text().startswith("<svg")
+
+    def test_diagram_text_renders_like_its_element(self, capsys, tmp_path):
+        by_diagram, by_element = tmp_path / "diagram.svg", tmp_path / "element.svg"
+        text = "strings=3;1-2,3-1',2'-3'"
+        assert run(capsys, "render", text, "--svg", str(by_diagram)) == (0, f"{by_diagram}\n", "")
+        assert run(capsys, "render", "n=2:[1,2]", "--svg", str(by_element))[0] == 0
+        assert by_diagram.read_bytes() == by_element.read_bytes()
 
     def test_unwritable_path_is_a_domain_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.svg"
@@ -249,6 +331,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.strip().splitlines()[-1].endswith("checks passed")
+
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        err = usage_error(capsys, "verify", "nosuch")
+        assert err.endswith(
+            "fcdiag: error: unknown suite(s) nosuch; "
+            "choose from bijection, counting, diagram, fc, lattice, tl\n"
+        )
 
     def test_check_with_no_rank_is_skipped(self, capsys):
         # readings-disagree covers ranks 2..8, so --max-n 1 runs none of it

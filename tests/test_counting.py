@@ -93,6 +93,10 @@ class TestCatalanTriangle:
             assert triangle_start(n, n) == catalan(n)
             assert triangle_start(n, 0) == 1
 
+    def test_end_outside_the_generators_is_zero(self):
+        for n in range(6):
+            assert triangle_end(n, 0) == triangle_end(n, n + 1) == 0
+
     def test_frozen_spot_values(self):
         assert triangle_start(5, 3) == 28 == filtered(
             5, lambda w: bool(w.pairs) and w.pairs[0][0] == 3
@@ -167,6 +171,11 @@ class TestTwoParameterCounts:
     def test_start_size_zero_when_size_exceeds_start(self):
         assert count_start_size(6, 2, 3) == 0
         assert count_start_size(6, 0, 1) == 0
+
+    def test_size_zero_is_the_identity_at_index_zero(self):
+        for n in range(6):
+            assert count_start_size(n, 0, 0) == count_size_end(n, 0, 0) == 1
+            assert all(count_start_size(n, i, 0) == 0 for i in range(1, n + 2))
 
     def test_size_end_frozen(self):
         assert count_size_end(5, 2, 3) == 15 == filtered(

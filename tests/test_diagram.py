@@ -325,6 +325,9 @@ class TestSerialization:
         for d in diagram_list(k):
             assert diagram_from_json(d.to_json()) == d
 
+    def test_head_first_arrows_parse_as_tail_first(self):
+        assert parse_diagram("strings=2;2-1,2'-1'") == parse_diagram("strings=2;1-2,1'-2'")
+
     def test_json_numbering(self):
         assert E(2, 1).to_json() == {"strings": 2, "partner": [2, 1, 4, 3]}
 

@@ -51,6 +51,10 @@ class TestValidation:
         with pytest.raises(InvalidPathError):
             DyckPath(("R", "X"))
 
+    def test_empty_path_has_no_element(self):
+        with pytest.raises(InvalidPathError, match="positive even number"):
+            dyck_to_fc(DyckPath(()))
+
     def test_parsers(self):
         assert parse_ballot("+-").signs == (1, -1)
         assert parse_dyck("RU").steps == ("R", "U")

@@ -134,6 +134,13 @@ class TestTLElement:
         with pytest.raises(RankMismatchError):
             multiply(TLElement.identity(2), TLElement.identity(3))
 
+    def test_str_and_coefficient(self):
+        n = 2
+        x = TLElement.identity(n) + TLElement.monomial(gen(n, 1), DeltaPoly.delta(2, 3))
+        assert str(x) == "(1)*e[n=2:[]] + (3*delta^2)*e[n=2:[1,1]]"
+        assert x.coefficient(gen(n, 1)) == DeltaPoly.delta(2, 3)
+        assert x.coefficient(gen(n, 2)) == DeltaPoly.zero()
+
     def test_multiply_matches_term_by_term_formula(self):
         # multi-term factors with signed coefficients, so that terms cancel
         def formula(x, y):
