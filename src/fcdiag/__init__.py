@@ -10,6 +10,7 @@ from .bijection import (
     fc_to_diagram,
     fc_to_diagram_reference,
     reference_drawings,
+    trace_candidates,
 )
 from .counting import (
     StartEndCount,

@@ -23,8 +23,8 @@ one of three routes, each with one job:
 
   (a) vertical strands outside the active window, namely below the smallest
       start i_p and above the largest end + 1, j_1 + 1;
-  (b) the positive arrows (i_s, (j_t+1)'), found by the arithmetic
-      predicate ``dplus_condition``;
+  (b) the positive arrows (i_s, (j_t+1)'), one for each block s that has
+      an earlier block t passing the paper's predicate ``dplus_condition``;
   (c) the top arcs, for r = 1..p: start i_r, unless a positive arrow took
       it, joins the lowest dot of its candidate set, the top dots
       i_r+1 .. j_1+1 less the earlier starts and the dots already taken
@@ -36,13 +36,38 @@ one of three routes, each with one job:
   (e) whatever dots remain, joined left to right, lowest free top dot to
       lowest free bottom dot.
 
-  Passes (b), (c) and (d) record what they choose, and every run returns
-  that record as a :class:`BijectionTrace`, the only source of ``--trace``
-  output.  The ``verify`` check ``bijection.trace-consistency`` asserts the
-  documented facts about it on both rows: a candidate set is empty exactly
-  when a positive arrow took its dot, the chosen dot is the minimum (top)
-  or maximum (bottom) of its set and is the partner in the drawn diagram,
-  and each positive pair is a drawn arrow that passes ``dplus_condition``.
+  Each pass is one sweep, so a drawing costs O(length + trace size):
+
+  * (b) keys block t by j_t + 2t.  The predicate's spacing rule,
+    j_t = i_s + 2(s-t) - 1, says that t lies under the key i_s + 2s - 1,
+    and its minimality rule forbids another block of that key between t
+    and s, so the one candidate for s is the latest t < s under it.  The
+    other minimality rule forbids a block r between them with
+    i_r + 2r = i_s + 2s: the latest such r < s, kept under that key, is
+    at most t.  Saturation holds when s = t + 1, or when i_{s-1} = i_s + 1,
+    j_{t+1} = j_t - 1 and no gap j_{r+1} < i_r - 1 lies strictly between,
+    for t < r < r+1 < s, which a running count of gaps answers at once.
+    Two blocks s never share a head t: the first would lie between the
+    second and t under the same start key.
+  * (c) keeps the free top dots of the current candidate range in a
+    list, in descending order.  Moving to block r appends the dots
+    i_{r-1}-1 .. i_r+1, the candidate set is the list as it stands, and
+    the chosen dot is ``pop()``.  (d) keeps the bottom dots likewise, in
+    ascending order, appending (j_{r+1}+2)' .. j_r'.
+
+  ``dplus_condition`` states the predicate as the paper does and is kept
+  for the checks; ``trace_candidates`` counts the dots a trace lists from
+  pass (b) alone, in O(p), so that the CLI can bound ``--trace`` before
+  drawing.  Passes (b), (c) and (d) record what they choose, and every run
+  returns that record as a :class:`BijectionTrace`, the only source of
+  ``--trace`` output.  The ``verify`` check ``bijection.trace-consistency``
+  asserts the documented facts about it on both rows: a candidate set is
+  empty exactly when a positive arrow took its dot, the chosen dot is the
+  minimum (top) or maximum (bottom) of its set and is the partner in the
+  drawn diagram, and each positive pair is a drawn arrow that passes
+  ``dplus_condition``.  The tests compare every drawing and trace with a
+  literal transcription of the five passes that calls the predicate on
+  every pair.
 * ``fc_to_diagram_reference`` checks.  It multiplies out the canonical word
   as a stack of cup-cap generator diagrams with :func:`concatenate`,
   sharing no code with the kernel.  ``reference_drawings`` runs the same
@@ -118,81 +143,127 @@ def dplus_condition(w: FCElement, s: int, t: int) -> bool:
     return is_saturated_in(w.pairs[t : s - 1], i_s + 1, j_t - 1)
 
 
+def _positive_pairs(pairs: Sequence[Pair]) -> list[tuple[int, int]]:
+    """Pass (b): every (s, t) that ``dplus_condition`` accepts, in order of s.
+
+    One sweep over the blocks, by the keys of the module docstring.
+    """
+    positive: list[tuple[int, int]] = []
+    latest_end: dict[int, int] = {}  # j_t + 2t -> the latest such t
+    latest_start: dict[int, int] = {}  # i_r + 2r -> the latest such r
+    gaps = [0, 0]  # gaps[r]: how many q < r have j_{q+1} < i_q - 1
+    prev_i = 0
+    for s, (i, j) in enumerate(pairs, start=1):
+        if s > 1:
+            gaps.append(gaps[-1] + (j < prev_i - 1))
+            t = latest_end.get(i + 2 * s - 1)
+            if (
+                t is not None
+                and latest_start.get(i + 2 * s, 0) <= t
+                and (
+                    t == s - 1
+                    or (
+                        prev_i == i + 1
+                        and pairs[t][1] == pairs[t - 1][1] - 1
+                        and gaps[s - 1] == gaps[t + 1]
+                    )
+                )
+            ):
+                positive.append((s, t))
+        latest_end[j + 2 * s] = s
+        latest_start[i + 2 * s] = s
+        prev_i = i
+    return positive
+
+
+def trace_candidates(w: FCElement) -> int:
+    """How many candidate dots the trace of ``fc_to_diagram(w)`` lists.
+
+    Counted in O(p) without drawing: block r's top set holds the
+    j_1 + 1 - i_r dots of its range less the r - 1 earlier starts and the
+    dots that (c) took before it, and its bottom set the j_r - i_p + 1
+    dots of its range less the p - r later shifted ends and the dots that
+    (d) took before it.
+    """
+    pairs = w.pairs
+    if not pairs:
+        return 0
+    positive = _positive_pairs(pairs)
+    tails = {s for s, _ in positive}
+    heads = {t for _, t in positive}
+    p = len(pairs)
+    top_end = pairs[0][1] + 1
+    bottom_start = pairs[-1][0]
+    total = taken = 0
+    for r, (i, _) in enumerate(pairs, start=1):
+        if r not in tails:
+            total += top_end - i - (r - 1) - taken
+            taken += 1
+    taken = 0
+    for r in range(p, 0, -1):
+        if r not in heads:
+            total += pairs[r - 1][1] - bottom_start + 1 - (p - r) - taken
+            taken += 1
+    return total
+
+
 def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
-    """Draw the diagram of w directly from its canonical form, with its trace."""
+    """Draw the diagram of w directly from its canonical form, with its trace.
+
+    Dot u is index u - 1 of the partner array on top and k + u - 1 below.
+    """
     k = w.rank + 1
-    if not w.pairs:
+    pairs = w.pairs
+    if not pairs:
         return Diagram.identity(k), BijectionTrace((), (), ())
-
-    starts = [i for i, _ in w.pairs]
-    ends = [j for _, j in w.pairs]
-    p = len(w.pairs)
-
+    p = len(pairs)
+    lowest_start = pairs[-1][0]
+    highest_end = pairs[0][1]
     partner = [-1] * (2 * k)
 
-    def top(i: int) -> int:
-        return i - 1
-
-    def bottom(i: int) -> int:
-        return k + i - 1
-
-    def join(a: int, b: int) -> None:
-        partner[a], partner[b] = b, a
-
-    def free(d: int) -> bool:
-        return partner[d] == -1
-
     # (a) outer verticals
-    for u in range(1, starts[-1]):
-        join(top(u), bottom(u))
-    for u in range(ends[0] + 2, k + 1):
-        join(top(u), bottom(u))
+    for x in (*range(lowest_start - 1), *range(highest_end + 1, k)):
+        partner[x], partner[k + x] = k + x, x
 
-    # (b) positive arrows, nearest eligible earlier block first
-    positive_pairs: list[tuple[int, int]] = []
-    for s in range(2, p + 1):
-        for t in range(s - 1, 0, -1):
-            if free(bottom(ends[t - 1] + 1)) and dplus_condition(w, s, t):
-                join(top(starts[s - 1]), bottom(ends[t - 1] + 1))
-                positive_pairs.append((s, t))
-                break
+    # (b) positive arrows
+    positive_pairs = _positive_pairs(pairs)
+    for s, t in positive_pairs:
+        tail, head = pairs[s - 1][0] - 1, k + pairs[t - 1][1]
+        partner[tail], partner[head] = head, tail
 
-    positive_tails = {starts[s - 1] for s, _ in positive_pairs}
-    positive_heads = {ends[t - 1] + 1 for _, t in positive_pairs}
     top_sets: list[tuple[frozenset[int], int | None]] = [(frozenset(), None)] * p
     bottom_sets = top_sets.copy()
 
-    # (c) top arcs, first start first; each takes the lowest candidate
-    taken: set[int] = set()
-    for r in range(p):
-        i_r = starts[r]
-        if i_r in positive_tails:
-            continue
-        cands = frozenset(range(i_r + 1, ends[0] + 2)).difference(starts[:r], taken)
-        f_r = min(cands)
-        taken.add(f_r)
-        join(top(i_r), top(f_r))
-        top_sets[r] = (cands, f_r)
+    # (c) top arcs, first start first; a start is taken only by (b)
+    free: list[int] = []  # free top dots of block r's range, descending
+    above = highest_end + 2
+    for r, (i, _) in enumerate(pairs):
+        free.extend(range(above - 1, i, -1))
+        above = i
+        if partner[i - 1] < 0:
+            cands = frozenset(free)
+            f = free.pop()
+            partner[i - 1], partner[f - 1] = f - 1, i - 1
+            top_sets[r] = (cands, f)
 
-    # (d) bottom arcs, last end first; each takes the highest candidate
-    taken.clear()
+    # (d) bottom arcs, last end first; a head dot is taken only by (b)
+    free = []  # free bottom dots of block r's range, ascending
+    below = lowest_start
     for r in range(p - 1, -1, -1):
-        j_r = ends[r]
-        if j_r + 1 in positive_heads:
-            continue
-        cands = frozenset(range(starts[-1], j_r + 1)).difference(
-            [j + 1 for j in ends[r + 1 :]], taken
-        )
-        g_r = max(cands)
-        taken.add(g_r)
-        join(bottom(g_r), bottom(j_r + 1))
-        bottom_sets[r] = (cands, g_r)
+        j = pairs[r][1]
+        free.extend(range(below, j + 1))
+        below = j + 2
+        if partner[k + j] < 0:
+            cands = frozenset(free)
+            g = free.pop()
+            partner[k + j], partner[k + g - 1] = k + g - 1, k + j
+            bottom_sets[r] = (cands, g)
 
     # (e) leftover strands, leftmost to leftmost
-    free_top = [x for x in range(1, k + 1) if free(top(x))]
-    free_bottom = [x for x in range(1, k + 1) if free(bottom(x))]
-    for a, b in zip(free_top, free_bottom, strict=True):
-        join(top(a), bottom(b))
+    free_top = [x for x in range(k) if partner[x] < 0]
+    free_bottom = [y for y in range(k, 2 * k) if partner[y] < 0]
+    for x, y in zip(free_top, free_bottom, strict=True):
+        partner[x], partner[y] = y, x
 
     trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
     return Diagram(k, tuple(partner)), trace

@@ -1,6 +1,7 @@
 """Shared test utilities: cached enumerations, the verify catalogue as a
-memoized assertion, hypothesis strategies, and a word-rewriting oracle for
-Temperley-Lieb monomial products.
+memoized assertion, hypothesis strategies, seeded random elements, a
+literal transcription of the paper's five-pass drawing, and a
+word-rewriting oracle for Temperley-Lieb monomial products.
 
 The rewriter is deliberately independent of the diagram machinery: it works
 on raw generator words with the three presentation relations and identifies
@@ -10,12 +11,21 @@ practical for small ranks, which is all the tests need.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from fcdiag import FCElement, enumerate_diagrams, enumerate_fc, permutation_of_word
+from fcdiag import (
+    BijectionTrace,
+    Diagram,
+    FCElement,
+    dplus_condition,
+    enumerate_diagrams,
+    enumerate_fc,
+    permutation_of_word,
+)
 from fcdiag.verify import CATALOGUE
 
 
@@ -78,6 +88,130 @@ def generator_words(draw, max_rank: int, max_length: int) -> tuple[int, tuple[in
     rank = draw(st.integers(min_value=1, max_value=max_rank))
     word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=max_length))
     return rank, tuple(word)
+
+
+def random_fc(rank: int, rng: random.Random) -> FCElement:
+    """A uniformly random FC element of the given rank, by the cycle lemma.
+
+    A shuffled sequence of rank+2 up-steps and rank+1 down-steps has one
+    rotation whose prefix sums stay positive; without its first step it is
+    a uniform Dyck path of semilength rank+1, and its valleys, after x
+    up-steps and y down-steps, are the blocks [y, x], last block first.
+    """
+    steps = [1] * (rank + 2) + [-1] * (rank + 1)
+    rng.shuffle(steps)
+    height = low = cut = 0
+    for position, step in enumerate(steps[:-1], start=1):
+        height += step
+        if height <= low:
+            low, cut = height, position
+    path = (steps[cut:] + steps[:cut])[1:]
+    x = y = 0
+    blocks = []
+    for step, following in zip(path, path[1:]):
+        if step == 1:
+            x += 1
+        else:
+            y += 1
+            if following == 1:
+                blocks.append((y, x))
+    return FCElement(rank, tuple(reversed(blocks)))
+
+
+def staircase(n: int) -> FCElement:
+    """Blocks [n/2, n-1], [n/2-1, n-3], ..., [1, 1]: length n/2 (n/2+1) / 2."""
+    half = n // 2
+    return FCElement(n, tuple((half + 1 - t, n + 1 - 2 * t) for t in range(1, half + 1)))
+
+
+# ----------------------------------------------------------------------
+# the five-pass drawing, literally
+
+
+def fc_to_diagram_literal(w: FCElement) -> tuple[Diagram, BijectionTrace]:
+    """Oracle for ``fc_to_diagram``: the five passes as the paper states them.
+
+    Pass (b) tries every earlier block t < s, nearest first, through
+    ``dplus_condition``, and passes (c) and (d) build each candidate set
+    from its whole range, so this costs time quadratic in the size and
+    more.  It must return the same diagram and the same trace.
+    """
+    k = w.rank + 1
+    if not w.pairs:
+        return Diagram.identity(k), BijectionTrace((), (), ())
+
+    starts = [i for i, _ in w.pairs]
+    ends = [j for _, j in w.pairs]
+    p = len(w.pairs)
+
+    partner = [-1] * (2 * k)
+
+    def top(i: int) -> int:
+        return i - 1
+
+    def bottom(i: int) -> int:
+        return k + i - 1
+
+    def join(a: int, b: int) -> None:
+        partner[a], partner[b] = b, a
+
+    def free(d: int) -> bool:
+        return partner[d] == -1
+
+    # (a) outer verticals
+    for u in range(1, starts[-1]):
+        join(top(u), bottom(u))
+    for u in range(ends[0] + 2, k + 1):
+        join(top(u), bottom(u))
+
+    # (b) positive arrows, nearest eligible earlier block first
+    positive_pairs: list[tuple[int, int]] = []
+    for s in range(2, p + 1):
+        for t in range(s - 1, 0, -1):
+            if free(bottom(ends[t - 1] + 1)) and dplus_condition(w, s, t):
+                join(top(starts[s - 1]), bottom(ends[t - 1] + 1))
+                positive_pairs.append((s, t))
+                break
+
+    positive_tails = {starts[s - 1] for s, _ in positive_pairs}
+    positive_heads = {ends[t - 1] + 1 for _, t in positive_pairs}
+    top_sets: list[tuple[frozenset[int], int | None]] = [(frozenset(), None)] * p
+    bottom_sets = top_sets.copy()
+
+    # (c) top arcs, first start first; each takes the lowest candidate
+    taken: set[int] = set()
+    for r in range(p):
+        i_r = starts[r]
+        if i_r in positive_tails:
+            continue
+        cands = frozenset(range(i_r + 1, ends[0] + 2)).difference(starts[:r], taken)
+        f_r = min(cands)
+        taken.add(f_r)
+        join(top(i_r), top(f_r))
+        top_sets[r] = (cands, f_r)
+
+    # (d) bottom arcs, last end first; each takes the highest candidate
+    taken.clear()
+    for r in range(p - 1, -1, -1):
+        j_r = ends[r]
+        if j_r + 1 in positive_heads:
+            continue
+        cands = frozenset(range(starts[-1], j_r + 1)).difference(
+            [j + 1 for j in ends[r + 1 :]], taken
+        )
+        g_r = max(cands)
+        taken.add(g_r)
+        join(bottom(g_r), bottom(j_r + 1))
+        bottom_sets[r] = (cands, g_r)
+
+    # (e) leftover strands, leftmost to leftmost
+    free_top = [x for x in range(1, k + 1) if free(top(x))]
+    free_bottom = [x for x in range(1, k + 1) if free(bottom(x))]
+    for a, b in zip(free_top, free_bottom, strict=True):
+        join(top(a), bottom(b))
+
+    trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
+    return Diagram(k, tuple(partner)), trace
 
 
 # ----------------------------------------------------------------------

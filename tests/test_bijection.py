@@ -1,5 +1,7 @@
 """The multiplication-compatible correspondence and its two algorithms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -21,10 +23,20 @@ from fcdiag import (
     parse_diagram,
     parse_fc,
     reference_drawings,
+    trace_candidates,
 )
 from fcdiag import bijection
 from fcdiag.verify import _trace_faults
-from helpers import assert_holds, fc_elements, fc_list, generator_words, rewrite_word
+from helpers import (
+    assert_holds,
+    fc_elements,
+    fc_list,
+    fc_to_diagram_literal,
+    generator_words,
+    random_fc,
+    rewrite_word,
+    staircase,
+)
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 
@@ -144,10 +156,36 @@ class TestDirectAlgorithm:
             assert comp.size == w.size
 
 
-def staircase(n: int) -> FCElement:
-    """Blocks [n/2, n-1], [n/2-1, n-3], ..., [1, 1]: length n/2 (n/2+1) / 2."""
-    half = n // 2
-    return FCElement(n, tuple((half + 1 - t, n + 1 - 2 * t) for t in range(1, half + 1)))
+def assert_literal(w: FCElement) -> None:
+    """The drawing and trace equal the literal five passes, and
+    ``trace_candidates`` counts the dots the trace lists."""
+    drawn, trace = fc_to_diagram(w)
+    assert (drawn, trace) == fc_to_diagram_literal(w)
+    sets = trace.top_sets + trace.bottom_sets
+    assert trace_candidates(w) == sum(len(cands) for cands, _ in sets)
+
+
+class TestLiteralOracle:
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_every_element(self, n):
+        for w in fc_list(n):
+            assert_literal(w)
+
+    @pytest.mark.parametrize("n", [50, 400, 1000])
+    def test_staircase(self, n):
+        # no positive arrow, and candidate sets quadratic in the size
+        assert_literal(staircase(n))
+
+    @pytest.mark.parametrize("rank, count", [(10, 100), (40, 50), (150, 20), (500, 4), (2000, 1)])
+    def test_random_elements(self, rank, count):
+        rng = random.Random(rank)
+        for _ in range(count):
+            assert_literal(random_fc(rank, rng))
+
+    @settings(deadline=None)
+    @given(fc_elements(max_rank=60))
+    def test_hypothesis_elements(self, w):
+        assert_literal(w)
 
 
 class TestKernel:

@@ -7,8 +7,9 @@ from math import comb
 
 import pytest
 
-from fcdiag import cli, count_start_end, narayana
+from fcdiag import cli, count_start_end, narayana, parse_fc, trace_candidates
 from fcdiag.cli import main
+from helpers import staircase
 
 
 def run(capsys, *argv):
@@ -90,6 +91,33 @@ class TestConversions:
         assert code == 0
         payload = json.loads(out)
         assert payload["trace"]["positive_pairs"] == [[2, 1]]
+
+    def test_to_diagram_trace_above_the_work_cap(self, capsys):
+        # the n = 10 000 staircase: its candidate sets are quadratic in its size
+        text = staircase(10_000).to_text()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "to-diagram", "--trace", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the trace of 5000 blocks lists 12507500 candidate dots, "
+            f"more than the {cli.WORK_CAP} that to-diagram --trace may print\n"
+        )
+
+    def test_to_diagram_trace_at_the_work_cap(self, capsys, monkeypatch):
+        text = "n=5:[4,5][3,3][1,1]"
+        dots = trace_candidates(parse_fc(text))
+        assert dots == 7
+        monkeypatch.setattr(cli, "WORK_CAP", dots)
+        code, out, _ = run(capsys, "to-diagram", "--trace", text)
+        assert code == 0 and out.count("\n") == 2
+        monkeypatch.setattr(cli, "WORK_CAP", dots - 1)
+        assert run(capsys, "to-diagram", "--trace", "--json", text) == (
+            1,
+            "",
+            "error: the trace of 3 blocks lists 7 candidate dots, "
+            "more than the 6 that to-diagram --trace may print\n",
+        )
 
     def test_convert_fc_to_ballot(self, capsys):
         code, out, _ = run(
