@@ -53,7 +53,9 @@ one of three routes, each with one job:
     list, in descending order.  Moving to block r appends the dots
     i_{r-1}-1 .. i_r+1, the candidate set is the list as it stands, and
     the chosen dot is ``pop()``.  (d) keeps the bottom dots likewise, in
-    ascending order, appending (j_{r+1}+2)' .. j_r'.
+    ascending order, appending (j_{r+1}+2)' .. j_r'.  The trace records
+    each candidate set as a tuple in ascending order: the top list
+    reversed, the bottom list as it stands.
 
   ``dplus_condition`` states the predicate as the paper does and is kept
   for the checks; ``trace_candidates`` counts the dots a trace lists from
@@ -95,23 +97,20 @@ class BijectionTrace:
 
     ``positive_pairs`` lists the (s, t) block-index pairs that produced a
     positive arrow.  ``top_sets[r-1]`` is the candidate set for the top
-    partner of start i_r together with the chosen dot (None when the set is
-    empty), and ``bottom_sets[r-1]`` the same for end j_r.
+    partner of start i_r, in ascending order, together with the chosen dot
+    (None when the set is empty), and ``bottom_sets[r-1]`` the same for end
+    j_r.
     """
 
     positive_pairs: tuple[tuple[int, int], ...]
-    top_sets: tuple[tuple[frozenset[int], int | None], ...]
-    bottom_sets: tuple[tuple[frozenset[int], int | None], ...]
+    top_sets: tuple[tuple[tuple[int, ...], int | None], ...]
+    bottom_sets: tuple[tuple[tuple[int, ...], int | None], ...]
 
     def to_json(self) -> dict:
         return {
             "positive_pairs": [list(st) for st in self.positive_pairs],
-            "top_sets": [
-                {"candidates": sorted(a), "chosen": f} for a, f in self.top_sets
-            ],
-            "bottom_sets": [
-                {"candidates": sorted(b), "chosen": g} for b, g in self.bottom_sets
-            ],
+            "top_sets": [{"candidates": list(a), "chosen": f} for a, f in self.top_sets],
+            "bottom_sets": [{"candidates": list(b), "chosen": g} for b, g in self.bottom_sets],
         }
 
 
@@ -231,7 +230,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
         tail, head = pairs[s - 1][0] - 1, k + pairs[t - 1][1]
         partner[tail], partner[head] = head, tail
 
-    top_sets: list[tuple[frozenset[int], int | None]] = [(frozenset(), None)] * p
+    top_sets: list[tuple[tuple[int, ...], int | None]] = [((), None)] * p
     bottom_sets = top_sets.copy()
 
     # (c) top arcs, first start first; a start is taken only by (b)
@@ -241,7 +240,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
         free.extend(range(above - 1, i, -1))
         above = i
         if partner[i - 1] < 0:
-            cands = frozenset(free)
+            cands = tuple(reversed(free))
             f = free.pop()
             partner[i - 1], partner[f - 1] = f - 1, i - 1
             top_sets[r] = (cands, f)
@@ -254,7 +253,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
         free.extend(range(below, j + 1))
         below = j + 2
         if partner[k + j] < 0:
-            cands = frozenset(free)
+            cands = tuple(free)
             g = free.pop()
             partner[k + j], partner[k + g - 1] = k + g - 1, k + j
             bottom_sets[r] = (cands, g)

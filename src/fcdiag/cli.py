@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 on domain errors (message names the violated
 invariant), 2 on usage errors.  Numeric arguments are range-checked by the
 parser, so an out-of-range value is a usage error whose message gives the
-allowed range.  Output is deterministic for fixed argv.
+allowed range.  Output is deterministic for fixed argv.  Two rules, a rank
+cap and an output cap, bound every command but ``verify`` before any work
+(see DRAW_RANK_CAP and WORK_CAP below); a request past either is a domain
+error.
 
 Only ``to-diagram --trace`` runs the paper's five-pass drawing; every other
 command that draws an element's diagram uses the generator-action kernel.
@@ -22,12 +25,11 @@ import itertools
 import json
 import sys
 from collections import Counter
-from math import lgamma, log, log10
 from typing import Sequence
 
 from . import counting, lattice, tl, verify
 from .bijection import diagram_of, diagram_to_fc, fc_to_diagram, trace_candidates
-from .diagram import Diagram, diagram_from_json, parse_diagram
+from .diagram import parse_diagram
 from .errors import FCDiagramError, RankOutOfRangeError
 from .fc import FCElement, enumerate_fc, parse_fc
 from .svg import diagram_to_svg
@@ -53,110 +55,81 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
-# ``enum`` and ``census`` refuse to list more elements than ENUMERATION_CAP,
-# and a listing whose elements add up to more than WORK_CAP blocks (enum
-# prints them) or strings (census once drew each element on n+1 of them).
-# One element or class key near the work cap would still take gigabytes, so
-# each item is bounded as well, by DRAW_RANK_CAP below.  The census now
-# walks its classes without building any element, so these element-count
-# bounds overstate its work; they are kept unchanged so that its refusals
-# stay as they were, until a bound on the classes it lists replaces them.
-# ``to-diagram --trace`` refuses a trace that lists more than WORK_CAP
-# candidate dots, counted before any candidate set is built: drawing costs
-# time linear in the length plus the trace, and a trace can be quadratic
-# in the size (12.5 M dots on the rank-10^4 staircase).  Just under the
-# cap, a random rank-10^5 element of 9.96 M dots drew in 5.2 s at 826 MB.
-ENUMERATION_CAP = 10**7
+# Two rules bound every command but verify, each checked by one helper
+# before any work.  A diagram, Dyck or ballot text form is as long as what
+# it describes, so it needs neither.
+#
+# Rank rule: every rank the user gives is at most DRAW_RANK_CAP, whether as
+# --n or as the rank of an FC text form.  A text form names its rank in a
+# few digits, but drawing or multiplying the element builds a partner array
+# of 2(n+1) entries, and render writes an SVG of O(n) lines: at rank 10^6
+# render peaked at 1.7 GB for a 259 MB file.  One item of 10^6 blocks or
+# strings took 231-300 MB to print.  Under this rule every count a command
+# needs is computed exactly and cheaply (C_{10^5+1} in under a second).
+#
+# Output rule: what a command prints, counted in its own unit, is at most
+# WORK_CAP.  enum prints blocks, census arrows (at most N(n, p) class keys
+# of at most n+1 arrows each), to-diagram --trace candidate dots (counted
+# in O(p) by ``trace_candidates``; a trace can be quadratic in the size,
+# 12.5 M dots on the rank-10^4 staircase), and count and table digits.
+# Every count at rank n is at most C_{n+1} < 4^(n+1), so each value they
+# print has at most the digits of 4^(n+1).  Just under the cap, a random
+# rank-10^5 element of 9.96 M dots drew its trace in 2.5-3.1 s, peaking at
+# 385 MB.
+DRAW_RANK_CAP = 10**5
 WORK_CAP = 10**7
 
 
-def _log10_comb(a: int, b: int) -> float:
-    return (lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)) / log(10)
+def _check_rank(rank: int, command: str) -> None:
+    """Rank rule: a domain error if ``rank`` is above DRAW_RANK_CAP."""
+    if rank > DRAW_RANK_CAP:
+        raise RankOutOfRangeError(
+            f"rank {rank} is more than {DRAW_RANK_CAP}, the highest rank that {command} accepts"
+        )
 
 
-def _check_listing_size(command: str, n: int, size: int | None) -> None:
-    """Domain error if ``command`` at rank ``n`` would list or build too much.
+def _check_output(amount: int, unit: str, command: str) -> None:
+    """Output rule: a domain error if ``amount``, a bound on what
+    ``command`` would print counted in ``unit``, is above WORK_CAP.
 
-    The count is C_{n+1}, or N(n, size) with one size.  It is computed
-    exactly when a bound shows it has at most about 120 digits.  A larger
-    count exceeds the cap by far and is only estimated, so that a huge rank
-    is refused without computing a count of millions of digits.  Within
-    the element cap the work is exact: enum prints size * N(n, size)
-    blocks, or n C_{n+1} / 2 without a size (sizes p and n-p are equally
-    common); census is charged (n+1) N(n, size) strings, the cost of
-    drawing every element, though it draws none.
+    The message leaves the amount out: far from the cap it can have
+    thousands of digits.
     """
-    of_size = "" if size is None else f" of size {size}"
-    if size is None:
-        bits = 2 * n + 2  # C_{n+1} < 4^(n+1)
-    else:
-        # N(n, p) = N(n, n-p) <= C(n, q) C(n+1, q) <= (n+1)^(2q), q = min(p, n-p)
-        bits = 2 * min(size, n - size) * (n + 1).bit_length()
-    if bits <= 400:
-        count = counting.catalan(n + 1) if size is None else counting.narayana(n, size)
-        if count <= ENUMERATION_CAP:
-            if command == "census":
-                work, unit, verb = (n + 1) * count, "strings", "draw"
-            elif size is None:
-                work, unit, verb = n * count // 2, "blocks", "print"
-            else:
-                work, unit, verb = size * count, "blocks", "print"
-            if work > WORK_CAP:
-                raise RankOutOfRangeError(
-                    f"rank {n} has {count} elements{of_size}, {work} {unit} in all, "
-                    f"more than the {WORK_CAP} {unit} that {command} may {verb}"
-                )
-            return
-        amount = str(count)
-    else:
-        try:
-            if size is None:
-                log10_count = _log10_comb(2 * n + 2, n + 1) - log10(n + 2)
-            else:
-                log10_count = _log10_comb(n, size) + _log10_comb(n + 1, size) - log10(size + 1)
-            amount = f"about 10^{log10_count:.0f}"
-        except OverflowError:  # n beyond the float range, so the count is above n
-            amount = "more than 10^300"
-    raise RankOutOfRangeError(
-        f"rank {n} has {amount} elements{of_size}, "
-        f"more than the {ENUMERATION_CAP} that enum and census may list"
-    )
+    if amount > WORK_CAP:
+        raise RankOutOfRangeError(
+            f"{command} may print more than {WORK_CAP} {unit}, the most it is allowed"
+        )
 
 
-# An FC text form names its rank in a few digits, but drawing or
-# multiplying the element builds a partner array of 2(n+1) entries, and
-# render writes an SVG of O(n) lines: at rank 10^6 render peaked at 1.7 GB
-# for a 259 MB file, at 10^5 near 180 MB.  mul, to-diagram, render and
-# convert --from fc refuse a rank above DRAW_RANK_CAP.  The same cap bounds
-# each item that enum and census print: enum refuses a --size above it
-# (one element of 10^6 blocks peaked at 300 MB) and census a --n above it
-# (one class key on 10^6 + 1 strings at 231 MB).  Both are checked after
-# the listing bounds, whose refusals keep their messages.
-DRAW_RANK_CAP = 10**5
+def _digits_per_count(n: int) -> int:
+    """The digits of 4^(n+1), at least those of any count at rank n.
+
+    That is floor(m log10 2) + 1 for m = 2n + 2, with log10 2 to 20 places
+    so that no power of 4 is built.  It is exact for every m up to
+    2 DRAW_RANK_CAP + 4, as checked against the digits of 2^m.
+    """
+    return (2 * n + 2) * 30102999566398119521 // 10**20 + 1
 
 
-def _parse_drawable_fc(text: str) -> FCElement:
-    """``parse_fc``, then a domain error if the rank is above DRAW_RANK_CAP.
+def _parse_drawable_fc(text: str, command: str) -> FCElement:
+    """``parse_fc``, then the rank rule.
 
     Parsing builds only the blocks the text lists, so a large rank is
     refused before anything of its size is allocated.
     """
     w = parse_fc(text)
-    if w.rank > DRAW_RANK_CAP:
-        raise RankOutOfRangeError(
-            f"rank {w.rank} is more than {DRAW_RANK_CAP}, the highest rank that "
-            "mul, to-diagram, render and convert accept in FC text form"
-        )
+    _check_rank(w.rank, command)
     return w
 
 
 def _cmd_enum(args) -> int:
     _check_at_most(args, "size", args.n)
-    _check_listing_size("enum", args.n, args.size)
-    if args.size is not None and args.size > DRAW_RANK_CAP:
-        raise RankOutOfRangeError(
-            f"size {args.size} is more than {DRAW_RANK_CAP}, the largest size that enum prints"
-        )
+    _check_rank(args.n, "enum")
+    if args.size is None:  # sizes p and n-p are equally common
+        blocks = args.n * counting.catalan(args.n + 1) // 2
+    else:
+        blocks = args.size * counting.narayana(args.n, args.size)
+    _check_output(blocks, "blocks", "enum")
     for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
@@ -164,6 +137,9 @@ def _cmd_enum(args) -> int:
 
 def _cmd_count(args) -> int:
     n = args.n
+    _check_rank(n, "count")
+    row = args.narayana or args.triangle
+    _check_output((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
     if args.narayana:
         values = counting.narayana_row(n)
     elif args.triangle:
@@ -209,7 +185,9 @@ def _cmd_table(args) -> int:
     n = args.n
     if n < low:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
+    _check_rank(n, "table")
     indices = range(low, n + 1)
+    _check_output(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
     header = [corner] + [str(c) for c in indices]
     rows = ([str(r)] + row_of(n, r, indices) for r in indices)
     if args.format == "csv":
@@ -228,14 +206,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_to_diagram(args) -> int:
-    w = _parse_drawable_fc(args.element)
+    w = _parse_drawable_fc(args.element, "to-diagram")
     if args.trace:
-        dots = trace_candidates(w)
-        if dots > WORK_CAP:
-            raise RankOutOfRangeError(
-                f"the trace of {w.size} blocks lists {dots} candidate dots, "
-                f"more than the {WORK_CAP} that to-diagram --trace may print"
-            )
+        _check_output(trace_candidates(w), "candidate dots", "to-diagram --trace")
         diagram, trace = fc_to_diagram(w)
     else:
         diagram = diagram_of(w)
@@ -259,7 +232,7 @@ def _cmd_to_fc(args) -> int:
 
 
 def _cmd_mul(args) -> int:
-    w1, w2 = _parse_drawable_fc(args.left), _parse_drawable_fc(args.right)
+    w1, w2 = _parse_drawable_fc(args.left, "mul"), _parse_drawable_fc(args.right, "mul")
     w3, m = tl.monomial_product(w1, w2)
     if args.json:
         print(json.dumps({"delta_exponent": m, "result": w3.to_json()}))
@@ -269,7 +242,7 @@ def _cmd_mul(args) -> int:
 
 
 _CONVERT_PARSERS = {
-    "fc": _parse_drawable_fc,
+    "fc": functools.partial(_parse_drawable_fc, command="convert"),
     "dyck": lattice.parse_dyck,
     "ballot": lattice.parse_ballot,
     "diagram": parse_diagram,
@@ -312,7 +285,7 @@ def _cmd_render(args) -> int:
     if text.startswith("strings="):
         diagram = parse_diagram(text)
     else:
-        diagram = diagram_of(_parse_drawable_fc(text))
+        diagram = diagram_of(_parse_drawable_fc(text, "render"))
     svg = diagram_to_svg(diagram)
     try:
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -326,11 +299,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_census(args) -> int:
     _check_at_most(args, "p", args.n)
-    _check_listing_size("census", args.n, args.p)
-    if args.n > DRAW_RANK_CAP:
-        raise RankOutOfRangeError(
-            f"rank {args.n} is more than {DRAW_RANK_CAP}, the highest rank that census lists"
-        )
+    _check_rank(args.n, "census")
+    _check_output((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
     classes = tl.census(args.n, args.p)
     strings = args.n + 1
     if args.json:

@@ -1,13 +1,17 @@
 """End-to-end checks of the command line interface."""
 
+import contextlib
+import io
 import json
 import sys
 import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fcdiag import cli, count_start_end, narayana, parse_fc, trace_candidates
+from fcdiag import catalan, cli, count_start_end, narayana, parse_fc, trace_candidates
 from fcdiag.cli import main
 from helpers import staircase
 
@@ -16,6 +20,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rank_refusal(rank, command):
+    """The stderr line of the rank rule."""
+    return f"error: rank {rank} is more than 100000, the highest rank that {command} accepts\n"
+
+
+def output_refusal(command, unit):
+    """The stderr line of the output rule."""
+    return f"error: {command} may print more than 10000000 {unit}, the most it is allowed\n"
+
+
+ENUM_REFUSAL = output_refusal("enum", "blocks")
+CENSUS_REFUSAL = output_refusal("census", "arrows")
 
 
 class TestMul:
@@ -99,9 +117,10 @@ class TestConversions:
         code, out, err = run(capsys, "to-diagram", "--trace", text)
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
+        assert trace_candidates(staircase(10_000)) == 12_507_500
         assert err == (
-            "error: the trace of 5000 blocks lists 12507500 candidate dots, "
-            f"more than the {cli.WORK_CAP} that to-diagram --trace may print\n"
+            f"error: to-diagram --trace may print more than {cli.WORK_CAP} candidate dots, "
+            "the most it is allowed\n"
         )
 
     def test_to_diagram_trace_at_the_work_cap(self, capsys, monkeypatch):
@@ -115,8 +134,7 @@ class TestConversions:
         assert run(capsys, "to-diagram", "--trace", "--json", text) == (
             1,
             "",
-            "error: the trace of 3 blocks lists 7 candidate dots, "
-            "more than the 6 that to-diagram --trace may print\n",
+            "error: to-diagram --trace may print more than 6 candidate dots, the most it is allowed\n",
         )
 
     def test_convert_fc_to_ballot(self, capsys):
@@ -187,35 +205,34 @@ class TestEnumAndTable:
         assert len(out.splitlines()) == 20
 
     def test_enum_above_the_listing_cap(self, capsys):
-        code, out, err = run(capsys, "enum", "--n", "15")
-        assert (code, out) == (1, "")
-        assert "rank 15 has 35357670 elements" in err
-        code, _, err = run(capsys, "enum", "--n", "1000000000")
-        assert code == 1 and "has about 10^602059978 elements" in err
-        assert run(capsys, "enum", "--n", "1000000000", "--size", "0")[:2] == (0, "n=1000000000:[]\n")
-
-    def test_enum_above_the_work_cap(self, capsys):
-        # one element, but of 10^400 blocks
-        n = str(10**400)
-        start = time.perf_counter()
-        code, out, err = run(capsys, "enum", "--n", n, "--size", n)
-        assert time.perf_counter() - start < 2
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: rank {n} has 1 elements of size {n}, {n} blocks in all, "
-            f"more than the {cli.WORK_CAP} blocks that enum may print\n"
-        )
-        code, _, err = run(capsys, "enum", "--n", "13")
-        assert code == 1 and "17383860 blocks in all" in err
-
-    def test_enum_count_past_the_float_range(self, capsys):
-        n = 10**400
-        assert run(capsys, "enum", "--n", str(n)) == (
+        # 35 357 670 elements: more blocks than elements, so the block bound refuses them
+        assert run(capsys, "enum", "--n", "15") == (1, "", ENUM_REFUSAL)
+        assert run(capsys, "enum", "--n", "1000000000") == (1, "", rank_refusal(10**9, "enum"))
+        # one empty element, but of a rank above the cap: answered before this change
+        assert run(capsys, "enum", "--n", "1000000000", "--size", "0") == (
             1,
             "",
-            f"error: rank {n} has more than 10^300 elements, "
-            "more than the 10000000 that enum and census may list\n",
+            rank_refusal(10**9, "enum"),
         )
+
+    def test_enum_above_the_work_cap(self, capsys):
+        # one element, but of 10^400 blocks: refused by its rank, before any count
+        n = 10**400
+        start = time.perf_counter()
+        assert run(capsys, "enum", "--n", str(n), "--size", str(n)) == (
+            1,
+            "",
+            rank_refusal(n, "enum"),
+        )
+        assert time.perf_counter() - start < 2
+        # 17 383 860 blocks at rank 13; rank 12 prints 4 457 400
+        assert run(capsys, "enum", "--n", "13") == (1, "", ENUM_REFUSAL)
+        assert 12 * catalan(13) // 2 <= cli.WORK_CAP < 13 * catalan(14) // 2
+
+    def test_enum_count_past_the_float_range(self, capsys):
+        # the rank rule refuses before any count, so no count is estimated
+        n = 10**400
+        assert run(capsys, "enum", "--n", str(n)) == (1, "", rank_refusal(n, "enum"))
 
     def test_enum_size_above_the_draw_cap(self, capsys):
         # one element inside the work cap, but 10^6 blocks took 300 MB to print
@@ -225,7 +242,7 @@ class TestEnumAndTable:
             assert run(capsys, "enum", "--n", str(size), "--size", str(size)) == (
                 1,
                 "",
-                f"error: size {size} is more than {cap}, the largest size that enum prints\n",
+                rank_refusal(size, "enum"),
             )
         code, out, err = run(capsys, "enum", "--n", str(cap), "--size", str(cap))
         assert time.perf_counter() - start < 2
@@ -265,31 +282,29 @@ class TestCensusCommand:
         assert all(line.endswith("\t1") for line in lines)
 
     def test_above_the_listing_cap(self, capsys):
-        code, out, err = run(capsys, "census", "--n", "40", "--p", "20")
-        assert (code, out) == (1, "")
-        assert f"rank 40 has {narayana(40, 20)} elements of size 20" in err
+        # 41 N(40, 20) arrows, with more class keys than the cap
+        assert 41 * narayana(40, 20) > narayana(40, 20) > cli.WORK_CAP
+        assert run(capsys, "census", "--n", "40", "--p", "20") == (1, "", CENSUS_REFUSAL)
 
     def test_above_the_work_cap(self, capsys):
-        # one element, drawn on 10^400 + 1 strings
+        # one class key, but on 10^400 + 1 strings: refused by its rank, before any count
         n = 10**400
         start = time.perf_counter()
-        code, out, err = run(capsys, "census", "--n", str(n), "--p", str(n))
-        assert time.perf_counter() - start < 2
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: rank {n} has 1 elements of size {n}, {n + 1} strings in all, "
-            f"more than the {cli.WORK_CAP} strings that census may draw\n"
-        )
-        code, _, err = run(capsys, "census", "--n", "13", "--p", "6")
-        assert code == 1 and "736164 elements of size 6, 10306296 strings in all" in err
-
-    def test_estimated_count_above_the_listing_cap(self, capsys):
-        assert run(capsys, "census", "--n", "10000", "--p", "5000") == (
+        assert run(capsys, "census", "--n", str(n), "--p", str(n)) == (
             1,
             "",
-            "error: rank 10000 has about 10^6013 elements of size 5000, "
-            "more than the 10000000 that enum and census may list\n",
+            rank_refusal(n, "census"),
         )
+        assert time.perf_counter() - start < 2
+        # 736 164 keys at most, of 14 arrows: 10 306 296 arrows
+        assert 14 * narayana(13, 6) == 10_306_296
+        assert run(capsys, "census", "--n", "13", "--p", "6") == (1, "", CENSUS_REFUSAL)
+
+    def test_estimated_count_above_the_listing_cap(self, capsys):
+        # counted exactly under the rank cap: N(10 000, 5 000) has 6 014 digits
+        start = time.perf_counter()
+        assert run(capsys, "census", "--n", "10000", "--p", "5000") == (1, "", CENSUS_REFUSAL)
+        assert time.perf_counter() - start < 2
 
     def test_rank_above_the_draw_cap(self, capsys):
         # one class key inside the work cap, but on 10^6 + 1 strings it took 231 MB
@@ -299,7 +314,7 @@ class TestCensusCommand:
             assert run(capsys, "census", "--n", str(n), "--p", "0") == (
                 1,
                 "",
-                f"error: rank {n} is more than {cap}, the highest rank that census lists\n",
+                rank_refusal(n, "census"),
             )
         code, out, err = run(capsys, "census", "--n", str(cap), "--p", "0")
         assert time.perf_counter() - start < 2
@@ -342,12 +357,7 @@ class TestRender:
                 ["mul", "n=3:[]", text],
                 ["convert", "--from", "fc", "--to", "ballot", text],
             ):
-                assert run(capsys, *argv) == (
-                    1,
-                    "",
-                    f"error: rank {rank} is more than {cap}, the highest rank that "
-                    "mul, to-diagram, render and convert accept in FC text form\n",
-                ), argv
+                assert run(capsys, *argv) == (1, "", rank_refusal(rank, argv[0])), argv
         assert time.perf_counter() - start < 2
         assert not target.exists()
         assert run(capsys, "convert", "--from", "fc", "--to", "fc", f"n={cap}:[]")[:2] == (0, f"n={cap}:[]\n")
@@ -404,6 +414,130 @@ def usage_error(capsys, *argv):
     assert exc.value.code == 2
     assert captured.out == ""
     return captured.err
+
+
+def digits_at_rank(n):
+    """Digits of 4^(n+1), which bound those of every count at rank n."""
+    power = 4 ** (n + 1)
+    digits = 60205 * (n + 1) // 100000  # 0.60205 < log10 4, so power >= 10^digits
+    while 10**digits <= power:
+        digits += 1
+    return digits
+
+
+def largest_within_cap(n, values_at):
+    """Whether n is the largest rank whose ``values_at(n)`` values, of at
+    most ``digits_at_rank(n)`` digits each, stay within the output cap."""
+    within = [values_at(m) * digits_at_rank(m) <= cli.WORK_CAP for m in (n, n + 1)]
+    return within == [True, False]
+
+
+COUNT_REFUSAL = output_refusal("count", "digits")
+TABLE_REFUSAL = output_refusal("table", "digits")
+
+
+class TestCountAndTableBounds:
+    @pytest.mark.parametrize(
+        "argv, values, err",
+        [
+            # no answer within 25 s before the two rules
+            (["count", "--n", "1000000"], 1, rank_refusal(10**6, "count")),
+            (["count", "--n", "20000", "--narayana"], 20001, COUNT_REFUSAL),
+            (["table", "narayana", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
+            (["table", "triangle", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
+            # 63-66 s for about 255 MB before
+            (["table", "start-end", "--n", "1000", "--format", "csv"], 1000**2, TABLE_REFUSAL),
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv, values, err):
+        n = int(argv[argv.index("--n") + 1])
+        if n <= cli.DRAW_RANK_CAP:
+            assert values * digits_at_rank(n) > cli.WORK_CAP
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", err)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("ranks", [range(0, 300), range(4000, 4100), range(99_990, 100_001)])
+    def test_digit_bound_is_exact(self, ranks):
+        assert [cli._digits_per_count(n) for n in ranks] == [digits_at_rank(n) for n in ranks]
+
+    def test_count_row_at_the_output_cap(self, capsys):
+        n = 4073
+        assert largest_within_cap(n, lambda m: m + 1)
+        code, out, err = run(capsys, "count", "--n", str(n), "--narayana")
+        assert (code, err) == (0, "")
+        assert len(out.split()) == n + 1
+        for flag in ("--narayana", "--triangle"):
+            assert run(capsys, "count", "--n", str(n + 1), flag) == (1, "", COUNT_REFUSAL)
+
+    def test_table_at_the_output_cap(self, capsys):
+        n = 254
+        assert largest_within_cap(n, lambda m: m * m)
+        code, out, err = run(capsys, "table", "start-end", "--n", str(n), "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == n + 1
+        assert rows[n].split(",")[1] == str(count_start_end(n, n, 1).value)
+        argv = ["table", "start-end", "--n", str(n + 1), "--format", "csv"]
+        assert run(capsys, *argv) == (1, "", TABLE_REFUSAL)
+
+    def test_catalan_at_the_rank_cap(self, capsys):
+        # one value of at most 60 207 digits: the rank rule alone bounds it
+        cap = cli.DRAW_RANK_CAP
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n", str(cap))
+        assert (code, err) == (0, "")
+        assert 0 < len(out) - 1 <= digits_at_rank(cap)
+        assert run(capsys, "count", "--n", str(cap + 1)) == (1, "", rank_refusal(cap + 1, "count"))
+        assert time.perf_counter() - start < 4
+
+
+# Ranks 0..12 exercise answers and domain errors; the three huge values
+# exercise the rank rule.  enum is drawn at most at rank 10: ranks 11 and 12
+# pass both rules but print 14-54 MB in 3-12 s.
+SMALL = st.integers(0, 12)
+HUGE = st.sampled_from([10**5 + 1, 10**9, 10**400])
+
+
+@st.composite
+def cli_argv(draw, svg):
+    """One request with integer arguments, for any command but verify."""
+    a, b = (str(draw(st.one_of(SMALL, HUGE))) for _ in range(2))
+    enum_n = str(draw(st.one_of(st.integers(0, 10), HUGE)))
+    fc = draw(st.sampled_from([f"n={a}:[]", f"n={a}:[{b},{b}]", f"n={a}:[{a},{a}][{b},{b}]"]))
+    json_flag = draw(st.sampled_from([[], ["--json"]]))
+
+    def one_of(*choices):
+        return draw(st.sampled_from(choices))
+
+    return one_of(
+        ["enum", "--n", enum_n] + json_flag,
+        ["enum", "--n", enum_n, "--size", b],
+        ["count", "--n", a, one_of("--catalan", "--narayana", "--triangle")] + json_flag,
+        ["table", one_of(*cli._TABLES), "--n", a, "--format", one_of("text", "csv", "json")],
+        ["census", "--n", a, "--p", b] + json_flag,
+        ["to-diagram", fc] + one_of([], ["--trace"]) + json_flag,
+        ["mul", fc, f"n={b}:[]"],
+        ["convert", "--from", "fc", "--to", one_of("fc", "dyck", "ballot", "diagram"), fc],
+        ["render", fc, "--svg", svg],
+        ["to-fc", f"strings={a};1-2,1'-2'"],
+    )
+
+
+class TestFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_every_request_answers_or_refuses(self, tmp_path_factory, data):
+        svg = str(tmp_path_factory.getbasetemp() / "fuzz.svg")
+        argv = data.draw(cli_argv(svg))
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert time.perf_counter() - start < 2, argv
 
 
 class TestNumericRanges:

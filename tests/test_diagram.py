@@ -18,7 +18,6 @@ from fcdiag import (
     concatenate,
     diagram_from_json,
     diagram_to_svg,
-    enumerate_diagrams,
     generator_action,
     parse_diagram,
 )

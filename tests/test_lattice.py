@@ -24,7 +24,7 @@ from fcdiag import (
     parse_fc,
     peaks,
 )
-from helpers import assert_holds, diagram_list, fc_elements
+from helpers import diagram_list, fc_elements
 
 W_EXAMPLE = parse_fc("n=5:[4,5][3,3][1,1]")
 W_BALLOT = "+-++--++-+--"
@@ -90,10 +90,6 @@ class TestBlockPathMaps:
         assert dyck_to_ballot(parse_dyck("RRRUUU")).to_text() == "+++---"
         assert ballot_to_dyck(parse_ballot("+-+-")).to_text() == "RURU"
 
-    @pytest.mark.parametrize("n", range(0, 8))
-    def test_roundtrips(self, n):
-        assert_holds("lattice.path-ballot-roundtrips", n)
-
     @given(fc_elements())
     def test_roundtrips_random(self, w):
         assert dyck_to_fc(fc_to_dyck(w)) == w
@@ -111,10 +107,6 @@ class TestDiagramReading:
         d, _ = fc_to_diagram(W_EXAMPLE)
         assert diagram_to_ballot(d).to_text() != W_BALLOT
         assert diagram_to_ballot(d).to_text() == "+-++--+-+-+-"
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_some_witness_at_every_rank(self, n):
-        assert_holds("lattice.readings-disagree", n)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_bijective_onto_ballots(self, k):
