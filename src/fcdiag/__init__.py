@@ -24,6 +24,7 @@ from .counting import (
     narayana,
     narayana_row,
     triangle_end,
+    triangle_row,
     triangle_start,
 )
 from .diagram import (

@@ -6,7 +6,8 @@ parser, so an out-of-range value is a usage error whose message gives the
 allowed range.  Output is deterministic for fixed argv.  Two rules, a rank
 cap and an output cap, bound every command but ``verify`` before any work
 (see DRAW_RANK_CAP and WORK_CAP below); a request past either is a domain
-error.
+error.  ``verify`` is bounded by its catalogue: no check that ``--max-n``
+caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.
 
 Only ``to-diagram --trace`` runs the paper's five-pass drawing; every other
 command that draws an element's diagram uses the generator-action kernel.
@@ -55,9 +56,9 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
-# Two rules bound every command but verify, each checked by one helper
-# before any work.  A diagram, Dyck or ballot text form is as long as what
-# it describes, so it needs neither.
+# Two rules bound every command but verify (which its catalogue bounds),
+# each checked by one helper before any work.  A diagram, Dyck or ballot
+# text form is as long as what it describes, so it needs neither.
 #
 # Rank rule: every rank the user gives is at most DRAW_RANK_CAP, whether as
 # --n or as the rank of an FC text form.  A text form names its rank in a
@@ -143,7 +144,7 @@ def _cmd_count(args) -> int:
     if args.narayana:
         values = counting.narayana_row(n)
     elif args.triangle:
-        values = [counting.triangle_start(n, i) for i in range(n + 1)]
+        values = counting.triangle_row(n)
     else:
         values = [counting.catalan(n + 1)]
     if args.json:
@@ -158,10 +159,10 @@ def _cells(cell):
     return lambda n, row, columns: [cell(n, row, column) for column in columns]
 
 
-def _narayana_row(n: int, m: int, columns) -> list[str]:
-    # one Narayana row per table row; ``columns`` is always 0..n
-    row = counting.narayana_row(m)
-    return [str(row[p]) if p <= m else "0" for p in columns]
+def _rows(row):
+    """Row function of a table whose row m is ``row(m)``, the m+1 counts of
+    rank m, padded with zeros to the columns 0..n."""
+    return lambda n, m, columns: [str(v) for v in row(m)] + ["0"] * (n - m)
 
 
 # kind -> (corner label, lowest index, row(n, row index, column indices)).
@@ -170,8 +171,8 @@ def _narayana_row(n: int, m: int, columns) -> list[str]:
 # 1.  Rows and cells look up their ``counting`` function at call time, so a
 # rebound module attribute (as in ``perfbench/tracer.py``) takes effect.
 _TABLES = {
-    "narayana": ("n\\p", 0, _narayana_row),
-    "triangle": ("n\\i", 0, _cells(lambda n, m, i: str(counting.triangle_start(m, i)))),
+    "narayana": ("n\\p", 0, _rows(lambda m: counting.narayana_row(m))),
+    "triangle": ("n\\i", 0, _rows(lambda m: counting.triangle_row(m))),
     "first-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_first_block(n, i, j)))),
     "last-block": ("i\\j", 1, _cells(lambda n, i, j: str(counting.count_last_block(n, i, j)))),
     "start-size": ("i\\p", 1, _cells(lambda n, i, p: str(counting.count_start_size(n, i, p)))),

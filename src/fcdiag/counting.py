@@ -6,7 +6,14 @@ would contradict the counting theorems these formulas implement.  Parameters
 outside their meaningful range yield 0 instead of raising, which is the
 convention the recurrences need.
 
-Statistics and their counts, for rank n:
+Statistics and their counts, for rank n.  Three formulas carry the
+refinements: ``triangle_start``, ``count_start_size`` and
+``count_start_end``.  The others are one call of these, by two partitions
+the paper reads off the canonical form: reverse-and-reflect
+(``FCElement.delta_involution``), which swaps starts with reflected ends
+and first blocks with reflected last blocks, and the first-block
+partition, which splits an element into its first block and what follows
+it.
 
 * ``catalan(m)``                 Catalan number C_m, in closed form; the
                                  convolution recurrence that defines it
@@ -15,13 +22,18 @@ Statistics and their counts, for rank n:
                                  gives all of them for one rank.
 * ``triangle_start(n, i)``       canonical word starts with generator i
                                  (Catalan triangle; i = 0 counts the
-                                 identity alone).
-* ``triangle_end(n, j)``         canonical word ends with generator j.
-* ``count_first_block(n, i, j)`` leading block equals [i, j]; independent
+                                 identity alone); ``triangle_row(n)``
+                                 gives all of them for one rank.
+* ``triangle_end(n, j)``         canonical word ends with generator j:
+                                 ``triangle_start(n, n+1-j)``.
+* ``count_first_block(n, i, j)`` leading block equals [i, j]:
+                                 ``triangle_start(j, i-1)``, independent
                                  of n.
-* ``count_last_block(n, i, j)``  trailing block equals [i, j].
+* ``count_last_block(n, i, j)``  trailing block equals [i, j]:
+                                 ``count_first_block(n, n+1-j, n+1-i)``.
 * ``count_start_size(n, i, p)``  starts with i and has size p.
-* ``count_size_end(n, p, j)``    has size p and ends with j.
+* ``count_size_end(n, p, j)``    has size p and ends with j:
+                                 ``count_start_size(n, n+1-j, p)``.
 * ``count_start_end(n, i, j)``   starts with i and ends with j:
                                  C(n-j+i-1, i-1) - C(n-j+i-1, i-j-1), by
                                  a reflection argument given in its
@@ -85,31 +97,50 @@ def triangle_start(n: int, i: int) -> int:
     return _exact((n + 1 - i) * comb(n + i, i), n + 1)
 
 
-def triangle_end(n: int, j: int) -> int:
-    """Number of elements ending with generator j: j/(n+1) * C(2n-j+1, n).
+def triangle_row(n: int) -> list[int]:
+    """``[triangle_start(n, i) for i in 0..n]``, each from its left neighbour.
 
-    Equals ``triangle_start(n, n-j+1)`` by the reversal symmetry.
+    T(n, i+1) = T(n, i) (n-i)(n+i+1) / ((i+1)(n+1-i)), so the row costs one
+    multiplication and one exact division per entry, as ``narayana_row``
+    does.  Empty for n < 0.
+    """
+    row = [1] if n >= 0 else []
+    for i in range(n):
+        row.append(_exact(row[-1] * (n - i) * (n + i + 1), (i + 1) * (n + 1 - i)))
+    return row
+
+
+def triangle_end(n: int, j: int) -> int:
+    """Number of elements ending with generator j.
+
+    Reverse-and-reflect sends last generator j to first generator n+1-j.
     """
     if n < 0 or j < 1 or j > n:
         return 0
-    return _exact(j * comb(2 * n - j + 1, n), n + 1)
+    return triangle_start(n, n + 1 - j)
 
 
 def count_first_block(n: int, i1: int, j1: int) -> int:
-    """Number of elements whose first block is [i1, j1].
+    """Number of elements whose first block is [i1, j1]; independent of n.
 
-    The value (j1-i1+2)/(j1+1) * C(j1+i1-1, j1) does not depend on n.
+    What follows the block is any element of rank j1-1 whose first
+    generator is below i1 (the identity under i = 0), so the count is
+    sum_{i' < i1} T(j1-1, i') = T(j1, i1-1) by the column-sum recurrence.
     """
     if not 1 <= i1 <= j1 <= n:
         return 0
-    return _exact((j1 - i1 + 2) * comb(j1 + i1 - 1, j1), j1 + 1)
+    return triangle_start(j1, i1 - 1)
 
 
 def count_last_block(n: int, ip: int, jp: int) -> int:
-    """Number of elements whose last block is [ip, jp]."""
+    """Number of elements whose last block is [ip, jp].
+
+    Reverse-and-reflect sends last block [ip, jp] to first block
+    [n+1-jp, n+1-ip].
+    """
     if not 1 <= ip <= jp <= n:
         return 0
-    return _exact((jp - ip + 2) * comb(2 * n - jp - ip + 1, n - jp), n - ip + 2)
+    return count_first_block(n, n + 1 - jp, n + 1 - ip)
 
 
 def count_start_size(n: int, i: int, p: int) -> int:
@@ -126,12 +157,16 @@ def count_start_size(n: int, i: int, p: int) -> int:
 
 
 def count_size_end(n: int, p: int, j: int) -> int:
-    """Number of size-p elements ending with generator j."""
+    """Number of size-p elements ending with generator j.
+
+    Reverse-and-reflect keeps the size and sends last generator j to first
+    generator n+1-j.  Size 0 is the identity, counted under j = 0.
+    """
     if p == 0:
         return 1 if j == 0 and n >= 0 else 0
     if p < 0 or p > n or not 1 <= j <= n:
         return 0
-    return _exact(j * comb(n - j, p - 1) * comb(n, p), n + 1 - p)
+    return count_start_size(n, n + 1 - j, p)
 
 
 class StartEndCount(NamedTuple):

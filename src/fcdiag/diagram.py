@@ -473,10 +473,16 @@ def parse_diagram(text: str) -> Diagram:
 
 
 def diagram_from_json(obj: dict) -> Diagram:
-    """Inverse of :meth:`Diagram.to_json`."""
+    """Inverse of :meth:`Diagram.to_json`.
+
+    The string count and every partner must be JSON integers: a bool, a
+    float or a digit string is refused, not converted.
+    """
     try:
         strings = obj["strings"]
-        partner = tuple(int(q) - 1 for q in obj["partner"])
-    except (KeyError, TypeError, ValueError) as exc:
+        partner = tuple(obj["partner"])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"not a diagram JSON object: {obj!r}") from exc
-    return Diagram(strings, partner)
+    if any(type(v) is not int for v in (strings, *partner)):
+        raise ParseError(f"not a diagram JSON object: {obj!r}")
+    return Diagram(strings, tuple(q - 1 for q in partner))

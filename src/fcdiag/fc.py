@@ -315,12 +315,18 @@ def parse_fc(text: str) -> FCElement:
 
 
 def fc_from_json(obj: dict) -> FCElement:
-    """Inverse of :meth:`FCElement.to_json`."""
+    """Inverse of :meth:`FCElement.to_json`.
+
+    The rank and every block index must be JSON integers: a bool, a float
+    or a digit string is refused, not converted.
+    """
     try:
         rank = obj["n"]
-        pairs = tuple((int(i), int(j)) for i, j in obj["pairs"])
+        pairs = tuple((i, j) for i, j in obj["pairs"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"not an FC element JSON object: {obj!r}") from exc
+    if any(type(v) is not int for v in (rank, *(v for pair in pairs for v in pair))):
+        raise ParseError(f"not an FC element JSON object: {obj!r}")
     return FCElement(rank, pairs)
 
 

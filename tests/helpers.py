@@ -11,6 +11,7 @@ practical for small ranks, which is all the tests need.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import deque
 from functools import lru_cache
@@ -88,6 +89,60 @@ def generator_words(draw, max_rank: int, max_length: int) -> tuple[int, tuple[in
     rank = draw(st.integers(min_value=1, max_value=max_rank))
     word = draw(st.lists(st.integers(min_value=1, max_value=rank), max_size=max_length))
     return rank, tuple(word)
+
+
+# Values a JSON reader may meet where it wants an integer: bools, floats
+# (integral ones too), digit strings, null, containers, and integers of any
+# size or sign.
+JSON_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(min_value=-3, max_value=12).map(float),
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.none(),
+    st.integers(min_value=-3, max_value=12),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.lists(st.integers(min_value=-3, max_value=12), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(min_value=-3, max_value=12), max_size=2),
+)
+
+
+def _json_slots(value):
+    """Every (container, key) pair inside ``value``, a nest of dicts and lists."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        items = []
+    for key, child in items:
+        yield value, key
+        yield from _json_slots(child)
+
+
+@st.composite
+def mutated_json(draw, obj):
+    """A copy of the JSON object ``obj`` in which one to three values are
+    deleted, replaced by ``JSON_JUNK``, or, if integers, disguised as
+    values that ``int()`` reads back as near them (a float, a digit string,
+    True); or ``JSON_JUNK`` itself."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(JSON_JUNK)
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        slots = list(_json_slots(obj))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        value = container[key]
+        how = draw(st.sampled_from(["delete", "junk", "disguise"]))
+        if how == "delete":
+            del container[key]
+        elif how == "disguise" and isinstance(value, int):
+            container[key] = draw(st.sampled_from([float(value), str(value), True, value + 0.7]))
+        else:
+            container[key] = draw(JSON_JUNK)
+    return obj
 
 
 def random_fc(rank: int, rng: random.Random) -> FCElement:

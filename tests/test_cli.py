@@ -470,6 +470,18 @@ class TestCountAndTableBounds:
         for flag in ("--narayana", "--triangle"):
             assert run(capsys, "count", "--n", str(n + 1), flag) == (1, "", COUNT_REFUSAL)
 
+    def test_triangle_row_at_the_output_cap(self, capsys):
+        # 3.5 s from a fresh binomial per entry; the neighbour-ratio row takes about 0.2 s
+        n = 4073
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n", str(n), "--triangle")
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        values = out.split()
+        assert len(values) == n + 1
+        assert values[:3] == ["1", str(n), str((n - 1) * (n + 2) // 2)]
+        assert values[-1] == values[-2] == str(catalan(n))
+
     def test_table_at_the_output_cap(self, capsys):
         n = 254
         assert largest_within_cap(n, lambda m: m * m)

@@ -7,6 +7,7 @@ must all agree.
 
 import itertools
 import time
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -24,14 +25,47 @@ from fcdiag import (
     narayana,
     narayana_row,
     triangle_end,
+    triangle_row,
     triangle_start,
 )
+from fcdiag.counting import _exact
 from fcdiag.verify import _chain_column
 from helpers import assert_holds, fc_list
 
 
 def filtered(n, pred):
     return sum(1 for w in fc_list(n) if pred(w))
+
+
+# The closed forms of the four counts that ``fcdiag.counting`` now reduces
+# to one call of ``triangle_start``, ``count_first_block`` or
+# ``count_start_size``, kept as they were as an oracle for the reductions.
+
+
+def closed_triangle_end(n, j):
+    if n < 0 or j < 1 or j > n:
+        return 0
+    return _exact(j * comb(2 * n - j + 1, n), n + 1)
+
+
+def closed_first_block(n, i1, j1):
+    if not 1 <= i1 <= j1 <= n:
+        return 0
+    return _exact((j1 - i1 + 2) * comb(j1 + i1 - 1, j1), j1 + 1)
+
+
+def closed_last_block(n, ip, jp):
+    if not 1 <= ip <= jp <= n:
+        return 0
+    return _exact((jp - ip + 2) * comb(2 * n - jp - ip + 1, n - jp), n - ip + 2)
+
+
+def closed_size_end(n, p, j):
+    if p == 0:
+        return 1 if j == 0 and n >= 0 else 0
+    if p < 0 or p > n or not 1 <= j <= n:
+        return 0
+    return _exact(j * comb(n - j, p - 1) * comb(n, p), n + 1 - p)
 
 
 class TestCatalan:
@@ -115,6 +149,11 @@ class TestCatalanTriangle:
     def test_reversal_symmetry(self, n):
         for j in range(1, n + 1):
             assert triangle_end(n, j) == triangle_start(n, n - j + 1)
+
+    def test_row_by_neighbour_ratio(self):
+        assert triangle_row(-1) == [] and triangle_row(0) == [1]
+        for n in range(301):
+            assert triangle_row(n) == [triangle_start(n, i) for i in range(n + 1)]
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_recurrences(self, n):
@@ -206,6 +245,30 @@ class TestTwoParameterCounts:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_all_two_parameter_formulas_vs_enumeration(self, n):
         assert_holds("counting.formulas-vs-enumeration", n)
+
+
+class TestReductions:
+    """Each count that is one call of another equals its old closed form on
+    every cell with indices in -1..n+2, for every rank -1..60."""
+
+    def test_triangle_end(self):
+        for n in range(-1, 61):
+            for j in range(-1, n + 3):
+                assert triangle_end(n, j) == closed_triangle_end(n, j), (n, j)
+
+    @pytest.mark.parametrize(
+        "count, closed",
+        [
+            (count_first_block, closed_first_block),
+            (count_last_block, closed_last_block),
+            (count_size_end, closed_size_end),
+        ],
+    )
+    def test_two_parameter(self, count, closed):
+        for n in range(-1, 61):
+            around = range(-1, n + 3)
+            for a, b in itertools.product(around, around):
+                assert count(n, a, b) == closed(n, a, b), (n, a, b)
 
 
 class TestStartEndRecurrence:

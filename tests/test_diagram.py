@@ -2,6 +2,7 @@
 enumeration, and serialization."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fcdiag import (
     CrossingError,
     Diagram,
+    FCDiagramError,
     IndexOutOfRangeError,
     NotMatchingError,
     ParseError,
@@ -21,7 +23,7 @@ from fcdiag import (
     generator_action,
     parse_diagram,
 )
-from helpers import assert_holds, diagram_list, generator_words
+from helpers import assert_holds, diagram_list, generator_words, mutated_json
 
 
 def E(strings, i):
@@ -323,6 +325,35 @@ class TestSerialization:
     def test_json_roundtrip(self, k):
         for d in diagram_list(k):
             assert diagram_from_json(d.to_json()) == d
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"strings": True, "partner": [2, 1]},  # printed strings=True;1-1'
+            {"strings": 1, "partner": [2.0, 1]},
+            {"strings": 1, "partner": [True, 2.7]},
+            {"strings": 1.0, "partner": [2, 1]},
+            {"strings": 1, "partner": ["2", "1"]},
+        ],
+    )
+    def test_json_refuses_non_integers(self, obj):
+        with pytest.raises(ParseError) as exc:
+            diagram_from_json(obj)
+        assert str(exc.value) == f"not a diagram JSON object: {obj!r}"
+
+    @given(
+        st.integers(min_value=1, max_value=5)
+        .flatmap(lambda k: st.sampled_from(diagram_list(k)))
+        .flatmap(lambda d: mutated_json(d.to_json()))
+    )
+    def test_mutated_json_is_read_or_refused(self, obj):
+        try:
+            d = diagram_from_json(obj)
+        except FCDiagramError:
+            return
+        # what was read writes back the object's own integers, as JSON
+        given_back = {"strings": obj["strings"], "partner": list(obj["partner"])}
+        assert json.dumps(d.to_json()) == json.dumps(given_back)
 
     def test_head_first_arrows_parse_as_tail_first(self):
         assert parse_diagram("strings=2;2-1,2'-1'") == parse_diagram("strings=2;1-2,1'-2'")

@@ -1,11 +1,14 @@
 """Canonical forms: validation, statistics, involutions, and the
 permutation oracle."""
 
+import json
+
 import pytest
 from hypothesis import given
 
 from fcdiag import (
     Classification,
+    FCDiagramError,
     FCElement,
     IdentityHasNoDescentsError,
     NotStandardError,
@@ -19,7 +22,7 @@ from fcdiag import (
     is_saturated_in,
     parse_fc,
 )
-from helpers import assert_holds, fc_elements, fc_list
+from helpers import assert_holds, fc_elements, fc_list, mutated_json
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
 
@@ -62,6 +65,31 @@ class TestTextAndJson:
 
     def test_json_roundtrip(self):
         assert fc_from_json(W_EXAMPLE.to_json()) == W_EXAMPLE
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": True, "pairs": []},  # read as rank True, printed n=True:[]
+            {"n": 3, "pairs": [[True, 2.7]]},  # read as [1,2]
+            {"n": 3, "pairs": [[1, 2.0]]},
+            {"n": 3.0, "pairs": []},
+            {"n": "3", "pairs": [["1", "2"]]},
+        ],
+    )
+    def test_json_refuses_non_integers(self, obj):
+        with pytest.raises(ParseError) as exc:
+            fc_from_json(obj)
+        assert str(exc.value) == f"not an FC element JSON object: {obj!r}"
+
+    @given(fc_elements(max_rank=8).flatmap(lambda w: mutated_json(w.to_json())))
+    def test_mutated_json_is_read_or_refused(self, obj):
+        try:
+            w = fc_from_json(obj)
+        except FCDiagramError:
+            return
+        # what was read writes back the object's own integers, as JSON
+        given_back = {"n": obj["n"], "pairs": [list(pair) for pair in obj["pairs"]]}
+        assert json.dumps(w.to_json()) == json.dumps(given_back)
 
     @pytest.mark.parametrize("bad", ["", "n=5", "n=5:[1,2)x", "5:[1,2]", "n=5:[1,2] [1,1]"])
     def test_parse_rejects_junk(self, bad):

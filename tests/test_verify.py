@@ -41,6 +41,13 @@ def test_catalogue_shape():
     assert len(verify.CATALOGUE) == 35
 
 
+def test_max_n_is_bounded_by_the_catalogue():
+    # no capped check passes rank 10, so every --max-n above 10 runs what 10 runs
+    checks = verify.CATALOGUE.values()
+    assert all(check.last <= 10 for check in checks if check.capped)
+    assert all(check.ranks(10**400) == check.ranks(10) for check in checks)
+
+
 def test_fixed_ranges_ignore_max_n():
     check = verify.CATALOGUE["counting.binomial-identity"]
     assert check.ranks(1) == check.ranks(8) == range(0, 31)
