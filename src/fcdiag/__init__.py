@@ -16,6 +16,7 @@ from .counting import (
     StartEndCount,
     appendix_binomial_identity_check,
     catalan,
+    catalan_row,
     count_first_block,
     count_last_block,
     count_size_end,
@@ -33,7 +34,6 @@ from .diagram import (
     concatenate,
     diagram_from_json,
     enumerate_diagrams,
-    generator_action,
     parse_diagram,
 )
 from .errors import (

@@ -22,7 +22,9 @@ one of three routes, each with one job:
   arrows in five passes:
 
   (a) vertical strands outside the active window, namely below the smallest
-      start i_p and above the largest end + 1, j_1 + 1;
+      start i_p and above the largest end + 1, j_1 + 1.  (e) draws them:
+      (b)-(d) touch no dot outside i_p .. j_1 + 1 on either row, so these
+      are the first and the last free dots of both rows;
   (b) the positive arrows (i_s, (j_t+1)'), one for each block s that has
       an earlier block t passing the paper's predicate ``dplus_condition``;
   (c) the top arcs, for r = 1..p: start i_r, unless a positive arrow took
@@ -216,13 +218,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
     if not pairs:
         return Diagram.identity(k), BijectionTrace((), (), ())
     p = len(pairs)
-    lowest_start = pairs[-1][0]
-    highest_end = pairs[0][1]
     partner = [-1] * (2 * k)
-
-    # (a) outer verticals
-    for x in (*range(lowest_start - 1), *range(highest_end + 1, k)):
-        partner[x], partner[k + x] = k + x, x
 
     # (b) positive arrows
     positive_pairs = _positive_pairs(pairs)
@@ -235,7 +231,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
 
     # (c) top arcs, first start first; a start is taken only by (b)
     free: list[int] = []  # free top dots of block r's range, descending
-    above = highest_end + 2
+    above = pairs[0][1] + 2
     for r, (i, _) in enumerate(pairs):
         free.extend(range(above - 1, i, -1))
         above = i
@@ -247,7 +243,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
 
     # (d) bottom arcs, last end first; a head dot is taken only by (b)
     free = []  # free bottom dots of block r's range, ascending
-    below = lowest_start
+    below = pairs[-1][0]
     for r in range(p - 1, -1, -1):
         j = pairs[r][1]
         free.extend(range(below, j + 1))
@@ -258,7 +254,7 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
             partner[k + j], partner[k + g - 1] = k + g - 1, k + j
             bottom_sets[r] = (cands, g)
 
-    # (e) leftover strands, leftmost to leftmost
+    # (e) leftover strands, leftmost to leftmost, the verticals of (a) included
     free_top = [x for x in range(k) if partner[x] < 0]
     free_bottom = [y for y in range(k, 2 * k) if partner[y] < 0]
     for x, y in zip(free_top, free_bottom, strict=True):

@@ -248,36 +248,33 @@ _CONVERT_PARSERS = {
     "ballot": lattice.parse_ballot,
     "diagram": parse_diagram,
 }
+# Every other conversion goes form -> FC element -> form.  diagram_to_fc is
+# looked up at call time, as the counting functions in _TABLES are.
+_TO_FC = {
+    "fc": lambda w: w,
+    "dyck": lattice.dyck_to_fc,
+    "ballot": lambda ballot: lattice.dyck_to_fc(lattice.ballot_to_dyck(ballot)),
+    "diagram": lambda diagram: diagram_to_fc(diagram),
+}
+_FROM_FC = {
+    "fc": lambda w: w,
+    "dyck": lattice.fc_to_dyck,
+    "ballot": lattice.fc_to_ballot,
+    "diagram": diagram_of,
+}
 
 
-def _cmd_convert(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_convert(args) -> int:
     src, dst = args.source, args.target
     value = _CONVERT_PARSERS[src](args.input)
-
+    if src == "ballot" and dst == "diagram":
+        args.usage_error(
+            "ballot -> diagram is not supported (the tail/head reading has no direct inverse)"
+        )
     if src == "diagram" and dst == "ballot":
         print(lattice.diagram_to_ballot(value).to_text())
-        return 0
-    if src == "ballot" and dst == "diagram":
-        parser.error("ballot -> diagram is not supported (the tail/head reading has no direct inverse)")
-
-    # everything else goes through the FC element
-    if src == "dyck":
-        w = lattice.dyck_to_fc(value)
-    elif src == "ballot":
-        w = lattice.dyck_to_fc(lattice.ballot_to_dyck(value))
-    elif src == "diagram":
-        w = diagram_to_fc(value)
     else:
-        w = value
-
-    if dst == "fc":
-        print(w.to_text())
-    elif dst == "dyck":
-        print(lattice.fc_to_dyck(w).to_text())
-    elif dst == "ballot":
-        print(lattice.fc_to_ballot(w).to_text())
-    else:
-        print(diagram_of(w).to_text())
+        print(_FROM_FC[dst](_TO_FC[src](value)).to_text())
     return 0
 
 
@@ -319,10 +316,10 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args) -> int:
     unknown = [s for s in args.suites if s not in verify.SUITES]
     if unknown:
-        parser.error(
+        args.usage_error(
             f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(sorted(verify.SUITES))}"
         )
     names = sorted(verify.SUITES) if (args.all or not args.suites) else args.suites
@@ -393,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True, choices=list(_CONVERT_PARSERS))
     p.add_argument("--to", dest="target", required=True, choices=list(_CONVERT_PARSERS))
     p.add_argument("input")
-    p.set_defaults(func=lambda args: _cmd_convert(args, parser))
+    p.set_defaults(func=_cmd_convert, usage_error=parser.error)
 
     p = sub.add_parser("render", help="render a diagram (or an element's diagram) as SVG")
     p.add_argument("input", help="diagram or FC element text form")
@@ -417,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-n", type=_at_least(1), default=8, help="cap enumeration sweeps at this rank"
     )
-    p.set_defaults(func=lambda args: _cmd_verify(args, parser))
+    p.set_defaults(func=_cmd_verify, usage_error=parser.error)
 
     return parser
 

@@ -17,7 +17,8 @@ it.
 
 * ``catalan(m)``                 Catalan number C_m, in closed form; the
                                  convolution recurrence that defines it
-                                 is a ``verify`` check.
+                                 is a ``verify`` check.  ``catalan_row(m)``
+                                 gives C_0..C_m.
 * ``narayana(n, p)``             elements of size p; ``narayana_row(n)``
                                  gives all of them for one rank.
 * ``triangle_start(n, i)``       canonical word starts with generator i
@@ -68,6 +69,18 @@ def catalan(m: int) -> int:
     if m < 0:
         raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {m}")
     return _exact(comb(2 * m, m), m + 1)
+
+
+def catalan_row(m: int) -> list[int]:
+    """``[catalan(g) for g in 0..m]``, each from its left neighbour.
+
+    C_{g+1} = C_g 2(2g+1) / (g+2), one multiplication and one exact
+    division per entry, as ``narayana_row`` does.  Empty for m < 0.
+    """
+    row = [1] if m >= 0 else []
+    for g in range(m):
+        row.append(_exact(row[-1] * 2 * (2 * g + 1), g + 2))
+    return row
 
 
 def narayana(n: int, p: int) -> int:
@@ -172,7 +185,7 @@ def count_size_end(n: int, p: int, j: int) -> int:
 class StartEndCount(NamedTuple):
     """An exact count plus a provenance flag that is always True.
 
-    ``perfbench/tracer.py`` still reads ``closed_form``; ROADMAP item 3
+    ``perfbench/tracer.py`` still reads ``closed_form``; ROADMAP item 1
     retires it.
     """
 

@@ -23,10 +23,10 @@ glues one cup-cap generator at a time below a partner array in place: four
 writes per letter, or one closed circle.  It takes the word as ascending
 runs [i, j] = e_i e_{i+1} ... e_j, so the block list of an FC element is
 its input as it stands.  This kernel is the hot path of every product and
-every trace-free drawing.  It returns the bare partner list;
-:func:`generator_action` feeds it a checked word one letter per run, and
-:meth:`Diagram.from_word` is the validating wrapper that turns the list
-into a :class:`Diagram`.
+every trace-free drawing.  It returns the bare partner list and checks
+nothing.  A raw generator word enters it only through
+:meth:`Diagram.from_word`, which checks the indices, feeds the word one
+letter per run, and validates the result as a :class:`Diagram`.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning
@@ -61,7 +61,8 @@ class Diagram:
     implies the parity invariant (same-row arrows join dots of different
     parity, cross-row arrows dots of equal parity): a non-crossing matching
     joins dots an odd distance apart on the boundary walk, so that is not
-    checked separately.  Instances are immutable and hashable.
+    checked separately.  ``strings`` and the partners must be ints, not
+    bools.  Instances are immutable and hashable.
     """
 
     strings: int
@@ -69,7 +70,7 @@ class Diagram:
 
     def __post_init__(self) -> None:
         k = self.strings
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise NotMatchingError(f"strings must be a positive integer, got {k!r}")
         partner = tuple(self.partner)
         object.__setattr__(self, "partner", partner)
@@ -88,7 +89,7 @@ class Diagram:
         stack: list[int] = []
         for b, d in enumerate(chain(range(k), range(m - 1, k - 1, -1))):
             q = partner[d]
-            if not 0 <= q < m:
+            if type(q) is not int or not 0 <= q < m:
                 self._diagnose()
             if (q if q < k else last - q) > b:
                 stack.append(d)
@@ -102,17 +103,20 @@ class Diagram:
     def _diagnose(self, pair: tuple[int, int] | None = None) -> NoReturn:
         """Raise the error naming the first fault of an invalid partner array.
 
-        Matching faults come first, in code order: a dot matched out of
-        range, to itself, or not back.  An array free of them is a perfect
-        matching, and the walk can only have stopped at a ``pair``
-        (top, d): dot d closed while top, an open dot other than its
-        partner, lay on top of the stack.  The partner of d opened before
-        top and the partner of top comes after d, so their arrows cross.
+        Matching faults come first, in code order: a dot matched to a
+        non-int, out of range, to itself, or not back.  An array free of
+        them is a perfect matching, and the walk can only have stopped at a
+        ``pair`` (top, d): dot d closed while top, an open dot other than
+        its partner, lay on top of the stack.  The partner of d opened
+        before top and the partner of top comes after d, so their arrows
+        cross.
         """
         k = self.strings
         partner = self.partner
         m = 2 * k
         for d, q in enumerate(partner):
+            if type(q) is not int:
+                raise NotMatchingError(f"dot {self.dot_name(d)} is matched to {q!r}, not an int")
             if not 0 <= q < m:
                 raise NotMatchingError(f"dot {self.dot_name(d)} is matched out of range")
             if q == d:
@@ -158,9 +162,16 @@ class Diagram:
     def from_word(cls, strings: int, word: Iterable[int]) -> tuple[Diagram, int]:
         """The product of the generators along ``word``, and its circle count.
 
-        The validating wrapper around :func:`generator_action`.
+        The indices must be ints in 1..strings-1; :func:`run_action` glues
+        the word one letter per run, and the result is validated.
         """
-        partner, loops = generator_action(strings, word)
+        word = tuple(word)
+        for a in word:
+            if type(a) is not int or not 1 <= a < strings:
+                raise IndexOutOfRangeError(
+                    f"generator index must satisfy 1 <= i <= {strings - 1}, got {a}"
+                )
+        partner, loops = run_action(strings, zip(word, word))
         return cls(strings, tuple(partner)), loops
 
     @classmethod
@@ -293,24 +304,6 @@ def _dot_name(code: int, strings: int) -> str:
 
 # ----------------------------------------------------------------------
 # the generator-action kernel
-
-
-def generator_action(strings: int, word: Iterable[int]) -> tuple[list[int], int]:
-    """Partner list and circle count of the product of the generators in ``word``.
-
-    Checks the generator indices, which must lie in 1..strings-1, and
-    feeds the word to :func:`run_action` one letter per run.  Equals
-    folding :func:`concatenate` over :meth:`Diagram.generator`.  The list
-    is not validated; :meth:`Diagram.from_word` validates it once.
-    """
-    word = tuple(word)
-    k = strings
-    if word and not 1 <= min(word) <= max(word) <= k - 1:
-        bad = next(a for a in word if not 1 <= a <= k - 1)
-        raise IndexOutOfRangeError(
-            f"generator index must satisfy 1 <= i <= {k - 1}, got {bad}"
-        )
-    return run_action(k, zip(word, word))
 
 
 def run_action(strings: int, runs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
@@ -475,14 +468,14 @@ def parse_diagram(text: str) -> Diagram:
 def diagram_from_json(obj: dict) -> Diagram:
     """Inverse of :meth:`Diagram.to_json`.
 
-    The string count and every partner must be JSON integers: a bool, a
-    float or a digit string is refused, not converted.
+    ``partner`` must be a JSON list, and the string count and every
+    partner JSON integers: a bool, a float or a digit string is refused,
+    not converted, and so is any other iterable.
     """
     try:
-        strings = obj["strings"]
-        partner = tuple(obj["partner"])
+        strings, partner = obj["strings"], obj["partner"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"not a diagram JSON object: {obj!r}") from exc
-    if any(type(v) is not int for v in (strings, *partner)):
+    if type(partner) is not list or any(type(v) is not int for v in (strings, *partner)):
         raise ParseError(f"not a diagram JSON object: {obj!r}")
     return Diagram(strings, tuple(q - 1 for q in partner))

@@ -55,24 +55,30 @@ class FCElement:
     """An FC element of W(A_rank), stored as its canonical block list.
 
     Constructing the object validates the canonical-form inequalities, so
-    every live instance is known to be well formed.  Values are immutable
-    and hashable; all methods are pure.  The one way round validation is a
-    private unchecked constructor, kept for block lists that
-    ``bijection.block_pairs`` reads off a diagram and that are canonical by
-    construction.
+    every live instance is known to be well formed; the rank and indices
+    must be ints, not bools, and blocks not given as a tuple are stored as
+    a tuple of tuples.  Values are immutable and hashable; all methods are
+    pure.  The one way round validation is a private unchecked constructor,
+    kept for block lists that ``bijection.block_pairs`` reads off a diagram
+    and that are canonical by construction.
     """
 
     rank: int
     pairs: tuple[Pair, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 0:
-            raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {self.rank!r}")
-        pairs = tuple([(int(i), int(j)) for i, j in self.pairs])
-        object.__setattr__(self, "pairs", pairs)
         n = self.rank
+        if type(n) is not int or n < 0:
+            raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {n!r}")
+        pairs = self.pairs
+        if type(pairs) is not tuple:
+            pairs = tuple([tuple(pair) for pair in pairs])
+            object.__setattr__(self, "pairs", pairs)
         prev_i = prev_j = n + 1
-        for t, (i, j) in enumerate(pairs, start=1):
+        for t, pair in enumerate(pairs, start=1):  # one pass, as parse_fc is on the hot path
+            i, j = pair
+            if type(pair) is not tuple or type(i) is not int or type(j) is not int:
+                raise NotStandardError(f"block {t}: need a tuple of two ints, got {pair!r}")
             if not 1 <= i <= j <= n:
                 raise NotStandardError(f"block {t}: need 1 <= i <= j <= {n}, got [{i},{j}]")
             if i >= prev_i:
@@ -308,23 +314,25 @@ def parse_fc(text: str) -> FCElement:
         return FCElement(rank)
     if not _BODY_RE.fullmatch(body):
         raise ParseError(f"trailing junk in FC element text form: {text!r}")
-    pairs = _BLOCK_RE.findall(body)
+    pairs = tuple([(int(i), int(j)) for i, j in _BLOCK_RE.findall(body)])
     if not pairs:
         raise ParseError(f"missing block list in FC element text form: {text!r}")
-    return FCElement(rank, pairs)  # the constructor turns the digit strings into ints
+    return FCElement(rank, pairs)
 
 
 def fc_from_json(obj: dict) -> FCElement:
     """Inverse of :meth:`FCElement.to_json`.
 
-    The rank and every block index must be JSON integers: a bool, a float
-    or a digit string is refused, not converted.
+    ``pairs`` and every pair must be JSON lists, and the rank and every
+    block index JSON integers: a bool, a float or a digit string is
+    refused, not converted, and so is any other iterable.
     """
     try:
-        rank = obj["n"]
-        pairs = tuple((i, j) for i, j in obj["pairs"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rank, pairs = obj["n"], obj["pairs"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"not an FC element JSON object: {obj!r}") from exc
+    if type(pairs) is not list or not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+        raise ParseError(f"not an FC element JSON object: {obj!r}")
     if any(type(v) is not int for v in (rank, *(v for pair in pairs for v in pair))):
         raise ParseError(f"not an FC element JSON object: {obj!r}")
     return FCElement(rank, pairs)

@@ -31,19 +31,13 @@ def diagram_to_svg(diagram: Diagram) -> str:
         '<g fill="none" stroke="black" stroke-width="1.5">',
     ]
     for x, y in diagram.arrows():
-        if y < k:  # top arc
-            xa, xb = x_of(x + 1), x_of(y + 1)
-            depth = min(0.45 * row_gap, 0.4 * (xb - xa))
+        if y < k or x >= k:  # an arc bowing inward; y - d is exactly y + (-d)
+            row, bow, shift = (y_top, 1, 0) if y < k else (y_bot, -1, k)
+            xa, xb = x_of(x - shift + 1), x_of(y - shift + 1)
+            depth = bow * min(0.45 * row_gap, 0.4 * (xb - xa))
             parts.append(
-                f'<path d="M {xa:.1f} {y_top:.1f} C {xa:.1f} {y_top + depth:.1f} '
-                f'{xb:.1f} {y_top + depth:.1f} {xb:.1f} {y_top:.1f}"/>'
-            )
-        elif x >= k:  # bottom arc
-            xa, xb = x_of(x - k + 1), x_of(y - k + 1)
-            depth = min(0.45 * row_gap, 0.4 * (xb - xa))
-            parts.append(
-                f'<path d="M {xa:.1f} {y_bot:.1f} C {xa:.1f} {y_bot - depth:.1f} '
-                f'{xb:.1f} {y_bot - depth:.1f} {xb:.1f} {y_bot:.1f}"/>'
+                f'<path d="M {xa:.1f} {row:.1f} C {xa:.1f} {row + depth:.1f} '
+                f'{xb:.1f} {row + depth:.1f} {xb:.1f} {row:.1f}"/>'
             )
         else:  # cross arrow
             xa, xb = x_of(x + 1), x_of(y - k + 1)

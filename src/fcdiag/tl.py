@@ -41,8 +41,10 @@ elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .bijection import block_pairs
+from .counting import catalan_row
 from .diagram import Arrow, Diagram, run_action
 from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
 from .fc import FCElement
@@ -272,9 +274,7 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     if not 0 <= p <= n:
         return []
     # At most min(p, k-p) caps lie on each row, so no gap holds more pairs.
-    catalan = [1]
-    for g in range(min(p, k - p)):
-        catalan.append(catalan[-1] * 2 * (2 * g + 1) // (g + 2))
+    catalan = catalan_row(min(p, k - p))
     classes: list[tuple[Key, int]] = []
     key: list[Arrow] = []
     stack: list[tuple[int, ...]] = []  # (x, y, a, b, need, weight) before each arrow
@@ -351,7 +351,8 @@ def expected_class_size(strings: int, key: Key) -> int:
     class size is the product over all gaps of both rows.  ``key`` lists
     its arrows by tail, as :func:`equivalence_key` gives them, so on a
     diagram's key the tails and the heads both increase, and each gap is
-    read off two consecutive tails or two consecutive heads.
+    read off two consecutive tails or two consecutive heads.  Any other
+    key, or a gap of odd length, is refused.
     """
     gaps = []
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
@@ -361,14 +362,9 @@ def expected_class_size(strings: int, key: Key) -> int:
         a, b = x + 1, y + 1
     gaps.append(strings - a)
     gaps.append(2 * strings - b)
-    catalan = [1]
-    out = 1
-    for gap in gaps:
-        if gap:
-            if gap % 2:
-                raise NotMatchingError("gap of odd length cannot be matched")
-            while len(catalan) <= gap // 2:
-                g = len(catalan) - 1
-                catalan.append(catalan[-1] * 2 * (2 * g + 1) // (g + 2))
-            out *= catalan[gap // 2]
-    return out
+    if min(gaps) < 0:
+        raise NotMatchingError("tails and heads must increase along the key, each on its row")
+    if any(gap % 2 for gap in gaps):
+        raise NotMatchingError("gap of odd length cannot be matched")
+    catalan = catalan_row(max(gaps) // 2)
+    return prod(catalan[gap // 2] for gap in gaps)

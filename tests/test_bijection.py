@@ -18,7 +18,6 @@ from fcdiag import (
     enumerate_fc,
     fc_to_diagram,
     fc_to_diagram_reference,
-    generator_action,
     monomial_product,
     parse_diagram,
     parse_fc,
@@ -26,6 +25,7 @@ from fcdiag import (
     trace_candidates,
 )
 from fcdiag import bijection
+from fcdiag.diagram import run_action
 from fcdiag.verify import _trace_faults
 from helpers import (
     assert_holds,
@@ -233,7 +233,8 @@ class TestKernel:
         # and diagram_to_fc build their results without validation
         k = n + 1
         for w in fc_list(n):
-            partner, loops = generator_action(k, w.word())
+            word = w.word()
+            partner, loops = run_action(k, zip(word, word))
             drawn = Diagram(k, partner)
             assert (drawn, loops) == Diagram.from_word(k, w.word())
             assert block_pairs(k, partner) == w.pairs
@@ -245,7 +246,7 @@ class TestKernel:
     @given(generator_words(max_rank=4, max_length=10))
     def test_bare_list_revalidates_on_any_word(self, rank_word):
         rank, word = rank_word
-        partner, loops = generator_action(rank + 1, word)
+        partner, loops = run_action(rank + 1, zip(word, word))
         drawn = Diagram(rank + 1, partner)
         assert (drawn, loops) == Diagram.from_word(rank + 1, word)
         reading = FCElement(rank, block_pairs(rank + 1, partner))

@@ -17,6 +17,7 @@ from fcdiag import (
     RankOutOfRangeError,
     appendix_binomial_identity_check,
     catalan,
+    catalan_row,
     count_first_block,
     count_last_block,
     count_size_end,
@@ -87,6 +88,15 @@ class TestCatalan:
     @given(st.integers(min_value=0, max_value=300))
     def test_recurrence_matches_closed_form(self, m):
         assert catalan(m + 1) == sum(catalan(a) * catalan(m - a) for a in range(m + 1))
+
+    def test_row_by_neighbour_ratio(self):
+        assert catalan_row(-1) == [] and catalan_row(0) == [1]
+        for m in range(301):
+            assert catalan_row(m) == [catalan(g) for g in range(m + 1)]
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError, match="7 is not divisible by 2"):
+            _exact(7, 2)
 
 
 class TestNarayana:

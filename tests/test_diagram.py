@@ -20,9 +20,10 @@ from fcdiag import (
     concatenate,
     diagram_from_json,
     diagram_to_svg,
-    generator_action,
+    enumerate_diagrams,
     parse_diagram,
 )
+from fcdiag.diagram import run_action
 from helpers import assert_holds, diagram_list, generator_words, mutated_json
 
 
@@ -102,6 +103,32 @@ class TestConstruction:
         with pytest.raises(NotMatchingError, match="itself"):
             Diagram(2, (0, 2, 1, 3))
 
+    def test_no_strings(self):
+        with pytest.raises(NotMatchingError, match="strings must be a positive integer, got 0"):
+            Diagram(0, ())
+        with pytest.raises(IndexOutOfRangeError, match="strings must be >= 1, got 0"):
+            Diagram.identity(0)
+
+    def test_arrow_dot_out_of_range(self):
+        with pytest.raises(NotMatchingError, match="dot code 9 out of range for 2 strings"):
+            Diagram.from_arrows(2, [(0, 9)])
+
+    @pytest.mark.parametrize(
+        "strings,partner,message",
+        [
+            (True, (1, 0), "strings must be a positive integer, got True"),  # was strings=True;1-1'
+            (1.0, (1, 0), "strings must be a positive integer, got 1.0"),
+            (2, (1.0, 0, 3, 2), "dot 1 is matched to 1.0, not an int"),  # was strings=2;1-2.0,...
+            (1, (True, 0), "dot 1 is matched to True, not an int"),
+            (1, ("1", 0), "dot 1 is matched to '1', not an int"),
+            (2, (1, 0, 3, 2.0), "dot 2' is matched to 2.0, not an int"),
+        ],
+    )
+    def test_constructor_refuses_non_integers(self, strings, partner, message):
+        with pytest.raises(NotMatchingError) as exc:
+            Diagram(strings, partner)
+        assert str(exc.value) == message
+
 
 def two_pass_verdict(k, partner):
     """Error class and message of a two-pass validation, or None if valid.
@@ -155,7 +182,7 @@ def partner_arrays(draw):
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         return k, draw(st.lists(st.integers(min_value=-1, max_value=m), min_size=m, max_size=m))
     word = draw(st.lists(st.integers(min_value=1, max_value=k - 1), max_size=12)) if k > 1 else []
-    partner, _ = generator_action(k, word)
+    partner, _ = run_action(k, zip(word, word))
     dots = st.integers(min_value=0, max_value=m - 1)
     for kind in draw(st.lists(st.sampled_from(["swap", "set", "rewire", "rewire"]), max_size=3)):
         a, b = draw(dots), draw(dots)
@@ -232,6 +259,9 @@ class TestFromWord:
             Diagram.from_word(4, (0,))
         with pytest.raises(IndexOutOfRangeError):
             Diagram.from_word(1, (1,))
+        for bad in (1.5, True, "1"):
+            with pytest.raises(IndexOutOfRangeError, match=f"got {bad}"):
+                Diagram.from_word(4, (2, bad))
 
     @settings(max_examples=300)
     @given(generator_words(max_rank=8, max_length=30))
@@ -302,6 +332,10 @@ class TestEnumeration:
     def test_catalan_counts(self, k, count):
         assert len(diagram_list(k)) == count == catalan(k)
 
+    def test_no_strings(self):
+        with pytest.raises(IndexOutOfRangeError, match="strings must be >= 1, got 0"):
+            list(enumerate_diagrams(0))
+
     @pytest.mark.parametrize("k", range(1, 8))
     def test_distinct(self, k):
         assert_holds("diagram.catalan-count", k - 1)
@@ -341,6 +375,20 @@ class TestSerialization:
             diagram_from_json(obj)
         assert str(exc.value) == f"not a diagram JSON object: {obj!r}"
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"strings": 1, "partner": {2: 0, 1: 0}},  # read its keys as strings=1;1-1'
+            {"strings": 1, "partner": (2, 1)},
+            {"strings": 1, "partner": "21"},
+            {"strings": 1, "partner": 21},
+        ],
+    )
+    def test_json_refuses_non_lists(self, obj):
+        with pytest.raises(ParseError) as exc:
+            diagram_from_json(obj)
+        assert str(exc.value) == f"not a diagram JSON object: {obj!r}"
+
     @given(
         st.integers(min_value=1, max_value=5)
         .flatmap(lambda k: st.sampled_from(diagram_list(k)))
@@ -365,6 +413,19 @@ class TestSerialization:
     def test_parse_rejects_junk(self, bad):
         with pytest.raises((ParseError, NotMatchingError)):
             parse_diagram(bad)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("strings=2;", "diagram text form has no arrows"),
+            ("strings=2;1-2-3", "not an arrow: '1-2-3'"),
+            ("strings=2;1-x,1'-2'", "not a dot: 'x'"),
+        ],
+    )
+    def test_parse_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == message
 
     def test_svg_is_deterministic(self):
         d = E(4, 2)

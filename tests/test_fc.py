@@ -55,6 +55,21 @@ class TestValidation:
         with pytest.raises(RankOutOfRangeError):
             FCElement(-1)
 
+    @pytest.mark.parametrize("rank", [True, 3.0, "3"])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(RankOutOfRangeError) as exc:
+            FCElement(rank)  # FCElement(True) printed n=True:[]
+        assert str(exc.value) == f"rank must be a nonnegative integer, got {rank!r}"
+
+    def test_lists_are_stored_as_tuples(self):
+        for pairs in ([[2, 3], [1, 1]], [(2, 3), [1, 1]], iter([(2, 3), (1, 1)])):
+            w = FCElement(3, pairs)
+            assert w.pairs == ((2, 3), (1, 1)) and type(w.pairs[1]) is tuple
+            assert hash(w) == hash(FCElement(3, ((2, 3), (1, 1))))
+        # inside a tuple, each block must be a tuple
+        with pytest.raises(NotStandardError, match=r"need a tuple of two ints, got \[2, 3\]"):
+            FCElement(3, ([2, 3],))
+
 
 class TestTextAndJson:
     def test_text_roundtrip(self):
@@ -77,6 +92,24 @@ class TestTextAndJson:
         ],
     )
     def test_json_refuses_non_integers(self, obj):
+        with pytest.raises(ParseError) as exc:
+            fc_from_json(obj)
+        assert str(exc.value) == f"not an FC element JSON object: {obj!r}"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 3, "pairs": ""},  # read as n=3:[]
+            {"n": 3, "pairs": {}},  # read as n=3:[]
+            {"n": 3, "pairs": ((2, 3),)},
+            {"n": 3, "pairs": [(2, 3)]},
+            {"n": 3, "pairs": [[2, 3, 4]]},
+            {"n": 3, "pairs": [[2]]},
+            {"n": 3, "pairs": 23},
+            [3, [[2, 3]]],
+        ],
+    )
+    def test_json_refuses_non_lists(self, obj):
         with pytest.raises(ParseError) as exc:
             fc_from_json(obj)
         assert str(exc.value) == f"not an FC element JSON object: {obj!r}"
@@ -117,9 +150,18 @@ class TestTextAndJson:
             parse_fc("n=3:[2,3][2,2]")
 
     def test_constructor_coerces_to_int(self):
-        w = FCElement(3, [("2", "3")])
-        assert w.pairs == ((2, 3),) and type(w.pairs[0][0]) is int
-        assert w == FCElement(3, ((2, 3),)) and hash(w) == hash(FCElement(3, ((2, 3),)))
+        # the constructor converts nothing: a non-int block index is refused
+        cases = [
+            [("2", "3")],
+            ((1, 2.7),),  # read as [1,2]
+            ((True, 2),),  # read as [1,2]
+            [(2, 3), (1, 1.0)],
+        ]
+        for pairs in cases:
+            with pytest.raises(NotStandardError) as exc:
+                FCElement(3, pairs)
+            t = len(pairs)
+            assert str(exc.value) == f"block {t}: need a tuple of two ints, got {pairs[-1]!r}"
 
     @given(fc_elements())
     def test_text_roundtrip_random(self, w):
@@ -157,6 +199,10 @@ class TestShrink:
     def test_rejects_slim(self):
         with pytest.raises(NotThickError):
             FCElement(3, ((3, 3),)).shrink()
+
+    def test_identity_does_not_grow(self):
+        with pytest.raises(NotThickError, match="grow is undefined for the identity"):
+            FCElement(3).grow()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bijection_onto_lower_rank(self, n):
@@ -246,6 +292,10 @@ class TestEnumeration:
 
     def test_rank_one(self):
         assert set(fc_list(1)) == {FCElement(1), FCElement(1, ((1, 1),))}
+
+    def test_negative_rank(self):
+        with pytest.raises(RankOutOfRangeError, match="rank must be nonnegative, got -1"):
+            next(enumerate_fc(-1))
 
     @pytest.mark.parametrize("n", range(10))
     def test_sized_equals_filtered_in_order(self, n):

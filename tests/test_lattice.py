@@ -58,6 +58,7 @@ class TestValidation:
     def test_parsers(self):
         assert parse_ballot("+-").signs == (1, -1)
         assert parse_dyck("RU").steps == ("R", "U")
+        assert str(parse_dyck("RU")) == "RU"
         with pytest.raises(ParseError):
             parse_ballot("+a")
         with pytest.raises(ParseError):

@@ -59,10 +59,28 @@ class TestDeltaPoly:
             TLElement(2, ((w, DeltaPoly.zero()),))
         with pytest.raises(NotNormalizedError, match="duplicate"):
             TLElement(2, ((w, DeltaPoly.one()), (w, DeltaPoly.one())))
+        with pytest.raises(RankMismatchError, match="has rank 3, element has 2"):
+            TLElement(2, ((FCElement(3), DeltaPoly.one()),))
 
     def test_odd_gap_is_a_domain_error(self):
         with pytest.raises(NotMatchingError, match="odd length"):
             expected_class_size(2, ((0, 2),))
+
+    @pytest.mark.parametrize(
+        "strings,key",
+        [
+            (4, ((2, 6), (1, 5))),  # tails 2, 1: read catalan[-1] and returned 1
+            (4, ((0, 6), (1, 5))),  # heads 3', 2'
+            (2, ((0, 1),)),  # a head on the top row
+            (2, ((2, 2),)),  # a tail past the top row
+        ],
+    )
+    def test_key_out_of_order_is_a_domain_error(self, strings, key):
+        with pytest.raises(NotMatchingError, match="tails and heads must increase along the key"):
+            expected_class_size(strings, key)
+
+    def test_zero_coefficient_is_zero(self):
+        assert DeltaPoly.delta(2, 0) == DeltaPoly.zero()
 
     def test_str(self):
         assert str(DeltaPoly.zero()) == "0"
@@ -102,6 +120,13 @@ class TestMonomialProduct:
 
 
 class TestTLElement:
+    def test_ranks_must_match_to_add(self):
+        with pytest.raises(RankMismatchError, match="cannot add ranks 2 and 3"):
+            TLElement.identity(2) + TLElement.identity(3)
+
+    def test_zero_prints_as_zero(self):
+        assert str(TLElement.zero(2)) == "0"
+
     def test_square_of_generator(self):
         n = 3
         e1 = TLElement.monomial(gen(n, 1))
