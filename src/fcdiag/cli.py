@@ -300,19 +300,12 @@ def _cmd_census(args) -> int:
     _check_rank(args.n, "census")
     _check_output((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
     classes = tl.census(args.n, args.p)
-    strings = args.n + 1
+    texts = tl.key_texts([key for key, _ in classes], args.n + 1)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"key": tl.key_to_text(key, strings), "size": size}
-                    for key, size in classes
-                ]
-            )
-        )
+        print(json.dumps([{"key": text, "size": size} for text, (_, size) in zip(texts, classes)]))
     else:
-        for key, size in classes:
-            print(f"{tl.key_to_text(key, strings)}\t{size}")
+        for text, (_, size) in zip(texts, classes):
+            print(f"{text}\t{size}")
     return 0
 
 

@@ -72,7 +72,12 @@ class Diagram:
         k = self.strings
         if type(k) is not int or k < 1:
             raise NotMatchingError(f"strings must be a positive integer, got {k!r}")
-        partner = tuple(self.partner)
+        try:
+            partner = tuple(self.partner)
+        except TypeError:
+            raise NotMatchingError(
+                f"partner array must be a sequence of ints, got {type(self.partner).__name__}"
+            ) from None
         object.__setattr__(self, "partner", partner)
         m = 2 * k
         if len(partner) != m:
@@ -207,7 +212,7 @@ class Diagram:
         return _dot_name(code, self.strings)
 
     def arrow_name(self, arrow: Arrow) -> str:
-        return f"{self.dot_name(arrow[0])}-{self.dot_name(arrow[1])}"
+        return arrows_text((arrow,), dot_names(self.strings))
 
     def _arrow_of(self, code: int) -> Arrow:
         q = self.partner[code]
@@ -265,8 +270,7 @@ class Diagram:
     # serialization
 
     def to_text(self) -> str:
-        body = ",".join(self.arrow_name(a) for a in self.arrows())
-        return f"strings={self.strings};{body}"
+        return f"strings={self.strings};{arrows_text(self.arrows(), dot_names(self.strings))}"
 
     def to_json(self) -> dict:
         """Partner-array encoding with 1-based dots, top 1..k then bottom 1..k."""
@@ -299,7 +303,26 @@ class Components:
 
 
 def _dot_name(code: int, strings: int) -> str:
+    """The text name of one dot: 1..k on the top row, 1'..k' on the bottom.
+
+    Constant memory, so ``from_arrows`` can name a dot of a diagram whose
+    partner array it never builds.
+    """
     return str(code + 1) if code < strings else f"{code - strings + 1}'"
+
+
+def dot_names(strings: int) -> list[str]:
+    """The text name of every dot, indexed by code.
+
+    Built once per diagram or census and indexed per dot, so a text form
+    makes one call per dot, not three.
+    """
+    return [_dot_name(d, strings) for d in range(2 * strings)]
+
+
+def arrows_text(arrows: Iterable[Arrow], names: list[str]) -> str:
+    """Arrows as ``tail-head`` pairs joined by commas, dots named from ``names``."""
+    return ",".join([f"{names[x]}-{names[y]}" for x, y in arrows])
 
 
 # ----------------------------------------------------------------------

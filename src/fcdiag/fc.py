@@ -72,11 +72,19 @@ class FCElement:
             raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {n!r}")
         pairs = self.pairs
         if type(pairs) is not tuple:
-            pairs = tuple([tuple(pair) for pair in pairs])
+            try:
+                pairs = tuple([tuple(pair) for pair in pairs])
+            except TypeError:
+                raise NotStandardError(
+                    "blocks must be an iterable of blocks, each an iterable of two ints"
+                ) from None
             object.__setattr__(self, "pairs", pairs)
         prev_i = prev_j = n + 1
         for t, pair in enumerate(pairs, start=1):  # one pass, as parse_fc is on the hot path
-            i, j = pair
+            try:  # zero-cost from Python 3.11; a misshapen block falls to the check below
+                i, j = pair
+            except (TypeError, ValueError):
+                i = j = None
             if type(pair) is not tuple or type(i) is not int or type(j) is not int:
                 raise NotStandardError(f"block {t}: need a tuple of two ints, got {pair!r}")
             if not 1 <= i <= j <= n:

@@ -35,17 +35,19 @@ no element and no diagram, so its cost follows the number of classes, not
 the Narayana number of elements.  Its oracles are the ``verify`` check
 ``tl.census``, which recounts the keys of all diagrams grouped by element
 size, and the tests, which recount the kernel drawings of the size-p
-elements.
+elements.  Its keys are printed by :func:`key_texts`, which builds one
+table of dot names per request and formats every key from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import Iterable, Iterator
 
 from .bijection import block_pairs
 from .counting import catalan_row
-from .diagram import Arrow, Diagram, run_action
+from .diagram import Arrow, Diagram, arrows_text, dot_names, run_action
 from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
 from .fc import FCElement
 
@@ -244,12 +246,21 @@ def equivalence_key(diagram: Diagram) -> Key:
     return tuple((x, partner[x]) for x in range(strings) if partner[x] >= strings)
 
 
-def key_to_text(key: Key, strings: int) -> str:
-    from .diagram import _dot_name
+def key_texts(keys: Iterable[Key], strings: int) -> Iterator[str]:
+    """The text of each key, in turn, with its dots named from one table.
 
-    if not key:
-        return "-"
-    return ",".join(f"{_dot_name(x, strings)}-{_dot_name(y, strings)}" for x, y in key)
+    Arrows are written ``tail-head`` and joined by commas; the empty key is
+    ``-``.  The table of dot names is built once for all the keys, so a
+    census formats its classes with no call per dot.
+    """
+    names = dot_names(strings)
+    for key in keys:
+        yield arrows_text(key, names) if key else "-"
+
+
+def key_to_text(key: Key, strings: int) -> str:
+    """The text of one key, as :func:`key_texts` writes it."""
+    return next(key_texts((key,), strings))
 
 
 def census(n: int, p: int) -> list[tuple[Key, int]]:

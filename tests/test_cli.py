@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -273,6 +274,37 @@ class TestEnumAndTable:
         assert payload["rows"][-1] == ["3", "1", "3", "5", "5"]
 
 
+# SHA-256 of the stdout of census --n N --p P, for P = 0..N in turn, by
+# flag and N = 0..9, as printed before the keys were named from one table
+# per request.
+CENSUS_DIGESTS = {
+    "": (
+        "2bca16793a24d45dd82ab6129c09fa6f8077d6d3dc91de3b1009d0057189e7d6",
+        "954b54d90c3aa74d9ca761103b326122f3caf7f1652e27110d6755d4caa787e6",
+        "8efd0223145e7772b06f97a14ecef326ccb7b61013e1104f49160e9cbfa8a23e",
+        "ffa45fd983594fc41d1a5a706fd3c3e2ced23c8394d01cbac3bf37bb20081955",
+        "2ae8618ff9554e5de0d5e6334591ac3f83a76a23d771ec8f460b1bc11b55735c",
+        "bc6c812dcca4c17b8c712a7658f503dbfb5cfc3bdd1c85ed36e357f9a1399242",
+        "d80c13db7cc743f9c0c0620b1660cbf2dc15de22c5d925b7f4041e679fa98feb",
+        "596d2a2362d11931b670c24cc519aa92b0c0debf22e643d8772048c4113b82a1",
+        "b860b13152baed25f796b17550bf000969c8ea7a40d209a7eae63eb2083c3cb2",
+        "2e3fbcbee245eb0bce9713ae97e9e143b3c92032713fe0f3126bb6f7c1786793",
+    ),
+    "--json": (
+        "7ef9a103c2fffd7d9fe4727d116db3ead7183c0280b78084989791fd72e7c23b",
+        "467b14ba270c281a2ebfdb1d56044fba8700c26caa92122cfc9757915e6f2ba3",
+        "82c1a04f8132d85205680008f5ebc1a1057d05d7f12bcaf2ed73bdc18ac20fbb",
+        "1f3b3bd8f604797b246f6c10a8b06795d843ebd40be3685d9d1dad3bd0d78fe5",
+        "890fbf4003533537299b8e5bfd6c40af516d804798c4a44a11ebfc3734903d91",
+        "4724eff070d7bb6b1b801af5ca68af5052201143173e94c2b193e203c994e92e",
+        "5cebdc51f76671a6bb399be31c2b0a10f257ebb6f45da8fe38ef3c60dae7a9aa",
+        "e49a9eba0bb8b9821e3766d77d44ead59ca894dac7521b8b2d22ffac29a0d35d",
+        "f8882850758195aefb18b0d081363f4bca0174e30a27664d6c423718c6475038",
+        "06ec266ef45ede1a393f359d69fb6910959ba124f7a5b6b612dbca8d4fc4ab6a",
+    ),
+}
+
+
 class TestCensusCommand:
     def test_rank_two(self, capsys):
         code, out, _ = run(capsys, "census", "--n", "2", "--p", "1")
@@ -280,6 +312,16 @@ class TestCensusCommand:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(line.endswith("\t1") for line in lines)
+
+    @pytest.mark.parametrize("flag", ["", "--json"], ids=["text", "json"])
+    @pytest.mark.parametrize("n", range(10))
+    def test_bytes_are_pinned(self, capsys, n, flag):
+        digest = hashlib.sha256()
+        for p in range(n + 1):
+            code, out, err = run(capsys, "census", "--n", str(n), "--p", str(p), *flag.split())
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+        assert digest.hexdigest() == CENSUS_DIGESTS[flag][n]
 
     def test_above_the_listing_cap(self, capsys):
         # 41 N(40, 20) arrows, with more class keys than the cap

@@ -81,6 +81,8 @@ class TestConstruction:
         # a 2 * 10**12 partner array would not fit in memory
         with pytest.raises(NotMatchingError, match="dot 3 is unmatched"):
             parse_diagram(f"strings={10**12};1-2")
+        with pytest.raises(NotMatchingError, match="dot 2 used twice"):
+            parse_diagram(f"strings={10**12};1-2,2-3")
 
     @pytest.mark.parametrize("k,matchings", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
     def test_planar_matchings_are_the_diagrams_and_keep_parity(self, k, matchings):
@@ -128,6 +130,12 @@ class TestConstruction:
         with pytest.raises(NotMatchingError) as exc:
             Diagram(strings, partner)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("partner", [5, None])  # each was a TypeError
+    def test_constructor_refuses_a_non_sequence(self, partner):
+        with pytest.raises(NotMatchingError) as exc:
+            Diagram(2, partner)
+        assert str(exc.value) == f"partner array must be a sequence of ints, got {type(partner).__name__}"
 
 
 def two_pass_verdict(k, partner):

@@ -70,6 +70,21 @@ class TestValidation:
         with pytest.raises(NotStandardError, match=r"need a tuple of two ints, got \[2, 3\]"):
             FCElement(3, ([2, 3],))
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            (((1, 2, 3),), "block 1: need a tuple of two ints, got (1, 2, 3)"),  # was ValueError
+            ((5,), "block 1: need a tuple of two ints, got 5"),  # was TypeError
+            (5, "blocks must be an iterable of blocks, each an iterable of two ints"),
+            ([(2, 3), 1], "blocks must be an iterable of blocks, each an iterable of two ints"),
+        ],
+        ids=["three-entries", "int-block", "int-blocks", "int-in-list"],
+    )
+    def test_wrongly_shaped_blocks_are_refused(self, pairs, message):
+        with pytest.raises(NotStandardError) as exc:
+            FCElement(3, pairs)
+        assert str(exc.value) == message
+
 
 class TestTextAndJson:
     def test_text_roundtrip(self):

@@ -232,6 +232,7 @@ class TestCensus:
         assert key_to_text(key, 3) == "1-3'"
         d, _ = fc_to_diagram(FCElement(1, ((1, 1),)))
         assert key_to_text(equivalence_key(d), 2) == "-"
+        assert list(tl.key_texts([key, (), key], 3)) == ["1-3'", "-", "1-3'"]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_classes_recount_and_factor(self, n):
@@ -253,6 +254,11 @@ class TestCensus:
                 assert size == expected_class_size(n + 1, key)
             keys = [key for key, _ in classes]
             assert all(left < right for left, right in zip(keys, keys[1:]))
+
+    def test_class_totals(self):
+        # classes over every size p, by rank n = 0..12
+        totals = [sum(len(census(n, p)) for p in range(n + 1)) for n in range(13)]
+        assert totals == [1, 2, 5, 11, 26, 63, 153, 376, 931, 2317, 5794, 14545, 36631]
 
     @pytest.mark.parametrize("n", range(0, 6))
     def test_size_out_of_range(self, n):
