@@ -9,78 +9,81 @@ whose rightward top tails are the block starts {i_t} of w and whose shifted
 leftward bottom heads are the block ends {j_t}.
 
 Reading a diagram off (``diagram_to_fc``) is therefore immediate: one pass
-over the partner array (``block_pairs``).  Drawing the diagram of w takes
-one of three routes, each with one job:
+over the partner array (``block_pairs``).  Drawing the diagram of w is the
+paper's direct algorithm, which places arrows in five passes:
 
-* ``diagram_of`` serves.  It glues the generators of the canonical word one
-  by one onto a partner array (:func:`run_action`, fed the block list as
-  ascending runs), linear in the length, validates the result as a
-  :class:`Diagram`, and raises if a circle closes, which a reduced word
-  never does.  Every trace-free CLI drawing uses it.  Products run the
-  same kernel and read its bare partner list.
-* ``fc_to_diagram`` reproduces the paper's direct algorithm, which places
-  arrows in five passes:
+(a) vertical strands outside the active window, namely below the smallest
+    start i_p and above the largest end + 1, j_1 + 1.  (e) draws them:
+    (b)-(d) touch no dot outside i_p .. j_1 + 1 on either row, so these
+    are the first and the last free dots of both rows;
+(b) the positive arrows (i_s, (j_t+1)'), one for each block s that has an
+    earlier block t passing the paper's predicate ``dplus_condition``;
+(c) the top arcs, for r = 1..p: start i_r, unless a positive arrow took
+    it, joins the lowest dot of its candidate set, the top dots
+    i_r+1 .. j_1+1 less the earlier starts and the dots already taken by
+    (c), so i_1 joins i_1+1;
+(d) the bottom arcs, mirrored for r = p..1: head dot (j_r+1)', unless a
+    positive arrow took it, joins the highest dot of its candidate set,
+    the bottom dots i_p' .. j_r' less the later shifted ends (j_s+1)' and
+    the dots already taken by (d), so (j_p+1)' joins j_p';
+(e) whatever dots remain, joined left to right, lowest free top dot to
+    lowest free bottom dot.
 
-  (a) vertical strands outside the active window, namely below the smallest
-      start i_p and above the largest end + 1, j_1 + 1.  (e) draws them:
-      (b)-(d) touch no dot outside i_p .. j_1 + 1 on either row, so these
-      are the first and the last free dots of both rows;
-  (b) the positive arrows (i_s, (j_t+1)'), one for each block s that has
-      an earlier block t passing the paper's predicate ``dplus_condition``;
-  (c) the top arcs, for r = 1..p: start i_r, unless a positive arrow took
-      it, joins the lowest dot of its candidate set, the top dots
-      i_r+1 .. j_1+1 less the earlier starts and the dots already taken
-      by (c), so i_1 joins i_1+1;
-  (d) the bottom arcs, mirrored for r = p..1: head dot (j_r+1)', unless a
-      positive arrow took it, joins the highest dot of its candidate set,
-      the bottom dots i_p' .. j_r' less the later shifted ends (j_s+1)'
-      and the dots already taken by (d), so (j_p+1)' joins j_p';
-  (e) whatever dots remain, joined left to right, lowest free top dot to
-      lowest free bottom dot.
+Each pass is one sweep, so a drawing costs O(strings + blocks), plus the
+size of its trace when one is recorded:
 
-  Each pass is one sweep, so a drawing costs O(length + trace size):
+* (b) keys block t by j_t + 2t.  The predicate's spacing rule,
+  j_t = i_s + 2(s-t) - 1, says that t lies under the key i_s + 2s - 1,
+  and its minimality rule forbids another block of that key between t
+  and s, so the one candidate for s is the latest t < s under it.  The
+  other minimality rule forbids a block r between them with
+  i_r + 2r = i_s + 2s: the latest such r < s, kept under that key, is at
+  most t.  Saturation holds when s = t + 1, or when i_{s-1} = i_s + 1,
+  j_{t+1} = j_t - 1 and no gap j_{r+1} < i_r - 1 lies strictly between,
+  for t < r < r+1 < s, which a running count of gaps answers at once.
+  Two blocks s never share a head t: the first would lie between the
+  second and t under the same start key.
+* (c) keeps the free top dots of the current candidate range in a list,
+  in descending order.  Moving to block r appends the dots
+  i_{r-1}-1 .. i_r+1, the candidate set is the list as it stands, and the
+  chosen dot is ``pop()``.  (d) keeps the bottom dots likewise, in
+  ascending order, appending (j_{r+1}+2)' .. j_r'.
+* (e) sweeps the top row once, with a pointer into the bottom row.
 
-  * (b) keys block t by j_t + 2t.  The predicate's spacing rule,
-    j_t = i_s + 2(s-t) - 1, says that t lies under the key i_s + 2s - 1,
-    and its minimality rule forbids another block of that key between t
-    and s, so the one candidate for s is the latest t < s under it.  The
-    other minimality rule forbids a block r between them with
-    i_r + 2r = i_s + 2s: the latest such r < s, kept under that key, is
-    at most t.  Saturation holds when s = t + 1, or when i_{s-1} = i_s + 1,
-    j_{t+1} = j_t - 1 and no gap j_{r+1} < i_r - 1 lies strictly between,
-    for t < r < r+1 < s, which a running count of gaps answers at once.
-    Two blocks s never share a head t: the first would lie between the
-    second and t under the same start key.
-  * (c) keeps the free top dots of the current candidate range in a
-    list, in descending order.  Moving to block r appends the dots
-    i_{r-1}-1 .. i_r+1, the candidate set is the list as it stands, and
-    the chosen dot is ``pop()``.  (d) keeps the bottom dots likewise, in
-    ascending order, appending (j_{r+1}+2)' .. j_r'.  The trace records
-    each candidate set as a tuple in ascending order: the top list
-    reversed, the bottom list as it stands.
+One routine runs the passes, and it has two entries.  ``fc_to_diagram``
+also records what passes (b), (c) and (d) choose, as a
+:class:`BijectionTrace`: each candidate set as a tuple in ascending order
+(the top list reversed, the bottom list as it stands) with its chosen
+dot.  That record is the only source of ``--trace`` output.
+``diagram_of`` records nothing.  The passes count no circles, so a block
+list that is not canonical, planted past the validating constructor,
+could be drawn quietly; ``diagram_of`` reads its drawing back with
+``block_pairs``, in O(strings), and raises unless that gives w's own
+blocks.
 
-  ``dplus_condition`` states the predicate as the paper does and is kept
-  for the checks; ``trace_candidates`` counts the dots a trace lists from
-  pass (b) alone, in O(p), so that the CLI can bound ``--trace`` before
-  drawing.  Passes (b), (c) and (d) record what they choose, and every run
-  returns that record as a :class:`BijectionTrace`, the only source of
-  ``--trace`` output.  The ``verify`` check ``bijection.trace-consistency``
-  asserts the documented facts about it on both rows: a candidate set is
-  empty exactly when a positive arrow took its dot, the chosen dot is the
-  minimum (top) or maximum (bottom) of its set and is the partner in the
-  drawn diagram, and each positive pair is a drawn arrow that passes
-  ``dplus_condition``.  The tests compare every drawing and trace with a
-  literal transcription of the five passes that calls the predicate on
-  every pair.
-* ``fc_to_diagram_reference`` checks.  It multiplies out the canonical word
-  as a stack of cup-cap generator diagrams with :func:`concatenate`,
-  sharing no code with the kernel.  ``reference_drawings`` runs the same
-  oracle over a whole rank: it draws each element by extending its
-  parent's drawing with the last block, so each generator product is
-  taken once per rank rather than once per element containing it.  Both
-  entry points share one fold and its circle check.  The ``verify`` check
-  ``bijection.oracle-equivalence`` asserts, over that sweep, that all
-  three routes agree.
+``dplus_condition`` states the predicate as the paper does and is kept
+for the checks; ``trace_candidates`` counts the dots a trace lists from
+pass (b) alone, in O(p), so that the CLI can bound ``--trace`` before
+drawing.  The ``verify`` check ``bijection.trace-consistency`` asserts the
+documented facts about the trace on both rows: a candidate set is empty
+exactly when a positive arrow took its dot, the chosen dot is the minimum
+(top) or maximum (bottom) of its set and is the partner in the drawn
+diagram, and each positive pair is a drawn arrow that passes
+``dplus_condition``.  The tests compare every drawing and trace with a
+literal transcription of the five passes that calls the predicate on
+every pair.
+
+Two oracles share no code with the passes.  ``fc_to_diagram_reference``
+multiplies out the canonical word as a stack of cup-cap generator
+diagrams with :func:`concatenate`.  ``reference_drawings`` runs the same
+oracle over a whole rank: it draws each element by extending its parent's
+drawing with the last block, so each generator product is taken once per
+rank rather than once per element containing it.  Both entry points share
+one fold and its circle check.  The other oracle is the generator-action
+kernel ``diagram.run_action``, which serves products and glues the word
+letter by letter.  The ``verify`` check ``bijection.oracle-equivalence`` asserts,
+over that sweep, that the passes, the concatenation oracle and the kernel
+agree.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .diagram import Diagram, concatenate, run_action
-from .errors import IndexOutOfRangeError, UnexpectedLoopError
+from .diagram import Diagram, concatenate
+from .errors import FCDiagramError, IndexOutOfRangeError, UnexpectedLoopError
 from .fc import FCElement, Pair, enumerate_fc, is_saturated_in
 
 
@@ -209,7 +212,25 @@ def trace_candidates(w: FCElement) -> int:
 
 
 def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
-    """Draw the diagram of w directly from its canonical form, with its trace.
+    """Draw the diagram of w directly from its canonical form, with its trace."""
+    return _draw(w, True)
+
+
+def diagram_of(w: FCElement) -> Diagram:
+    """The diagram of w, drawn by the same passes without a trace.
+
+    The drawing must read back as w's own block list, which it always
+    does for a canonical one; anything else means a bug somewhere and
+    raises.
+    """
+    diagram = _draw(w, False)[0]
+    if block_pairs(diagram.strings, diagram.partner) != w.pairs:
+        raise FCDiagramError(f"the drawing of {w} does not read back as its blocks")
+    return diagram
+
+
+def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
+    """The five passes, recording the trace only if ``traced``.
 
     Dot u is index u - 1 of the partner array on top and k + u - 1 below.
     """
@@ -236,10 +257,10 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
         free.extend(range(above - 1, i, -1))
         above = i
         if partner[i - 1] < 0:
-            cands = tuple(reversed(free))
+            if traced:
+                top_sets[r] = (tuple(reversed(free)), free[-1])
             f = free.pop()
             partner[i - 1], partner[f - 1] = f - 1, i - 1
-            top_sets[r] = (cands, f)
 
     # (d) bottom arcs, last end first; a head dot is taken only by (b)
     free = []  # free bottom dots of block r's range, ascending
@@ -249,31 +270,23 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
         free.extend(range(below, j + 1))
         below = j + 2
         if partner[k + j] < 0:
-            cands = tuple(free)
+            if traced:
+                bottom_sets[r] = (tuple(free), free[-1])
             g = free.pop()
             partner[k + j], partner[k + g - 1] = k + g - 1, k + j
-            bottom_sets[r] = (cands, g)
 
     # (e) leftover strands, leftmost to leftmost, the verticals of (a) included
-    free_top = [x for x in range(k) if partner[x] < 0]
-    free_bottom = [y for y in range(k, 2 * k) if partner[y] < 0]
-    for x, y in zip(free_top, free_bottom, strict=True):
-        partner[x], partner[y] = y, x
+    y = k  # no bottom dot before y is free
+    for x in range(k):
+        if partner[x] < 0:
+            while partner[y] >= 0:
+                y += 1
+            partner[x], partner[y] = y, x
 
-    trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
+    trace = None
+    if traced:
+        trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
     return Diagram(k, tuple(partner)), trace
-
-
-def diagram_of(w: FCElement) -> Diagram:
-    """The diagram of w, by the generator-action kernel and without a trace.
-
-    A reduced word never closes a circle, so a nonzero loop count means a
-    bug somewhere and raises.
-    """
-    partner, loops = run_action(w.rank + 1, w.pairs)
-    if loops:
-        raise UnexpectedLoopError(f"reduced word of {w} closed {loops} circles")
-    return Diagram(w.rank + 1, partner)
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:

@@ -9,9 +9,6 @@ cap and an output cap, bound every command but ``verify`` before any work
 error.  ``verify`` is bounded by its catalogue: no check that ``--max-n``
 caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.
 
-Only ``to-diagram --trace`` runs the paper's five-pass drawing; every other
-command that draws an element's diagram uses the generator-action kernel.
-
 :func:`main` builds its argparse tree once per process, on its first call,
 and reuses it: parsing keeps no state between calls, so a request pays for
 its answer and not for building ten subcommand parsers.

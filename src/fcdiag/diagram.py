@@ -22,11 +22,13 @@ Products of generators are built by one kernel, :func:`run_action`, which
 glues one cup-cap generator at a time below a partner array in place: four
 writes per letter, or one closed circle.  It takes the word as ascending
 runs [i, j] = e_i e_{i+1} ... e_j, so the block list of an FC element is
-its input as it stands.  This kernel is the hot path of every product and
-every trace-free drawing.  It returns the bare partner list and checks
-nothing.  A raw generator word enters it only through
-:meth:`Diagram.from_word`, which checks the indices, feeds the word one
-letter per run, and validates the result as a :class:`Diagram`.
+its input as it stands.  It serves two callers: monomial products, which
+read its bare partner list, and :meth:`Diagram.from_word`, the only entry
+for a raw generator word, which checks the indices, feeds the word one
+letter per run, and validates the result as a :class:`Diagram`.  It
+checks nothing itself.  Drawing one FC element does not use it: the
+bijection's passes draw from the canonical form, and ``verify`` holds
+them against this kernel.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning

@@ -34,7 +34,7 @@ class by class: it walks the keys of one element size directly and builds
 no element and no diagram, so its cost follows the number of classes, not
 the Narayana number of elements.  Its oracles are the ``verify`` check
 ``tl.census``, which recounts the keys of all diagrams grouped by element
-size, and the tests, which recount the kernel drawings of the size-p
+size, and the tests, which recount the five-pass drawings of the size-p
 elements.  Its keys are printed by :func:`key_texts`, which builds one
 table of dot names per request and formats every key from it.
 """
@@ -42,6 +42,7 @@ table of dot names per request and formats every key from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator
 
@@ -363,7 +364,8 @@ def expected_class_size(strings: int, key: Key) -> int:
     its arrows by tail, as :func:`equivalence_key` gives them, so on a
     diagram's key the tails and the heads both increase, and each gap is
     read off two consecutive tails or two consecutive heads.  Any other
-    key, or a gap of odd length, is refused.
+    key, or a gap of odd length, is refused.  The Catalan numbers come
+    from one row per string count, shared by the calls that follow.
     """
     gaps = []
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
@@ -377,5 +379,15 @@ def expected_class_size(strings: int, key: Key) -> int:
         raise NotMatchingError("tails and heads must increase along the key, each on its row")
     if any(gap % 2 for gap in gaps):
         raise NotMatchingError("gap of odd length cannot be matched")
-    catalan = catalan_row(max(gaps) // 2)
+    catalan = _gap_catalans(strings)
     return prod(catalan[gap // 2] for gap in gaps)
+
+
+@lru_cache(maxsize=1)
+def _gap_catalans(strings: int) -> tuple[int, ...]:
+    """``catalan(g)`` for every gap of 2g dots that a row of ``strings`` holds.
+
+    A key's gaps on each row add up to at most ``strings``, so no gap is
+    longer.  One row is kept, for the last string count asked.
+    """
+    return tuple(catalan_row(strings // 2))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from fcdiag import (
     Diagram,
+    FCDiagramError,
     FCElement,
     IndexOutOfRangeError,
     UnexpectedLoopError,
@@ -200,25 +201,32 @@ class TestLiteralOracle:
 class TestKernel:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_equals_five_pass_drawing(self, n):
+        # with and without the trace: the kernel shares no code with the passes
         for w in fc_list(n):
-            assert Diagram.from_word(n + 1, w.word()) == (fc_to_diagram(w)[0], 0)
+            drawn, loops = Diagram.from_word(n + 1, w.word())
+            assert (drawn, loops) == (fc_to_diagram(w)[0], 0)
+            assert diagram_of(w) == drawn
 
     def test_long_staircase(self):
         w = staircase(400)
         assert w.length() == 200 * 201 // 2
-        assert Diagram.from_word(401, w.word()) == (fc_to_diagram(w)[0], 0)
+        drawn = Diagram.from_word(401, w.word())
+        assert drawn == (fc_to_diagram(w)[0], 0) == (diagram_of(w), 0)
 
     def test_diagram_of(self):
-        assert diagram_of(W_EXAMPLE) == fc_to_diagram(W_EXAMPLE)[0]
+        assert diagram_of(W_EXAMPLE) == parse_diagram("strings=6;1-2,3-6,4-5,1'-2',3'-4',5'-6'")
         assert diagram_of(FCElement(0)) == Diagram.identity(1)
 
     def test_diagram_of_raises_on_a_closed_circle(self):
         # only reachable if a canonical word were not reduced: plant one
-        # that is not, past the validating constructor
+        # that is not, past the validating constructor.  The passes count
+        # no circles and draw e_1, which reads back as one block, not two.
         w = FCElement(1, ((1, 1),))
         object.__setattr__(w, "pairs", ((1, 1), (1, 1)))
-        with pytest.raises(UnexpectedLoopError):
+        with pytest.raises(FCDiagramError) as error:
             diagram_of(w)
+        assert type(error.value) is FCDiagramError
+        assert str(error.value) == "the drawing of n=1:[1,1][1,1] does not read back as its blocks"
 
     @settings(deadline=None)
     @given(generator_words(max_rank=4, max_length=10))
@@ -290,7 +298,7 @@ class TestTrace:
     def test_long_elements(self, w):
         # the exhaustive sweeps stop at rank 8; positive arrows are common here
         drawn, trace = fc_to_diagram(w)
-        assert drawn == diagram_of(w)
+        assert run_action(w.rank + 1, w.pairs) == (list(drawn.partner), 0)
         assert list(_trace_faults(w, drawn, trace, drawn.components().positive)) == []
 
 

@@ -7,14 +7,26 @@ import json
 import sys
 import time
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcdiag import catalan, cli, count_start_end, narayana, parse_fc, trace_candidates
+from fcdiag import (
+    catalan,
+    cli,
+    count_start_end,
+    diagram_of,
+    diagram_to_fc,
+    lattice,
+    narayana,
+    parse_diagram,
+    parse_fc,
+    trace_candidates,
+)
 from fcdiag.cli import main
-from helpers import staircase
+from helpers import fc_elements, random_fc, staircase
 
 
 def run(capsys, *argv):
@@ -546,6 +558,35 @@ class TestCountAndTableBounds:
         assert time.perf_counter() - start < 4
 
 
+class TestDrawingBounds:
+    """Drawing costs O(strings + blocks), not O(length): the longest words
+    inside the rank cap answer at once.  Gluing the word letter by letter
+    took 4.4 s on the n = 20 000 staircase and grew with the square of n."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: staircase(cli.DRAW_RANK_CAP), lambda: random_fc(cli.DRAW_RANK_CAP, Random(0))],
+        ids=["staircase", "random"],
+    )
+    def test_draws_at_the_rank_cap(self, capsys, tmp_path, make):
+        w = make()
+        text = w.to_text()
+        outputs = []
+        for argv in (["to-diagram", text], ["convert", "--from", "fc", "--to", "diagram", text]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 2, argv
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert diagram_to_fc(parse_diagram(outputs[0])) == w
+        target = tmp_path / "out.svg"
+        start = time.perf_counter()
+        assert run(capsys, "render", text, "--svg", str(target)) == (0, f"{target}\n", "")
+        assert time.perf_counter() - start < 5
+        assert target.read_text().startswith("<svg")
+
+
 # Ranks 0..12 exercise answers and domain errors; the three huge values
 # exercise the rank rule.  enum is drawn at most at rank 10: ranks 11 and 12
 # pass both rules but print 14-54 MB in 3-12 s.
@@ -578,20 +619,86 @@ def cli_argv(draw, svg):
     )
 
 
+# Characters of the four text forms, and a few that none of them uses.
+TEXT_ALPHABET = "0123456789[],:=;-'nstrigRU+ x"
+FORMS = ("fc", "diagram", "dyck", "ballot")
+
+
+@st.composite
+def mutated_text(draw, text):
+    """``text`` with one to three characters deleted, inserted or replaced.
+
+    New characters come from ``text`` itself as often as from
+    ``TEXT_ALPHABET``, so that some mutants are still valid.  A one-digit
+    rank gains at most three digits, so every rank stays far below the
+    rank cap.
+    """
+    chars = list(text)
+    new_char = st.one_of(st.sampled_from(chars or TEXT_ALPHABET), st.sampled_from(TEXT_ALPHABET))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars)))
+        how = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if how == "insert" or at == len(chars):
+            chars.insert(at, draw(new_char))
+        elif how == "delete":
+            del chars[at]
+        else:
+            chars[at] = draw(new_char)
+    return "".join(chars)
+
+
+@st.composite
+def mutated_argv(draw, svg):
+    """One request that reads a mutated text form of a small element."""
+    w = draw(fc_elements(max_rank=6))
+    texts = {
+        "fc": w.to_text(),
+        "diagram": diagram_of(w).to_text(),
+        "dyck": lattice.fc_to_dyck(w).to_text(),
+        "ballot": lattice.fc_to_ballot(w).to_text(),
+    }
+
+    def one_of(*choices):
+        return draw(st.sampled_from(choices))
+
+    def mutated(form):
+        return draw(mutated_text(texts[form]))
+
+    source = one_of(*FORMS)
+    json_flag = one_of([], ["--json"])
+    return one_of(
+        ["convert", "--from", source, "--to", one_of(*FORMS), mutated(source)],
+        ["to-fc", mutated("diagram")] + json_flag,
+        ["to-diagram", mutated("fc")] + one_of([], ["--trace"]) + json_flag,
+        ["mul", mutated("fc"), one_of(texts["fc"], mutated("fc"))],
+        ["render", mutated(one_of("fc", "diagram")), "--svg", svg],
+    )
+
+
+def assert_answers_or_refuses(argv):
+    """Exit 0, 1 or 2 within 2 s, with no exception but SystemExit."""
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert time.perf_counter() - start < 2, argv
+
+
 class TestFuzz:
     @settings(deadline=None, max_examples=150)
     @given(data=st.data())
     def test_every_request_answers_or_refuses(self, tmp_path_factory, data):
         svg = str(tmp_path_factory.getbasetemp() / "fuzz.svg")
-        argv = data.draw(cli_argv(svg))
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 1, 2), argv
-        assert time.perf_counter() - start < 2, argv
+        assert_answers_or_refuses(data.draw(cli_argv(svg)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_mutated_text_forms_answer_or_refuse(self, tmp_path_factory, data):
+        svg = str(tmp_path_factory.getbasetemp() / "fuzz.svg")
+        assert_answers_or_refuses(data.draw(mutated_argv(svg)))
 
 
 class TestNumericRanges:

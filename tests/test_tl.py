@@ -240,7 +240,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_equals_recount_through_diagram_of(self, n):
-        # the element-side oracle: kernel drawings of every size-p element
+        # the element-side oracle: the drawings of every size-p element
         for p in range(n + 1):
             recount = Counter(equivalence_key(diagram_of(w)) for w in enumerate_fc(n, p))
             assert census(n, p) == sorted(recount.items())

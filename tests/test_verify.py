@@ -135,6 +135,19 @@ def test_fault_in_oracle_concatenation(capsys, monkeypatch):
     )
 
 
+def test_fault_in_kernel(capsys, monkeypatch):
+    # the kernel is the third drawing route: drop the last block it glues
+    run_action = verify.run_action
+    monkeypatch.setattr(verify, "run_action", lambda k, runs: run_action(k, runs[:-1]))
+    assert _fail_lines(capsys, "bijection") == (
+        1,
+        [
+            "FAIL bijection.oracle-equivalence: n=1:[1,1]: kernel differs from direct algorithm",
+            "FAIL bijection.trace-consistency: n=1:[1,1]: rotation does not match delta_involution",
+        ],
+    )
+
+
 def test_fault_in_horizontal_flip(capsys, monkeypatch):
     monkeypatch.setattr(Diagram, "flip_horizontal", lambda self: self)
     assert _fail_lines(capsys, "bijection") == (
