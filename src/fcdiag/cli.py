@@ -13,6 +13,17 @@ caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.
 and reuses it: parsing keeps no state between calls, so a request pays for
 its answer and not for building ten subcommand parsers.
 :func:`build_parser` still returns a fresh parser.
+
+Each command imports the modules it uses when it runs, not when this module
+loads, so a one-shot command compiles only its own code path.  At import
+this module loads ``counting`` and ``errors`` and nothing else of the
+package: ``count`` and ``table`` need no more.  ``enum`` adds ``fc``;
+``to-diagram``, ``to-fc``, ``mul`` and ``census`` add ``bijection`` with
+the ``diagram`` and ``fc`` it builds on (``mul`` and ``census`` through
+``tl``); ``convert`` adds ``lattice`` too, ``render`` adds ``svg``, and
+``verify`` loads ``verify`` and with it every module it checks.  The
+``verify`` parser takes its suite names from VERIFY_SUITES, so building
+the parser imports none of these.
 """
 
 from __future__ import annotations
@@ -23,14 +34,17 @@ import itertools
 import json
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import counting, lattice, tl, verify
-from .bijection import diagram_of, diagram_to_fc, fc_to_diagram, trace_candidates
-from .diagram import parse_diagram
+from . import counting
 from .errors import FCDiagramError, RankOutOfRangeError
-from .fc import FCElement, enumerate_fc, parse_fc
-from .svg import diagram_to_svg
+
+if TYPE_CHECKING:
+    from .fc import FCElement
+
+# The keys of ``verify.SUITES``, sorted, kept here so that the verify
+# parser's help names them without importing ``verify``.
+VERIFY_SUITES = ("bijection", "counting", "diagram", "fc", "lattice", "tl")
 
 
 def _at_least(low: int):
@@ -115,12 +129,16 @@ def _parse_drawable_fc(text: str, command: str) -> FCElement:
     Parsing builds only the blocks the text lists, so a large rank is
     refused before anything of its size is allocated.
     """
+    from .fc import parse_fc
+
     w = parse_fc(text)
     _check_rank(w.rank, command)
     return w
 
 
 def _cmd_enum(args) -> int:
+    from .fc import enumerate_fc
+
     _check_at_most(args, "size", args.n)
     _check_rank(args.n, "enum")
     if args.size is None:  # sizes p and n-p are equally common
@@ -204,6 +222,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_to_diagram(args) -> int:
+    from .bijection import diagram_of, fc_to_diagram, trace_candidates
+
     w = _parse_drawable_fc(args.element, "to-diagram")
     if args.trace:
         _check_output(trace_candidates(w), "candidate dots", "to-diagram --trace")
@@ -223,6 +243,9 @@ def _cmd_to_diagram(args) -> int:
 
 
 def _cmd_to_fc(args) -> int:
+    from .bijection import diagram_to_fc
+    from .diagram import parse_diagram
+
     diagram = parse_diagram(args.diagram)
     w = diagram_to_fc(diagram)
     print(json.dumps(w.to_json()) if args.json else w.to_text())
@@ -230,6 +253,8 @@ def _cmd_to_fc(args) -> int:
 
 
 def _cmd_mul(args) -> int:
+    from . import tl
+
     w1, w2 = _parse_drawable_fc(args.left, "mul"), _parse_drawable_fc(args.right, "mul")
     w3, m = tl.monomial_product(w1, w2)
     if args.json:
@@ -239,43 +264,52 @@ def _cmd_mul(args) -> int:
     return 0
 
 
-_CONVERT_PARSERS = {
-    "fc": functools.partial(_parse_drawable_fc, command="convert"),
-    "dyck": lattice.parse_dyck,
-    "ballot": lattice.parse_ballot,
-    "diagram": parse_diagram,
-}
-# Every other conversion goes form -> FC element -> form.  diagram_to_fc is
-# looked up at call time, as the counting functions in _TABLES are.
-_TO_FC = {
-    "fc": lambda w: w,
-    "dyck": lattice.dyck_to_fc,
-    "ballot": lambda ballot: lattice.dyck_to_fc(lattice.ballot_to_dyck(ballot)),
-    "diagram": lambda diagram: diagram_to_fc(diagram),
-}
-_FROM_FC = {
-    "fc": lambda w: w,
-    "dyck": lattice.fc_to_dyck,
-    "ballot": lattice.fc_to_ballot,
-    "diagram": diagram_of,
-}
+# The text forms that convert reads and writes.
+_FORMS = ("fc", "dyck", "ballot", "diagram")
 
 
 def _cmd_convert(args) -> int:
+    from . import lattice
+    from .bijection import diagram_of, diagram_to_fc
+    from .diagram import parse_diagram
+
     src, dst = args.source, args.target
-    value = _CONVERT_PARSERS[src](args.input)
+    parse = {
+        "fc": functools.partial(_parse_drawable_fc, command="convert"),
+        "dyck": lattice.parse_dyck,
+        "ballot": lattice.parse_ballot,
+        "diagram": parse_diagram,
+    }[src]
+    value = parse(args.input)
     if src == "ballot" and dst == "diagram":
         args.usage_error(
             "ballot -> diagram is not supported (the tail/head reading has no direct inverse)"
         )
     if src == "diagram" and dst == "ballot":
         print(lattice.diagram_to_ballot(value).to_text())
-    else:
-        print(_FROM_FC[dst](_TO_FC[src](value)).to_text())
+        return 0
+    # Every other conversion goes form -> FC element -> form.
+    to_fc = {
+        "fc": lambda w: w,
+        "dyck": lattice.dyck_to_fc,
+        "ballot": lambda ballot: lattice.dyck_to_fc(lattice.ballot_to_dyck(ballot)),
+        "diagram": diagram_to_fc,
+    }[src]
+    from_fc = {
+        "fc": lambda w: w,
+        "dyck": lattice.fc_to_dyck,
+        "ballot": lattice.fc_to_ballot,
+        "diagram": diagram_of,
+    }[dst]
+    print(from_fc(to_fc(value)).to_text())
     return 0
 
 
 def _cmd_render(args) -> int:
+    from .bijection import diagram_of
+    from .diagram import parse_diagram
+    from .svg import diagram_to_svg
+
     text = args.input.strip()
     if text.startswith("strings="):
         diagram = parse_diagram(text)
@@ -293,6 +327,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import tl
+
     _check_at_most(args, "p", args.n)
     _check_rank(args.n, "census")
     _check_output((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
@@ -307,12 +343,14 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    unknown = [s for s in args.suites if s not in verify.SUITES]
+    unknown = [s for s in args.suites if s not in VERIFY_SUITES]
     if unknown:
         args.usage_error(
-            f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(sorted(verify.SUITES))}"
+            f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(VERIFY_SUITES)}"
         )
-    names = sorted(verify.SUITES) if (args.all or not args.suites) else args.suites
+    from . import verify
+
+    names = list(VERIFY_SUITES) if (args.all or not args.suites) else args.suites
     results = verify.run_suites(names, args.max_n)
     for r in results:
         print(f"{r.status} {r.suite}.{r.name}" + (f": {r.detail}" if r.detail else ""))
@@ -377,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         "diagram -> ballot which uses the tail/head reading directly. "
         "ballot -> diagram is not supported.",
     )
-    p.add_argument("--from", dest="source", required=True, choices=list(_CONVERT_PARSERS))
-    p.add_argument("--to", dest="target", required=True, choices=list(_CONVERT_PARSERS))
+    p.add_argument("--from", dest="source", required=True, choices=_FORMS)
+    p.add_argument("--to", dest="target", required=True, choices=_FORMS)
     p.add_argument("input")
     p.set_defaults(func=_cmd_convert, usage_error=parser.error)
 
@@ -398,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suites",
         nargs="*",
         metavar="SUITE",
-        help=f"suites to run (default: all): {', '.join(sorted(verify.SUITES))}",
+        help=f"suites to run (default: all): {', '.join(VERIFY_SUITES)}",
     )
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument(

@@ -43,7 +43,6 @@ it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -230,5 +229,7 @@ def appendix_binomial_identity_check(n: int, p: int) -> bool:
     """Check sum_t C(p,t) C(n-p,t) / (t+1) == C(n+1,p) / (p+1) exactly."""
     if not 0 <= p <= n:
         raise RankOutOfRangeError(f"need 0 <= p <= n, got p={p}, n={n}")
+    from fractions import Fraction  # here, so that loading counting does not load decimal
+
     lhs = sum(Fraction(comb(p, t) * comb(n - p, t), t + 1) for t in range(p + 1))
     return lhs == Fraction(comb(n + 1, p), p + 1)

@@ -59,8 +59,9 @@ class FCElement:
     must be ints, not bools, and blocks not given as a tuple are stored as
     a tuple of tuples.  Values are immutable and hashable; all methods are
     pure.  The one way round validation is a private unchecked constructor,
-    kept for block lists that ``bijection.block_pairs`` reads off a diagram
-    and that are canonical by construction.
+    kept for block lists that are canonical by construction: those that
+    ``bijection.block_pairs`` reads off a diagram and those that
+    :func:`enumerate_fc` walks.
     """
 
     rank: int
@@ -101,12 +102,17 @@ class FCElement:
 
     @classmethod
     def _trusted(cls, rank: int, pairs: tuple[Pair, ...]) -> FCElement:
-        """An element built without validation, for ``block_pairs`` output only.
+        """An element built without validation, for block lists that are
+        canonical by construction only: ``block_pairs`` output and the
+        chains ``enumerate_fc`` walks.
 
-        ``block_pairs`` pairs the starts and ends of a non-crossing matching,
-        which always form a canonical block list of int pairs; the tests run
-        the validating constructor on every such result up to rank 8 and on
-        random words.
+        ``block_pairs`` pairs the starts and ends of a non-crossing matching;
+        ``enumerate_fc`` checks the rank first, then walks strictly
+        decreasing start and end sequences with 1 <= i <= j <= rank.  Both
+        give canonical block lists of int pairs.  The tests run the
+        validating constructor on every ``block_pairs`` result up to rank 8
+        and on random words, and on every enumerated element of every size
+        up to rank 10.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
@@ -255,8 +261,13 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
     stops descending at ``size`` blocks, and tries a start i only when the
     i-1 starts below it leave room for the blocks still missing, so every
     branch it takes ends in an element.  The walk keeps its own stack, so a
-    long chain never meets the interpreter's recursion limit.
+    long chain never meets the interpreter's recursion limit.  Every chain
+    the walk reaches is canonical, so its elements are built unchecked;
+    a rank that is not an int (a bool, a float) is refused first, with
+    the constructor's error.
     """
+    if type(rank) is not int:
+        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {rank!r}")
     if rank < 0:
         raise RankOutOfRangeError(f"rank must be nonnegative, got {rank}")
     if size is not None and size < 0:
@@ -269,7 +280,7 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
     blocks: list[Pair] = []
     while True:
         if size is None or len(blocks) == size:
-            yield FCElement(rank, tuple(blocks))
+            yield FCElement._trusted(rank, tuple(blocks))
         # The next chain in depth-first order is the first child, if any ...
         top_i, top_j = blocks[-1] if blocks else (rank + 1, rank + 1)
         if (size is None or len(blocks) < size) and top_i > lowest(len(blocks)):

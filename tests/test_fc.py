@@ -312,6 +312,19 @@ class TestEnumeration:
         with pytest.raises(RankOutOfRangeError, match="rank must be nonnegative, got -1"):
             next(enumerate_fc(-1))
 
+    @pytest.mark.parametrize("rank", [True, 2.5])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(RankOutOfRangeError) as exc:
+            next(enumerate_fc(rank))  # the constructor's error, from before the walk
+        assert str(exc.value) == f"rank must be a nonnegative integer, got {rank!r}"
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_elements_pass_the_validating_constructor(self, n):
+        # enumerate_fc builds its elements unchecked
+        for size in (None, *range(n + 1)):
+            for w in enumerate_fc(n, size):
+                assert FCElement(w.rank, w.pairs) == w
+
     @pytest.mark.parametrize("n", range(10))
     def test_sized_equals_filtered_in_order(self, n):
         for p in range(-1, n + 2):
