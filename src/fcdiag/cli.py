@@ -335,10 +335,13 @@ def _cmd_census(args) -> int:
     classes = tl.census(args.n, args.p)
     texts = tl.key_texts([key for key, _ in classes], args.n + 1)
     if args.json:
-        print(json.dumps([{"key": text, "size": size} for text, (_, size) in zip(texts, classes)]))
+        # json.dumps's layout for a list of {"key", "size"} objects, with the
+        # key quoted by json's own encoder, and no dict built per class.
+        quoted = json.encoder.encode_basestring_ascii
+        rows = [f'{{"key": {quoted(text)}, "size": {size}}}' for text, (_, size) in zip(texts, classes)]
+        sys.stdout.write(f"[{', '.join(rows)}]\n")
     else:
-        for text, (_, size) in zip(texts, classes):
-            print(f"{text}\t{size}")
+        sys.stdout.write("".join([f"{text}\t{size}\n" for text, (_, size) in zip(texts, classes)]))
     return 0
 
 

@@ -316,8 +316,8 @@ def _dot_name(code: int, strings: int) -> str:
 def dot_names(strings: int) -> list[str]:
     """The text name of every dot, indexed by code.
 
-    Built once per diagram or census and indexed per dot, so a text form
-    makes one call per dot, not three.
+    Built once per diagram and indexed per dot, so a text form makes one
+    call per dot, not three.
     """
     return [_dot_name(d, strings) for d in range(2 * strings)]
 

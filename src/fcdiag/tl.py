@@ -32,11 +32,16 @@ class has a product of small Catalan numbers as its cardinality
 (``expected_class_size``).  The census is served from that gap formula
 class by class: it walks the keys of one element size directly and builds
 no element and no diagram, so its cost follows the number of classes, not
-the Narayana number of elements.  Its oracles are the ``verify`` check
-``tl.census``, which recounts the keys of all diagrams grouped by element
-size, and the tests, which recount the five-pass drawings of the size-p
-elements.  Its keys are printed by :func:`key_texts`, which builds one
-table of dot names per request and formats every key from it.
+the Narayana number of elements.  The walk reads its steps from a table
+built for the request, one entry per state it reaches, which the many
+key prefixes that reach one state share; its stack holds each prefix as
+a tuple, and a state with one way on stores the whole run of arrows up to
+the next branch or class, so a class costs one tuple and a long chain one
+entry.  Its oracles are the ``verify`` check ``tl.census``, which
+recounts the keys of all diagrams grouped by element size, and the tests,
+which recount the five-pass drawings of the size-p elements.  Its keys
+are printed by :func:`key_texts`, which names each distinct arrow once
+per request and joins every key from those names.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from typing import Iterable, Iterator
 
 from .bijection import block_pairs
 from .counting import catalan_row
-from .diagram import Arrow, Diagram, arrows_text, dot_names, run_action
-from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
+from .diagram import Arrow, Diagram, run_action
+from .errors import NotMatchingError, NotNormalizedError, RankMismatchError, RankOutOfRangeError
 from .fc import FCElement
 
 
@@ -248,15 +253,34 @@ def equivalence_key(diagram: Diagram) -> Key:
 
 
 def key_texts(keys: Iterable[Key], strings: int) -> Iterator[str]:
-    """The text of each key, in turn, with its dots named from one table.
+    """The text of each key, in turn, with each distinct arrow named once.
 
     Arrows are written ``tail-head`` and joined by commas; the empty key is
-    ``-``.  The table of dot names is built once for all the keys, so a
-    census formats its classes with no call per dot.
+    ``-``.  Each arrow is named the first time a key holds it and looked up
+    after that, so a census, whose keys share their arrows, formats its
+    classes with one lookup per arrow and names no dot that no key holds.
     """
-    names = dot_names(strings)
+    text_of = _ArrowTexts(strings).__getitem__
     for key in keys:
-        yield arrows_text(key, names) if key else "-"
+        yield ",".join(map(text_of, key)) if key else "-"
+
+
+class _ArrowTexts(dict):
+    """The ``tail-head`` text of each cross arrow, named when first asked for.
+
+    A cross arrow on ``strings`` strings runs from top dot x to bottom dot
+    y, whose names are ``x+1`` and ``(y-strings+1)'``, as
+    ``diagram.dot_names`` gives them.
+    """
+
+    def __init__(self, strings: int):
+        super().__init__()
+        self.strings = strings
+
+    def __missing__(self, arrow: Arrow) -> str:
+        x, y = arrow
+        text = self[arrow] = f"{x + 1}-{y - self.strings + 1}'"
+        return text
 
 
 def key_to_text(key: Key, strings: int) -> str:
@@ -268,52 +292,109 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
     Returned sorted by key; the sizes add up to ``narayana(n, p)``, and the
-    list is empty unless 0 <= p <= n.  The classes are generated, not
-    found: on k = n+1 strings, arrows (x_t, k+y_t) with x and y increasing
-    are the cross arrows of some diagram exactly when every gap between
-    them has even length, that is x_t and y_t are both of the parity of
-    t-1 and the number c of arrows has the parity of k.  The class of such
-    a key has the Catalan gap product as its size, and each of its
-    diagrams is an element of size (k-c)/2 plus the number of arrows with
-    y_t > x_t.  Written as 2p - k = sum of +1 per such arrow and -1 per
-    other arrow, that size is what the walk steers by (:func:`_next_arrow`).
-    It adds arrows depth first with x, then y, increasing, so the keys come
-    out already sorted, and it enters only branches that end in a key of
-    size p.  The sizes are computed here, not by ``expected_class_size``,
-    which the ``verify`` check holds them against.
+    list is empty unless 0 <= p <= n.  A rank or size that is not an int
+    (a bool, a float, a string) is refused with :class:`RankOutOfRangeError`.
+    The classes are generated, not found: on k = n+1 strings, arrows
+    (x_t, k+y_t) with x and y increasing are the cross arrows of some
+    diagram exactly when every gap between them has even length, that is
+    x_t and y_t are both of the parity of t-1 and the number c of arrows
+    has the parity of k.  The class of such a key has the Catalan gap
+    product as its size, and each of its diagrams is an element of size
+    (k-c)/2 plus the number of arrows with y_t > x_t.  Written as
+    2p - k = sum of +1 per such arrow and -1 per other arrow, that size is
+    what the walk steers by (:func:`_next_arrow`).
+
+    The walk goes depth first, over a step table (:class:`_StepTable`)
+    built for this request: it maps each state (a, b, need), the next free
+    top and bottom dots and the sum still needed, to the class that ends
+    there, if any, and the arrows that fit next, each with the state it
+    leads to and its Catalan factor.  A state is filled the first time the
+    walk reaches it, and the many prefixes that reach one state share its
+    entry.  Each frame on the walk's stack holds its key prefix as a tuple,
+    so a class is its frame's prefix, not a copy of a key list.  Arrows are
+    tried with x, then y, increasing, so the keys come out already sorted,
+    and only branches that end in a key of size p are entered.  The sizes
+    are computed here, not by ``expected_class_size``, which the ``verify``
+    check holds them against.
     """
+    if type(n) is not int:
+        raise RankOutOfRangeError(f"rank must be an integer, got {n!r}")
+    if type(p) is not int:
+        raise RankOutOfRangeError(f"size must be an integer, got {p!r}")
     k = n + 1
     if not 0 <= p <= n:
         return []
     # At most min(p, k-p) caps lie on each row, so no gap holds more pairs.
-    catalan = catalan_row(min(p, k - p))
+    steps = _StepTable(k, catalan_row(min(p, k - p)))
     classes: list[tuple[Key, int]] = []
-    key: list[Arrow] = []
-    stack: list[tuple[int, ...]] = []  # (x, y, a, b, need, weight) before each arrow
-    a = b = 0  # next free top dot, next free bottom dot
-    need = 2 * p - k  # what the arrows still to come must sum to
-    weight = 1  # Catalan product of the gaps closed so far
-    while True:
+    stack = [((), 1, (0, 0, 2 * p - k))]  # (key prefix, Catalan product so far, state)
+    while stack:
+        prefix, weight, state = stack.pop()
+        stop, ways = steps[state]
+        if stop:
+            classes.append((prefix, weight * stop))
+        for run, after, factor in ways:
+            stack.append((prefix + run, weight * factor, after))
+    return classes
+
+
+class _StepTable(dict):
+    """The census walk's steps, by state (a, b, need), filled when first asked for.
+
+    An entry is (stop, ways).  ``stop`` is the size of the class whose key
+    ends at the state, or 0 if none does.  ``ways`` lists the arrows that
+    fit next, last first for the walk's stack, as (run, next state,
+    factor): ``run`` is a tuple of arrows and ``factor`` the Catalan
+    product of the gaps they close.  :func:`_next_arrow` decides which
+    arrows fit.  A state with no class and one fitting arrow stores the
+    whole run of arrows up to the next state that ends a class or has two
+    or more, so a long chain, such as the n-1 arrows of the one class of
+    size n, costs one entry and one key prefix.
+    """
+
+    def __init__(self, strings: int, catalan: list[int]):
+        super().__init__()
+        self.strings = strings
+        self.catalan = catalan
+
+    def __missing__(self, state: tuple[int, int, int]) -> tuple[int, list]:
+        stop, ways = entry = self._fitting(state)
+        if not stop and len(ways) == 1:
+            ((run, end, factor),) = ways
+            run = list(run)
+            # Follow the states with no class and one way on, without
+            # storing them, and store the state where the run ends.
+            while True:
+                known = self.get(end)
+                stop, ways = known or self._fitting(end)
+                if stop or len(ways) != 1:
+                    if known is None:
+                        self[end] = stop, ways
+                    break
+                ((more, end, more_factor),) = ways
+                run += more
+                factor *= more_factor
+            entry = 0, [(tuple(run), end, factor)]
+        self[state] = entry
+        return entry
+
+    def _fitting(self, state: tuple[int, int, int]) -> tuple[int, list]:
+        """The entry of ``state`` with one arrow per way."""
+        k, catalan = self.strings, self.catalan
+        a, b, need = state
+        stop = catalan[(k - a) // 2] * catalan[(k - b) // 2] if need == 0 and (k - a) % 2 == 0 else 0
         if a == b and need == a - k:
-            # Only straight arrows reach the lowest sum: one key, no gaps.
-            classes.append((tuple(key) + tuple((t, k + t) for t in range(a, k)), weight))
-            arrow = None
-        else:
-            if need == 0 and (k - a) % 2 == 0:
-                classes.append((tuple(key), weight * catalan[(k - a) // 2] * catalan[(k - b) // 2]))
-            arrow = _next_arrow(k, a, b, b, need)
-        while arrow is None:
-            if not stack:
-                return classes
-            x, y, a, b, need, weight = stack.pop()
-            key.pop()
+            # Only straight arrows reach the lowest sum: one run, no gaps.
+            return stop, [(tuple((t, k + t) for t in range(a, k)), (k, k, 0), 1)] if a < k else []
+        ways = []
+        arrow = _next_arrow(k, a, b, b, need)
+        while arrow is not None:
+            x, y = arrow
+            after = (x + 1, y + 1, need - (1 if y > x else -1))
+            ways.append((((x, k + y),), after, catalan[(x - a) // 2] * catalan[(y - b) // 2]))
             arrow = _next_arrow(k, x, y + 2, b, need)
-        x, y = arrow
-        stack.append((x, y, a, b, need, weight))
-        key.append((x, k + y))
-        weight *= catalan[(x - a) // 2] * catalan[(y - b) // 2]
-        need -= 1 if y > x else -1
-        a, b = x + 1, y + 1
+        ways.reverse()
+        return stop, ways
 
 
 def _next_arrow(k: int, x: int, y: int, b: int, need: int) -> tuple[int, int] | None:
@@ -342,7 +423,8 @@ def _next_arrow(k: int, x: int, y: int, b: int, need: int) -> tuple[int, int] | 
                 return x, y
             y = x + 2
         if y < k:
-            hi = min(k - 3 - x, k - 1 - y)  # >= 0: y has x's parity, so x+2 <= y < k
+            # min(k-3-x, k-1-y), >= 0: y has x's parity, so x+2 <= y < k
+            hi = k - 3 - x if y <= x + 2 else k - 1 - y
             if y + 1 - k <= need - 1 <= hi:
                 return x, y
         if not whole_row:

@@ -335,6 +335,22 @@ class TestCensusCommand:
             digest.update(out.encode())
         assert digest.hexdigest() == CENSUS_DIGESTS[flag][n]
 
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (0, "fe6ad89a8f71e83dad651de8045d27f13c92a8c63564ef106951e5c451126b10"),
+            (99999, "161f1db358b6d0b273b39f07f37b2dc2230a42105e1b14e8c9e0dc41191d59a7"),
+        ],
+    )
+    def test_longest_keys_are_pinned(self, capsys, p, digest):
+        # one class each at rank 99 999: the 10^5 straight arrows t-t' at
+        # p = 0, and the 99 998 arrows t-(t+2)' at p = n
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", "--n", "99999", "--p", str(p))
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_above_the_listing_cap(self, capsys):
         # 41 N(40, 20) arrows, with more class keys than the cap
         assert 41 * narayana(40, 20) > narayana(40, 20) > cli.WORK_CAP

@@ -1,5 +1,6 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -15,6 +16,7 @@ from fcdiag import (
     NotMatchingError,
     NotNormalizedError,
     RankMismatchError,
+    RankOutOfRangeError,
     TLElement,
     census,
     descents_from_diagram,
@@ -214,6 +216,16 @@ class TestDiagramDescents:
         assert_holds("tl.descents-three-ways", n)
 
 
+# SHA-256 of repr(census(n, p)) for p = 0..n in turn, by rank n: keys,
+# sizes and order, as the walk gave them before it read its steps from a
+# table.
+CENSUS_DIGESTS = {
+    10: "df8095148430d312bdf84b4bcc1075bee903d8290052e67ccea791544fbae194",
+    11: "e20020459a75e876145e3ea87af0eddcbb7fd64483c842b054fbd49d29cc8516",
+    12: "db723e9aa56dd4a8eda2efa92d88cd0a0aa3619b4047c1cee30454451a30cafb",
+}
+
+
 class TestCensus:
     def test_single_generator_rank_one(self):
         assert census(1, 1) == [(equivalence_key(fc_to_diagram(gen(1, 1))[0]), 1)]
@@ -263,6 +275,21 @@ class TestCensus:
     @pytest.mark.parametrize("n", range(0, 6))
     def test_size_out_of_range(self, n):
         assert census(n, -1) == census(n, n + 1) == []
+
+    @pytest.mark.parametrize(
+        "n, p, name",
+        [(True, 1, "rank"), (3, True, "size"), (3.0, 1, "rank"), (3, 1.0, "size"), ("3", 1, "rank")],
+    )
+    def test_refuses_a_rank_or_size_that_is_not_an_int(self, n, p, name):
+        with pytest.raises(RankOutOfRangeError, match=f"^{name} must be an integer, got "):
+            census(n, p)
+
+    @pytest.mark.parametrize("n", range(10, 13))
+    def test_classes_are_pinned(self, n):
+        digest = hashlib.sha256()
+        for p in range(n + 1):
+            digest.update(repr(census(n, p)).encode())
+        assert digest.hexdigest() == CENSUS_DIGESTS[n]
 
     def test_enumerates_no_element(self, monkeypatch):
         def refuse(*args, **kwargs):
