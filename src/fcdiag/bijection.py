@@ -55,11 +55,15 @@ also records what passes (b), (c) and (d) choose, as a
 :class:`BijectionTrace`: each candidate set as a tuple in ascending order
 (the top list reversed, the bottom list as it stands) with its chosen
 dot.  That record is the only source of ``--trace`` output.
-``diagram_of`` records nothing.  The passes count no circles, so a block
-list that is not canonical, planted past the validating constructor,
-could be drawn quietly; ``diagram_of`` reads its drawing back with
-``block_pairs``, in O(strings), and raises unless that gives w's own
-blocks.
+``diagram_of`` records nothing.  Both entries build their diagram with
+the unchecked constructor of :class:`Diagram`: the passes on a canonical
+block list draw the paper's unique non-crossing diagram of w, so the
+boundary walk that validation runs would only repeat the theorem.  The
+passes count no circles, though, so a block list that is not canonical,
+planted past the validating constructor of :class:`FCElement`, could be
+drawn quietly; the routine reads every drawing back with
+``block_pairs``, in O(strings) and cheaper than that walk, and raises
+unless that gives w's own blocks.
 
 ``dplus_condition`` states the predicate as the paper does and is kept
 for the checks; ``trace_candidates`` counts the dots a trace lists from
@@ -217,22 +221,17 @@ def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
 
 
 def diagram_of(w: FCElement) -> Diagram:
-    """The diagram of w, drawn by the same passes without a trace.
-
-    The drawing must read back as w's own block list, which it always
-    does for a canonical one; anything else means a bug somewhere and
-    raises.
-    """
-    diagram = _draw(w, False)[0]
-    if block_pairs(diagram.strings, diagram.partner) != w.pairs:
-        raise FCDiagramError(f"the drawing of {w} does not read back as its blocks")
-    return diagram
+    """The diagram of w, drawn by the same passes without a trace."""
+    return _draw(w, False)[0]
 
 
 def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
     """The five passes, recording the trace only if ``traced``.
 
     Dot u is index u - 1 of the partner array on top and k + u - 1 below.
+    The drawing must read back as w's own block list, which it always
+    does for a canonical one; anything else means a bug somewhere and
+    raises.
     """
     k = w.rank + 1
     pairs = w.pairs
@@ -283,10 +282,12 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
                 y += 1
             partner[x], partner[y] = y, x
 
+    if block_pairs(k, partner) != pairs:
+        raise FCDiagramError(f"the drawing of {w} does not read back as its blocks")
     trace = None
     if traced:
         trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
-    return Diagram(k, tuple(partner)), trace
+    return Diagram._trusted(k, tuple(partner)), trace
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:
@@ -349,14 +350,17 @@ def block_pairs(strings: int, partner: Sequence[int]) -> tuple[Pair, ...]:
     The block starts are the rightward top tails in decreasing order and
     the block ends the shifted leftward bottom heads in decreasing order;
     pairing them up positionally always yields a valid canonical form of
-    int pairs, which is why its two callers, ``tl.monomial_product`` and
-    :func:`diagram_to_fc`, build their result with the unchecked
+    int pairs, which is why ``tl.monomial_product`` and
+    :func:`diagram_to_fc` build their result with the unchecked
     constructor of :class:`FCElement`.  Both are read off the partner
     array in one pass over the columns: top dot x+1 starts a block when
     its partner lies to its right, on either row, and bottom dot (x+1)'
     ends block x when its partner lies to its left.  ``partner`` must be a
     diagram's partner array on ``strings`` strings, validated or straight
-    from :func:`run_action`.
+    from :func:`run_action`, or a drawing of the five passes: those read
+    each drawing back through it and refuse one that does not give back
+    the blocks it was drawn from, the guard on their unchecked
+    :class:`Diagram`.
     """
     k = strings
     starts: list[int] = []

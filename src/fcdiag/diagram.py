@@ -18,6 +18,15 @@ on the boundary walk of the rectangle, top row left to right and then
 bottom row right to left; on that circular order the matching must nest
 like balanced brackets.
 
+That walk runs where a diagram enters: the constructor, ``from_arrows``,
+:func:`parse_diagram`, :func:`diagram_from_json`, ``from_word``,
+``identity`` and ``generator``.  Four producers build their output from
+valid diagrams or a valid canonical form, and it is a non-crossing
+matching by construction, so they skip the walk: the product of two
+diagrams, the two flips of the rectangle, the balanced walk of
+:func:`enumerate_diagrams`, and the bijection's drawing of a canonical
+block list.
+
 Products of generators are built by one kernel, :func:`run_action`, which
 glues one cup-cap generator at a time below a partner array in place: four
 writes per letter, or one closed circle.  It takes the word as ascending
@@ -65,6 +74,18 @@ class Diagram:
     joins dots an odd distance apart on the boundary walk, so that is not
     checked separately.  ``strings`` and the partners must be ints, not
     bools.  Instances are immutable and hashable.
+
+    The one way round validation is a private unchecked constructor, kept
+    for the four producers whose output is a non-crossing matching by
+    construction.  :func:`concatenate` traces the strands of two valid
+    diagrams through the glued middle row, and strands drawn without
+    crossings in two stacked rectangles do not cross in their union.  The
+    two flips are symmetries of the rectangle, so they keep arrows from
+    crossing.  :func:`enumerate_diagrams` matches positions of the
+    boundary walk as balanced brackets.  The bijection's five passes draw
+    the paper's unique diagram of a canonical block list, and refuse a
+    drawing that does not read back as its blocks.  Everything a caller
+    hands in still validates.
     """
 
     strings: int
@@ -107,6 +128,21 @@ class Diagram:
         if stack:
             self._diagnose()
 
+    @classmethod
+    def _trusted(cls, strings: int, partner: tuple[int, ...]) -> Diagram:
+        """A diagram built without validation, for the four producers of
+        the class docstring, whose partner arrays are non-crossing perfect
+        matchings by construction.
+
+        ``partner`` must be a tuple of ints.  The tests run the validating
+        constructor on the output of each producer, and pin the call sites
+        to those four.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "strings", strings)
+        object.__setattr__(self, "partner", partner)
+        return self
+
     def _diagnose(self, pair: tuple[int, int] | None = None) -> NoReturn:
         """Raise the error naming the first fault of an invalid partner array.
 
@@ -147,6 +183,7 @@ class Diagram:
     @classmethod
     def identity(cls, strings: int) -> Diagram:
         """All strands vertical."""
+        _check_strings_type(strings)
         if strings < 1:
             raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
         partner = tuple(range(strings, 2 * strings)) + tuple(range(strings))
@@ -155,7 +192,8 @@ class Diagram:
     @classmethod
     def generator(cls, strings: int, i: int) -> Diagram:
         """The cup-cap diagram joining i with i+1 on both rows."""
-        if not 1 <= i <= strings - 1:
+        _check_strings_type(strings)
+        if type(i) is not int or not 1 <= i <= strings - 1:
             raise IndexOutOfRangeError(
                 f"generator index must satisfy 1 <= i <= {strings - 1}, got {i}"
             )
@@ -266,7 +304,7 @@ class Diagram:
         partner = [0] * len(label)
         for d, q in enumerate(self.partner):
             partner[label[d]] = label[q]
-        return Diagram(self.strings, tuple(partner))
+        return Diagram._trusted(self.strings, tuple(partner))
 
     # ------------------------------------------------------------------
     # serialization
@@ -302,6 +340,12 @@ class Components:
     starts: frozenset[int]
     ends: frozenset[int]
     size: int
+
+
+def _check_strings_type(strings: object) -> None:
+    """Refuse a string count that is not an int, or is a bool."""
+    if type(strings) is not int:
+        raise NotMatchingError(f"strings must be a positive integer, got {strings!r}")
 
 
 def _dot_name(code: int, strings: int) -> str:
@@ -416,7 +460,7 @@ def concatenate(upper: Diagram, lower: Diagram) -> tuple[Diagram, int]:
             seen_mid[via_lower] = True
             cur = up[via_lower + k] - k  # arc in the upper diagram's bottom row
 
-    return Diagram(k, tuple(result)), loops
+    return Diagram._trusted(k, tuple(result)), loops
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +471,12 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
     """Yield every non-crossing diagram on the given number of strings.
 
     Generates balanced matchings along the boundary walk, so there are
-    Catalan-many (C_strings) and the order is deterministic.
+    Catalan-many (C_strings) and the order is deterministic.  The string
+    count is checked before anything is built, and what is yielded is not
+    revalidated: a balanced matching of the boundary walk is a non-crossing
+    matching.
     """
+    _check_strings_type(strings)
     if strings < 1:
         raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
     k = strings
@@ -449,7 +497,7 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
         partner = [0] * m
         for b in range(m):
             partner[code_of[b]] = code_of[seq[b]]
-        yield Diagram(k, tuple(partner))
+        yield Diagram._trusted(k, tuple(partner))
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import Iterable, Iterator
 
 from .bijection import block_pairs
@@ -448,21 +447,31 @@ def expected_class_size(strings: int, key: Key) -> int:
     read off two consecutive tails or two consecutive heads.  Any other
     key, or a gap of odd length, is refused.  The Catalan numbers come
     from one row per string count, shared by the calls that follow.
+
+    The gaps are read and the product taken in one pass.  A tail or head
+    out of order is refused at once; an odd gap stops the product and is
+    refused once the key has been read, so a key with both faults is
+    refused for its order.
     """
-    gaps = []
+    if strings < 0:
+        raise NotMatchingError("tails and heads must increase along the key, each on its row")
+    catalan = _gap_catalans(strings)
+    size, odd = 1, False
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
     for x, y in key:
-        gaps.append(x - a)
-        gaps.append(y - b)
+        # the bounds keep the closing gaps from going negative
+        if not (a <= x < strings and b <= y < 2 * strings):
+            raise NotMatchingError("tails and heads must increase along the key, each on its row")
+        g, h = x - a, y - b
+        if g % 2 or h % 2:
+            odd = True
+        elif not odd:
+            size *= catalan[g // 2] * catalan[h // 2]
         a, b = x + 1, y + 1
-    gaps.append(strings - a)
-    gaps.append(2 * strings - b)
-    if min(gaps) < 0:
-        raise NotMatchingError("tails and heads must increase along the key, each on its row")
-    if any(gap % 2 for gap in gaps):
+    g, h = strings - a, 2 * strings - b
+    if odd or g % 2 or h % 2:
         raise NotMatchingError("gap of odd length cannot be matched")
-    catalan = _gap_catalans(strings)
-    return prod(catalan[gap // 2] for gap in gaps)
+    return size * catalan[g // 2] * catalan[h // 2]
 
 
 @lru_cache(maxsize=1)

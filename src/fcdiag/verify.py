@@ -424,9 +424,21 @@ def _arc_reconstruction(n):
 
 @_check("diagram", "arc-persistence", 1, 5)
 def _arc_persistence(n):
+    """Closure and row arcs: each product is a diagram, and it keeps the
+    top arcs of the upper factor and the bottom arcs of the lower one.
+
+    ``concatenate`` builds its product unchecked, so the validating
+    constructor is run on every product here.
+    """
     comps = {d: d.components() for d in enumerate_diagrams(n + 1)}
     for d1, d2 in itertools.product(comps, repeat=2):
-        pc = concatenate(d1, d2)[0].components()
+        product = concatenate(d1, d2)[0]
+        try:
+            Diagram(product.strings, product.partner)
+        except FCDiagramError as exc:
+            yield f"{d1} * {d2} is not a diagram: {exc}"
+            continue
+        pc = product.components()
         if not comps[d1].top_arcs <= pc.top_arcs:
             yield f"top arcs of {d1} lost in {d1} * {d2}"
         elif not comps[d2].bottom_arcs <= pc.bottom_arcs:

@@ -65,6 +65,13 @@ def assert_holds(check: str, ranks) -> None:
         assert bad is None, f"{check}: {bad}"
 
 
+def assert_diagram_revalidates(d: Diagram) -> None:
+    """The validating constructor accepts a diagram built without it, unchanged."""
+    assert type(d.partner) is tuple and all(type(q) is int for q in d.partner)
+    rebuilt = Diagram(d.strings, d.partner)
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+
+
 # ----------------------------------------------------------------------
 # hypothesis strategies
 

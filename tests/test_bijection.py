@@ -13,6 +13,7 @@ from fcdiag import (
     IndexOutOfRangeError,
     UnexpectedLoopError,
     block_pairs,
+    concatenate,
     diagram_of,
     diagram_to_fc,
     dplus_condition,
@@ -29,6 +30,7 @@ from fcdiag import bijection
 from fcdiag.diagram import run_action
 from fcdiag.verify import _trace_faults
 from helpers import (
+    assert_diagram_revalidates,
     assert_holds,
     fc_elements,
     fc_list,
@@ -221,12 +223,41 @@ class TestKernel:
         # only reachable if a canonical word were not reduced: plant one
         # that is not, past the validating constructor.  The passes count
         # no circles and draw e_1, which reads back as one block, not two.
+        # Both entries draw it, fc_to_diagram with its trace.
         w = FCElement(1, ((1, 1),))
         object.__setattr__(w, "pairs", ((1, 1), (1, 1)))
-        with pytest.raises(FCDiagramError) as error:
-            diagram_of(w)
-        assert type(error.value) is FCDiagramError
-        assert str(error.value) == "the drawing of n=1:[1,1][1,1] does not read back as its blocks"
+        for draw in (diagram_of, fc_to_diagram):
+            with pytest.raises(FCDiagramError) as error:
+                draw(w)
+            assert type(error.value) is FCDiagramError
+            assert str(error.value) == "the drawing of n=1:[1,1][1,1] does not read back as its blocks"
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_drawings_revalidate(self, n):
+        # both entries build their Diagram unchecked
+        for w in fc_list(n):
+            assert_diagram_revalidates(fc_to_diagram(w)[0])
+            assert_diagram_revalidates(diagram_of(w))
+
+    @pytest.mark.parametrize("rank", [10, 50, 200, 1000, 2000])
+    def test_random_drawings_revalidate(self, rank):
+        rng = random.Random(rank)
+        for _ in range(10):
+            w = random_fc(rank, rng)
+            assert_diagram_revalidates(fc_to_diagram(w)[0])
+            assert_diagram_revalidates(diagram_of(w))
+
+    def test_long_staircase_drawing_revalidates(self):
+        # diagram_of only: the trace of this drawing would list 1.25e9 dots
+        assert_diagram_revalidates(diagram_of(staircase(100_000)))
+
+    @pytest.mark.parametrize("rank", [50, 200])
+    def test_products_of_drawings_revalidate(self, rank):
+        # concatenate builds its product unchecked
+        rng = random.Random(rank)
+        for _ in range(20):
+            upper, lower = (diagram_of(random_fc(rank, rng)) for _ in range(2))
+            assert_diagram_revalidates(concatenate(upper, lower)[0])
 
     @settings(deadline=None)
     @given(generator_words(max_rank=4, max_length=10))

@@ -1,13 +1,16 @@
 """Diagrams: validation, generators, concatenation, components, flips,
 enumeration, and serialization."""
 
+import ast
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcdiag
 from fcdiag import (
     CrossingError,
     Diagram,
@@ -24,11 +27,18 @@ from fcdiag import (
     parse_diagram,
 )
 from fcdiag.diagram import run_action
-from helpers import assert_holds, diagram_list, generator_words, mutated_json
+from helpers import assert_diagram_revalidates, assert_holds, diagram_list, generator_words, mutated_json
 
 
 def E(strings, i):
     return Diagram.generator(strings, i)
+
+
+STRING_COUNT_MAKERS = {
+    "identity": Diagram.identity,
+    "generator": lambda strings: Diagram.generator(strings, 1),
+    "enumerate_diagrams": lambda strings: list(enumerate_diagrams(strings)),
+}
 
 
 def perfect_matchings(dots):
@@ -110,6 +120,27 @@ class TestConstruction:
             Diagram(0, ())
         with pytest.raises(IndexOutOfRangeError, match="strings must be >= 1, got 0"):
             Diagram.identity(0)
+
+    @pytest.mark.parametrize("maker", STRING_COUNT_MAKERS)
+    @pytest.mark.parametrize("strings", [True, 2.0, "2", 0, -1])
+    def test_string_count_refused_by_name(self, maker, strings):
+        # a float or a digit string raised a bare TypeError from range()
+        if type(strings) is not int:
+            error, message = NotMatchingError, f"strings must be a positive integer, got {strings!r}"
+        elif maker == "generator":
+            error = IndexOutOfRangeError
+            message = f"generator index must satisfy 1 <= i <= {strings - 1}, got 1"
+        else:
+            error, message = IndexOutOfRangeError, f"strings must be >= 1, got {strings}"
+        with pytest.raises(FCDiagramError) as exc:
+            STRING_COUNT_MAKERS[maker](strings)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    @pytest.mark.parametrize("i", [1.0, True, "1"])
+    def test_generator_index_must_be_an_int(self, i):
+        with pytest.raises(IndexOutOfRangeError) as exc:
+            Diagram.generator(3, i)
+        assert str(exc.value) == f"generator index must satisfy 1 <= i <= 2, got {i}"
 
     def test_arrow_dot_out_of_range(self):
         with pytest.raises(NotMatchingError, match="dot code 9 out of range for 2 strings"):
@@ -352,9 +383,56 @@ class TestEnumeration:
     def test_reconstruction_from_row_arcs(self, k):
         assert_holds("diagram.arc-reconstruction", k - 1)
 
-    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_row_arcs_persist_under_concatenation(self, k):
+        # the check also runs the validating constructor on every product
         assert_holds("diagram.arc-persistence", k - 1)
+
+
+class TestTrustedConstruction:
+    """The flips and the enumeration build their diagrams unchecked.
+    Concatenation's products are revalidated by the arc-persistence check,
+    the bijection's drawings in test_bijection."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_enumerated(self, k):
+        for d in enumerate_diagrams(k):
+            assert_diagram_revalidates(d)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_flips(self, k):
+        for d in enumerate_diagrams(k):
+            assert_diagram_revalidates(d.flip_vertical())
+            assert_diagram_revalidates(d.flip_horizontal())
+
+    def test_call_sites(self):
+        # unchecked construction stays with the four producers, off every input path
+        package = Path(fcdiag.__file__).parent
+        sites = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for scope, node in _scoped_nodes(tree, ()):
+                if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                    base = node.value.id if isinstance(node.value, ast.Name) else ast.dump(node.value)
+                    if base != "FCElement":
+                        sites.add((path.stem, ".".join(scope), base))
+        assert sites == {
+            ("diagram", "Diagram._relabel", "Diagram"),
+            ("diagram", "concatenate", "Diagram"),
+            ("diagram", "enumerate_diagrams", "Diagram"),
+            ("bijection", "_draw", "Diagram"),
+        }
+
+
+def _scoped_nodes(node, scope):
+    """Every node below ``node``, with the names of the classes and
+    functions that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, child.name)
+        yield from _scoped_nodes(child, inner)
 
 
 class TestSerialization:

@@ -118,6 +118,29 @@ def test_fault_in_concatenate(capsys, monkeypatch):
     )
 
 
+def test_fault_in_concatenate_closure(capsys, monkeypatch):
+    # concatenate builds its product unchecked: plant a crossing one
+    concatenate = verify.concatenate
+    cup_cap = Diagram.generator(2, 1)
+    crossing = object.__new__(Diagram)
+    object.__setattr__(crossing, "strings", 2)
+    object.__setattr__(crossing, "partner", (3, 2, 1, 0))
+
+    def crossing_square(upper, lower):
+        if upper == lower == cup_cap:
+            return crossing, 1
+        return concatenate(upper, lower)
+
+    monkeypatch.setattr(verify, "concatenate", crossing_square)
+    assert _fail_lines(capsys, "diagram") == (
+        1,
+        [
+            "FAIL diagram.arc-persistence: strings=2;1-2,1'-2' * strings=2;1-2,1'-2' "
+            "is not a diagram: arrows 2-1' and 1-2' cross"
+        ],
+    )
+
+
 def test_fault_in_oracle_concatenation(capsys, monkeypatch):
     concatenate = bijection.concatenate
 
