@@ -259,30 +259,41 @@ class Diagram:
         return (code, q) if code < q else (q, code)
 
     def components(self) -> Components:
-        """Split the arrows into the four structural families."""
+        """Split the arrows into the four structural families.
+
+        One pass over the partner array, from each arrow's tail, collects
+        every family and the starts and ends as lists, and each is frozen
+        once.
+        """
         k = self.strings
-        top_arcs: set[Arrow] = set()
-        bottom_arcs: set[Arrow] = set()
-        positive: set[Arrow] = set()
-        vertical_or_negative: set[Arrow] = set()
-        for x, y in self.arrows():
+        top_arcs: list[Arrow] = []
+        bottom_arcs: list[Arrow] = []
+        positive: list[Arrow] = []
+        vertical_or_negative: list[Arrow] = []
+        starts: list[int] = []
+        ends: list[int] = []
+        for x, y in enumerate(self.partner):
+            if y < x:
+                continue
             if y < k:
-                top_arcs.add((x, y))
+                top_arcs.append((x, y))
+                starts.append(x + 1)
             elif x >= k:
-                bottom_arcs.add((x, y))
-            elif (y - k) > x:
-                positive.add((x, y))
+                bottom_arcs.append((x, y))
+                ends.append(y - k)
+            elif y - k > x:
+                positive.append((x, y))
+                starts.append(x + 1)
+                ends.append(y - k)
             else:
-                vertical_or_negative.add((x, y))
-        starts = frozenset(x + 1 for x, _ in top_arcs) | frozenset(x + 1 for x, _ in positive)
-        ends = frozenset(y - k for _, y in bottom_arcs) | frozenset(y - k for _, y in positive)
+                vertical_or_negative.append((x, y))
         return Components(
             top_arcs=frozenset(top_arcs),
             bottom_arcs=frozenset(bottom_arcs),
             positive=frozenset(positive),
             vertical_or_negative=frozenset(vertical_or_negative),
-            starts=starts,
-            ends=ends,
+            starts=frozenset(starts),
+            ends=frozenset(ends),
             size=len(top_arcs) + len(positive),
         )
 
@@ -414,7 +425,9 @@ def concatenate(upper: Diagram, lower: Diagram) -> tuple[Diagram, int]:
     """Stack ``lower`` below ``upper``; return the result and the circle count.
 
     The bottom row of ``upper`` is glued to the top row of ``lower``.  Each
-    boundary dot's strand is traced through the glue; middle cycles never
+    boundary dot's strand is followed through the glue, in a loop of its
+    own for the strands that start on the top row and for those that start
+    on the bottom row, with no call per strand; middle cycles never
     reaching the boundary are the deleted circles.
     """
     if upper.strings != lower.strings:
@@ -426,27 +439,35 @@ def concatenate(upper: Diagram, lower: Diagram) -> tuple[Diagram, int]:
     result = [-1] * (2 * k)
     seen_mid = [False] * k
 
-    def trace(in_upper: bool, cur: int) -> int:
-        """Follow a strand to its terminal boundary dot (result coordinates)."""
-        while True:
-            if in_upper:
-                nxt = up[cur]
-                if nxt < k:
-                    return nxt  # top boundary
-                seen_mid[nxt - k] = True
-                in_upper, cur = False, nxt - k
-            else:
-                nxt = lo[cur]
-                if nxt >= k:
-                    return nxt  # bottom boundary
-                seen_mid[nxt] = True
-                in_upper, cur = True, nxt + k
-
-    for d in range(2 * k):
+    # A strand from the top row runs in ``upper`` until it ends on the top
+    # row (a code below k) or reaches middle dot nxt-k; from there it runs
+    # in ``lower`` until it ends on the bottom row (a code k or above) or
+    # climbs back to middle dot nxt.  Result codes are those of the ends.
+    for d in range(k):
         if result[d] != -1:
             continue
-        end = trace(d < k, d)
-        result[d], result[end] = end, d
+        nxt = up[d]
+        while nxt >= k:
+            seen_mid[nxt - k] = True
+            nxt = lo[nxt - k]
+            if nxt >= k:
+                break
+            seen_mid[nxt] = True
+            nxt = up[nxt + k]
+        result[d], result[nxt] = nxt, d
+    # A strand from the bottom row: the same walk, entered from ``lower``.
+    for d in range(k, 2 * k):
+        if result[d] != -1:
+            continue
+        nxt = lo[d]
+        while nxt < k:
+            seen_mid[nxt] = True
+            nxt = up[nxt + k]
+            if nxt < k:
+                break
+            seen_mid[nxt - k] = True
+            nxt = lo[nxt - k]
+        result[d], result[nxt] = nxt, d
 
     loops = 0
     for m in range(k):
@@ -475,29 +496,55 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
     count is checked before anything is built, and what is yielded is not
     revalidated: a balanced matching of the boundary walk is a non-crossing
     matching.
+
+    The walk goes depth first over boundary positions, left to right.  The
+    first free position p is matched with one of p+1, p+3, ... inside the
+    innermost interval still open, nearest first; the interval before the
+    chosen partner is filled first, then the one after it.  Moving on from
+    a matching changes the partner of the last position that has a further
+    choice and matches every free position after it with its neighbour,
+    the first choice of each.  The walk keeps its own stack of choices and
+    writes the partner array in place, so each step costs O(1) amortised,
+    a diagram one copy of the array, and no string count meets the
+    interpreter's recursion limit.
     """
     _check_strings_type(strings)
     if strings < 1:
         raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
     k = strings
     m = 2 * k
-    seq = [-1] * m
-    code_of = [*range(k), *range(m - 1, k - 1, -1)]  # boundary position -> dot code
-
-    def fill(lo_pos: int, hi_pos: int) -> Iterator[None]:
-        if lo_pos >= hi_pos:
-            yield None
-            return
-        for mid in range(lo_pos + 1, hi_pos, 2):
-            seq[lo_pos], seq[mid] = mid, lo_pos
-            for _ in fill(lo_pos + 1, mid):
-                yield from fill(mid + 1, hi_pos)
-
-    for _ in fill(0, m):
-        partner = [0] * m
-        for b in range(m):
-            partner[code_of[b]] = code_of[seq[b]]
+    code = [*range(k), *range(m - 1, k - 1, -1)]  # boundary position -> dot code
+    partner = [0] * m
+    # Each choice is (position, its partner's position, the ends of the
+    # intervals around it); the ends are a linked list (end, outer ends),
+    # innermost first, which every choice made inside them shares.
+    choices: list[tuple[int, int, tuple]] = []
+    ends: tuple = (m, None)
+    p = 0
+    while True:
+        while p < m:
+            if p == ends[0]:
+                # the partner of an earlier position closes this interval
+                ends = ends[1]
+                p += 1
+            else:
+                choices.append((p, p + 1, ends))
+                a, b = code[p], code[p + 1]
+                partner[a], partner[b] = b, a
+                p += 2
         yield Diagram._trusted(k, tuple(partner))
+        while choices:
+            p, q, ends = choices.pop()
+            q += 2
+            if q < ends[0]:
+                break
+        else:
+            return
+        choices.append((p, q, ends))
+        ends = (q, ends)
+        a, b = code[p], code[q]
+        partner[a], partner[b] = b, a
+        p += 1
 
 
 # ----------------------------------------------------------------------

@@ -390,15 +390,21 @@ def perm_left_descents(images: Sequence[int]) -> frozenset[int]:
 
 
 def is_321_avoiding(images: Sequence[int]) -> bool:
-    """No indices a < b < c with images[a] > images[b] > images[c]."""
-    m = len(images)
-    suffix_min = [0] * m + [m + 2]
-    for idx in range(m - 1, -1, -1):
-        suffix_min[idx] = min(images[idx], suffix_min[idx + 1])
-    prefix_max = 0
-    for b in range(m):
-        if prefix_max > images[b] > suffix_min[b + 1]:
+    """No indices a < b < c with images[a] > images[b] > images[c].
+
+    One pass, for any sequence of ints.  ``top`` is the largest value so
+    far, and ``low`` the largest value so far that came strictly below the
+    ``top`` of its time, that is the largest middle of a 21 pattern.  A
+    value strictly below ``low`` ends a 321; any other value either raises
+    ``top`` or, below it, may raise ``low``.  Equal values are never
+    strictly ordered, so ties form no pattern.
+    """
+    top = low = float("-inf")
+    for v in images:
+        if v >= top:
+            top = v
+        elif v < low:
             return False
-        if images[b] > prefix_max:
-            prefix_max = images[b]
+        elif v > low:
+            low = v
     return True

@@ -79,6 +79,17 @@ class DeltaPoly:
         return cls(tuple(sorted((e, c) for e, c in mapping.items() if c)))
 
     @classmethod
+    def _trusted(cls, coeffs: tuple[tuple[int, int], ...]) -> DeltaPoly:
+        """A polynomial built without validation, for :func:`multiply`.
+
+        ``coeffs`` must already be normalized: nonnegative exponents,
+        strictly increasing, no zero coefficient.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
     def zero(cls) -> DeltaPoly:
         return cls()
 
@@ -131,6 +142,11 @@ class DeltaPoly:
         return " + ".join(parts)
 
 
+def _term_order(term: tuple[FCElement, DeltaPoly]) -> tuple[tuple[int, int], ...]:
+    """The order of a :class:`TLElement`'s terms: by block list."""
+    return term[0].pairs
+
+
 @dataclass(frozen=True)
 class TLElement:
     """A finite sum of monomials e_w with DeltaPoly coefficients, one rank."""
@@ -148,12 +164,25 @@ class TLElement:
             if w in seen:
                 raise NotNormalizedError(f"duplicate term {w}")
             seen.add(w)
-        ordered = tuple(sorted(self.terms, key=lambda item: item[0].pairs))
+        ordered = tuple(sorted(self.terms, key=_term_order))
         object.__setattr__(self, "terms", ordered)
 
     @classmethod
     def from_dict(cls, rank: int, mapping: dict[FCElement, DeltaPoly]) -> TLElement:
         return cls(rank, tuple((w, poly) for w, poly in mapping.items() if poly))
+
+    @classmethod
+    def _trusted(cls, rank: int, terms: tuple[tuple[FCElement, DeltaPoly], ...]) -> TLElement:
+        """An element built without validation, for :func:`multiply`.
+
+        ``terms`` must already be normalized as the constructor would leave
+        them: distinct elements of rank ``rank``, no zero polynomial, and
+        ordered by block list.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @classmethod
     def monomial(cls, w: FCElement, poly: DeltaPoly | None = None) -> TLElement:
@@ -210,7 +239,13 @@ def multiply(x: TLElement, y: TLElement) -> TLElement:
     """Bilinear extension of the monomial product.
 
     Each result term's coefficients are summed exponent by exponent in a
-    plain dict, and its :class:`DeltaPoly` is built once at the end.
+    plain dict.  The result is then normalized here, as the validating
+    constructors would: zero coefficients and terms whose coefficients all
+    cancel are dropped, exponents ascend, and terms are ordered by block
+    list.  So it is built unchecked, through ``DeltaPoly._trusted`` and
+    ``TLElement._trusted``; the factors are valid elements of one rank, and
+    every product of monomials is an element of that rank.  The tests hold
+    this route against ``TLElement.from_dict``.
     """
     if x.rank != y.rank:
         raise RankMismatchError(f"cannot multiply ranks {x.rank} and {y.rank}")
@@ -223,7 +258,13 @@ def multiply(x: TLElement, y: TLElement) -> TLElement:
                 for e2, a2 in c2.coeffs:
                     e = e1 + e2 + m
                     poly[e] = poly.get(e, 0) + a1 * a2
-    return TLElement.from_dict(x.rank, {w: DeltaPoly.from_dict(poly) for w, poly in acc.items()})
+    terms = []
+    for w, poly in acc.items():
+        coeffs = sorted((e, c) for e, c in poly.items() if c)
+        if coeffs:
+            terms.append((w, DeltaPoly._trusted(tuple(coeffs))))
+    terms.sort(key=_term_order)
+    return TLElement._trusted(x.rank, tuple(terms))
 
 
 def descents_from_diagram(diagram: Diagram) -> tuple[frozenset[int], frozenset[int]]:

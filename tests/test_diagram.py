@@ -2,8 +2,10 @@
 enumeration, and serialization."""
 
 import ast
+import hashlib
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +381,38 @@ class TestEnumeration:
     def test_distinct(self, k):
         assert_holds("diagram.catalan-count", k - 1)
 
+    # SHA-256 of repr([d.partner for d in enumerate_diagrams(k)]), taken
+    # from the recursive walk that the iterative one replaced
+    ORDER = {
+        1: "fcbd8f2ee97e86ea25ede7fbf892fa8f8d0846fb35e5e9c91a20c7996fe7f963",
+        2: "c77e6b7fbd061ab9511bb108a44a69577ed372c267e540e34885d5283e0cad8d",
+        3: "75ee99aeca5dfc89074b3fc4ed687759b9a1076a8de34e008ed13a823c6a5481",
+        4: "39636e97c5fe13faed9940386bdd843d3de58d2788ec0326d52b883dcd7680a1",
+        5: "742d91cf12ba190428fe803e410933374f6c4bef5e08156009aa8875f4bf6b31",
+        6: "f6d636c45198270c0d2dcbc0ddaabec3dd9394262bb49c7856815b0f2a43e207",
+        7: "1ce0d2f6116afdac16c382a34b2cb4fc20a19d135a7948b2c525d48e353ac785",
+        8: "bffacbca40cbcec18aafcef54ede23f414ef5d7b6a9073c7fbfb61566eb90390",
+        9: "984a3647c85e06f62adc2e4f89e222b406c0339ebd755b36d5d8d4f852855f0e",
+        10: "fa8a59131dd99b47ebdc0696f906d7ed4af94d9fa265b5bae8d55fea54d90945",
+    }
+
+    @pytest.mark.parametrize("k", sorted(ORDER))
+    def test_order_is_pinned(self, k):
+        partners = [d.partner for d in enumerate_diagrams(k)]
+        assert hashlib.sha256(repr(partners).encode()).hexdigest() == self.ORDER[k]
+
+    def test_first_diagram_past_the_recursion_limit(self):
+        # the walk's first choice matches each boundary position with the next
+        k = 10**4
+        code = [*range(k), *range(2 * k - 1, k - 1, -1)]  # boundary position -> dot code
+        expected = [0] * (2 * k)
+        for b in range(0, 2 * k, 2):
+            expected[code[b]], expected[code[b + 1]] = code[b + 1], code[b]
+        start = time.perf_counter()
+        first = next(enumerate_diagrams(k))
+        assert time.perf_counter() - start < 0.5
+        assert first.partner == tuple(expected)
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_reconstruction_from_row_arcs(self, k):
         assert_holds("diagram.arc-reconstruction", k - 1)
@@ -392,7 +426,8 @@ class TestEnumeration:
 class TestTrustedConstruction:
     """The flips and the enumeration build their diagrams unchecked.
     Concatenation's products are revalidated by the arc-persistence check,
-    the bijection's drawings in test_bijection."""
+    the bijection's drawings in test_bijection, and the results of
+    tl.multiply, which builds them unchecked too, in test_tl."""
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_enumerated(self, k):
@@ -406,7 +441,8 @@ class TestTrustedConstruction:
             assert_diagram_revalidates(d.flip_horizontal())
 
     def test_call_sites(self):
-        # unchecked construction stays with the four producers, off every input path
+        # unchecked construction stays with the four diagram producers and
+        # the normalized result of tl.multiply, off every input path
         package = Path(fcdiag.__file__).parent
         sites = set()
         for path in sorted(package.glob("*.py")):
@@ -421,6 +457,8 @@ class TestTrustedConstruction:
             ("diagram", "concatenate", "Diagram"),
             ("diagram", "enumerate_diagrams", "Diagram"),
             ("bijection", "_draw", "Diagram"),
+            ("tl", "multiply", "DeltaPoly"),
+            ("tl", "multiply", "TLElement"),
         }
 
 

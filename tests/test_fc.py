@@ -1,7 +1,9 @@
 """Canonical forms: validation, statistics, involutions, and the
 permutation oracle."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from fcdiag import (
     enumerate_fc,
     fc_from_json,
     inversions,
+    is_321_avoiding,
     is_saturated_in,
     parse_fc,
 )
@@ -341,3 +344,24 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_thick_slim_partition(self, n):
         assert_holds("fc.partition-thick-slim", n)
+
+
+def has_321(images):
+    """The definition, in O(m^3): some a < b < c with images[a] > images[b] > images[c]."""
+    return any(a > b > c for a, b, c in itertools.combinations(images, 3))
+
+
+class TestIs321Avoiding:
+    @pytest.mark.parametrize("m", range(9))
+    def test_every_permutation(self, m):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert is_321_avoiding(p) is not has_321(p), p
+
+    def test_int_sequences_with_repeats(self):
+        # ties never form a pattern; values may be negative or past the length
+        rng = random.Random(321)
+        for _ in range(5000):
+            m = rng.randint(0, 12)
+            span = rng.choice((1, 3, 6, 10**20))
+            seq = [rng.randint(-span, span) for _ in range(m)]
+            assert is_321_avoiding(seq) is not has_321(seq), seq

@@ -38,6 +38,24 @@ def gen(n, i):
     return FCElement(n, ((i, i),))
 
 
+def product_by_formula(x, y):
+    """x * y term by term, through DeltaPoly arithmetic and the validating
+    ``TLElement.from_dict``."""
+    acc = {}
+    for w1, c1 in x.terms:
+        for w2, c2 in y.terms:
+            w3, m = monomial_product(w1, w2)
+            acc[w3] = acc.get(w3, DeltaPoly.zero()) + c1 * c2 * DeltaPoly.delta(m)
+    return TLElement.from_dict(x.rank, acc)
+
+
+def assert_tl_revalidates(x):
+    """``x``, built unchecked, equals itself rebuilt by the validating
+    constructors, which refuse an unnormalized polynomial or term and sort
+    the terms."""
+    assert TLElement(x.rank, tuple((w, DeltaPoly(poly.coeffs)) for w, poly in x.terms)) == x
+
+
 class TestDeltaPoly:
     def test_arithmetic(self):
         one = DeltaPoly.one()
@@ -170,14 +188,6 @@ class TestTLElement:
 
     def test_multiply_matches_term_by_term_formula(self):
         # multi-term factors with signed coefficients, so that terms cancel
-        def formula(x, y):
-            acc = {}
-            for w1, c1 in x.terms:
-                for w2, c2 in y.terms:
-                    w3, m = monomial_product(w1, w2)
-                    acc[w3] = acc.get(w3, DeltaPoly.zero()) + c1 * c2 * DeltaPoly.delta(m)
-            return TLElement.from_dict(x.rank, acc)
-
         def element(rng, rank):
             pool = fc_list(rank)
             terms = {}
@@ -192,10 +202,76 @@ class TestTLElement:
             rank = rng.randint(1, 5)
             x, y = element(rng, rank), element(rng, rank)
             product = multiply(x, y)
-            assert product == formula(x, y)
+            assert product == product_by_formula(x, y)
             images = {monomial_product(w1, w2)[0] for w1, _ in x.terms for w2, _ in y.terms}
             cancelled += len(product.terms) < len(images)
         assert cancelled > 0, "no product cancelled a term"
+
+
+class TestTrustedProduct:
+    """``multiply`` normalizes its result itself and builds it unchecked."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_monomial_pair(self, n):
+        for w1 in fc_list(n):
+            for w2 in fc_list(n):
+                x, y = TLElement.monomial(w1), TLElement.monomial(w2)
+                product = multiply(x, y)
+                assert product == product_by_formula(x, y)
+                assert_tl_revalidates(product)
+
+    def test_normal_form(self):
+        # x's terms come in block order, but their products do not, and the
+        # identity's delta^2 lands on e_1 before e_1 e_1's delta does
+        n = 2
+        x = TLElement.from_dict(n, {FCElement(n): DeltaPoly.delta(2), gen(n, 1): DeltaPoly.one()})
+        y = TLElement.monomial(gen(n, 1))
+        assert [(str(w), p.coeffs) for w, p in multiply(x, y).terms] == [("n=2:[1,1]", ((1, 1), (2, 1)))]
+        x = TLElement.from_dict(n, {FCElement(n): DeltaPoly.one(), gen(n, 1): DeltaPoly.one()})
+        y = TLElement.monomial(gen(n, 2))
+        assert [(str(w), p.coeffs) for w, p in multiply(x, y).terms] == [
+            ("n=2:[1,2]", ((0, 1),)),
+            ("n=2:[2,2]", ((0, 1),)),
+        ]
+
+    @staticmethod
+    def annihilated(rng, n):
+        """A random i, e_i - delta, and signed coefficients on monomials with
+        right descent i, each of which e_i - delta sends to 0: w e_i =
+        delta w.  The identity, first in ``fc_list``, has no descents."""
+        i = rng.randint(1, n)
+        kill = TLElement.from_dict(n, {gen(n, i): DeltaPoly.one(), FCElement(n): DeltaPoly.delta(1, -1)})
+        pool = [w for w in fc_list(n)[1:] if i in w.right_descents()]
+        terms = {
+            w: DeltaPoly.from_dict({rng.randrange(3): rng.choice((-2, -1, 1, 2))})
+            for w in rng.sample(pool, rng.randint(1, 4))
+        }
+        return i, kill, terms
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_whole_product_cancels(self, seed):
+        rng = random.Random(seed)
+        n = 4
+        _, kill, terms = self.annihilated(rng, n)
+        x = TLElement.from_dict(n, terms)
+        product = multiply(x, kill)
+        assert product == product_by_formula(x, kill) == TLElement.zero(n)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_single_term_cancels(self, seed):
+        # e_j (e_i - delta) = e_j e_i - delta e_j keeps two terms, while the
+        # third, c w (e_i - delta) = c (delta w - delta w), cancels
+        rng = random.Random(seed)
+        n = 4
+        i, kill, terms = self.annihilated(rng, n)
+        j = rng.choice([j for j in range(1, n + 1) if j != i])
+        survivors = {gen(n, j), monomial_product(gen(n, j), gen(n, i))[0]}
+        w = rng.choice([w for w in terms if w not in survivors])
+        x = TLElement.from_dict(n, {gen(n, j): DeltaPoly.one(), w: terms[w]})
+        product = multiply(x, kill)
+        assert product == product_by_formula(x, kill)
+        assert {v for v, _ in product.terms} == survivors
+        assert_tl_revalidates(product)
 
 
 class TestDiagramDescents:
