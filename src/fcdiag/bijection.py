@@ -50,13 +50,17 @@ size of its trace when one is recorded:
   ascending order, appending (j_{r+1}+2)' .. j_r'.
 * (e) sweeps the top row once, with a pointer into the bottom row.
 
-One routine runs the passes, and it has two entries.  ``fc_to_diagram``
-also records what passes (b), (c) and (d) choose, as a
-:class:`BijectionTrace`: each candidate set as a tuple in ascending order
-(the top list reversed, the bottom list as it stands) with its chosen
-dot.  That record is the only source of ``--trace`` output.
-``diagram_of`` records nothing.  Both entries build their diagram with
-the unchecked constructor of :class:`Diagram`: the passes on a canonical
+One routine runs the passes, and it has three entries.  As (c) and (d)
+choose, it adds up the length of each candidate set, whether it records
+the trace or not.  ``fc_to_diagram`` also records what passes (b), (c)
+and (d) choose, as a :class:`BijectionTrace`: each candidate set as a
+tuple in ascending order (the top list reversed, the bottom list as it
+stands) with its chosen dot.  That record is the only source of
+``--trace`` output.  ``diagram_of`` records nothing.
+``trace_candidates`` returns only the sum, the number of dots the trace
+lists, from one untraced drawing, so that the CLI can bound ``--trace``
+before the trace is recorded.  Each entry builds its diagram with the
+unchecked constructor of :class:`Diagram`: the passes on a canonical
 block list draw the paper's unique non-crossing diagram of w, so the
 boundary walk that validation runs would only repeat the theorem.  The
 passes count no circles, though, so a block list that is not canonical,
@@ -66,13 +70,11 @@ drawn quietly; the routine reads every drawing back with
 unless that gives w's own blocks.
 
 ``dplus_condition`` states the predicate as the paper does and is kept
-for the checks; ``trace_candidates`` counts the dots a trace lists from
-pass (b) alone, in O(p), so that the CLI can bound ``--trace`` before
-drawing.  The ``verify`` check ``bijection.trace-consistency`` asserts the
-documented facts about the trace on both rows: a candidate set is empty
-exactly when a positive arrow took its dot, the chosen dot is the minimum
-(top) or maximum (bottom) of its set and is the partner in the drawn
-diagram, and each positive pair is a drawn arrow that passes
+for the checks.  The ``verify`` check ``bijection.trace-consistency``
+asserts the documented facts about the trace on both rows: a candidate
+set is empty exactly when a positive arrow took its dot, the chosen dot
+is the minimum (top) or maximum (bottom) of its set and is the partner
+in the drawn diagram, and each positive pair is a drawn arrow that passes
 ``dplus_condition``.  The tests compare every drawing and trace with a
 literal transcription of the five passes that calls the predicate on
 every pair.
@@ -187,37 +189,16 @@ def _positive_pairs(pairs: Sequence[Pair]) -> list[tuple[int, int]]:
 def trace_candidates(w: FCElement) -> int:
     """How many candidate dots the trace of ``fc_to_diagram(w)`` lists.
 
-    Counted in O(p) without drawing: block r's top set holds the
-    j_1 + 1 - i_r dots of its range less the r - 1 earlier starts and the
-    dots that (c) took before it, and its bottom set the j_r - i_p + 1
-    dots of its range less the p - r later shifted ends and the dots that
-    (d) took before it.
+    Counted by one untraced run of the passes, which add up the length of
+    each candidate set as (c) and (d) choose from it, so the count costs a
+    drawing and no trace.
     """
-    pairs = w.pairs
-    if not pairs:
-        return 0
-    positive = _positive_pairs(pairs)
-    tails = {s for s, _ in positive}
-    heads = {t for _, t in positive}
-    p = len(pairs)
-    top_end = pairs[0][1] + 1
-    bottom_start = pairs[-1][0]
-    total = taken = 0
-    for r, (i, _) in enumerate(pairs, start=1):
-        if r not in tails:
-            total += top_end - i - (r - 1) - taken
-            taken += 1
-    taken = 0
-    for r in range(p, 0, -1):
-        if r not in heads:
-            total += pairs[r - 1][1] - bottom_start + 1 - (p - r) - taken
-            taken += 1
-    return total
+    return _draw(w, False)[2]
 
 
 def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
     """Draw the diagram of w directly from its canonical form, with its trace."""
-    return _draw(w, True)
+    return _draw(w, True)[:2]
 
 
 def diagram_of(w: FCElement) -> Diagram:
@@ -225,8 +206,9 @@ def diagram_of(w: FCElement) -> Diagram:
     return _draw(w, False)[0]
 
 
-def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
-    """The five passes, recording the trace only if ``traced``.
+def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, int]:
+    """The five passes, recording the trace only if ``traced``, and how
+    many candidate dots the trace lists, whether recorded or not.
 
     Dot u is index u - 1 of the partner array on top and k + u - 1 below.
     The drawing must read back as w's own block list, which it always
@@ -236,7 +218,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
     k = w.rank + 1
     pairs = w.pairs
     if not pairs:
-        return Diagram.identity(k), BijectionTrace((), (), ())
+        return Diagram.identity(k), BijectionTrace((), (), ()), 0
     p = len(pairs)
     partner = [-1] * (2 * k)
 
@@ -248,6 +230,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
 
     top_sets: list[tuple[tuple[int, ...], int | None]] = [((), None)] * p
     bottom_sets = top_sets.copy()
+    dots = 0  # the length of every candidate set chosen from
 
     # (c) top arcs, first start first; a start is taken only by (b)
     free: list[int] = []  # free top dots of block r's range, descending
@@ -256,6 +239,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
         free.extend(range(above - 1, i, -1))
         above = i
         if partner[i - 1] < 0:
+            dots += len(free)
             if traced:
                 top_sets[r] = (tuple(reversed(free)), free[-1])
             f = free.pop()
@@ -269,6 +253,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
         free.extend(range(below, j + 1))
         below = j + 2
         if partner[k + j] < 0:
+            dots += len(free)
             if traced:
                 bottom_sets[r] = (tuple(free), free[-1])
             g = free.pop()
@@ -287,7 +272,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
     trace = None
     if traced:
         trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
-    return Diagram._trusted(k, tuple(partner)), trace
+    return Diagram._trusted(k, tuple(partner)), trace, dots
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:

@@ -82,8 +82,9 @@ def _check_at_most(args, option: str, high: int) -> None:
 # Output rule: what a command prints, counted in its own unit, is at most
 # WORK_CAP.  enum prints blocks, census arrows (at most N(n, p) class keys
 # of at most n+1 arrows each), to-diagram --trace candidate dots (counted
-# in O(p) by ``trace_candidates``; a trace can be quadratic in the size,
-# 12.5 M dots on the rank-10^4 staircase), and count and table digits.
+# by ``trace_candidates`` in one untraced drawing, before the trace is
+# recorded; a trace can be quadratic in the size, 12.5 M dots on the
+# rank-10^4 staircase), and count and table digits.
 # Every count at rank n is at most C_{n+1} < 4^(n+1), so each value they
 # print has at most the digits of 4^(n+1).  Just under the cap, a random
 # rank-10^5 element of 9.96 M dots drew its trace in 2.5-3.1 s, peaking at

@@ -13,6 +13,9 @@ is k+i-1, so integer order on codes equals the total dot order.  The
 matching is a flat involution ``partner`` (code -> code), which makes
 partner lookup O(1); the set-of-arrows view is derived.
 
+One namer, :class:`ArrowTexts`, writes an arrow ``tail-head`` for
+:meth:`Diagram.to_text`, :meth:`Diagram.arrow_name` and ``tl.key_texts``.
+
 Planarity is *not* the bracket condition in the total order.  It is checked
 on the boundary walk of the rectangle, top row left to right and then
 bottom row right to left; on that circular order the matching must nest
@@ -20,8 +23,9 @@ like balanced brackets.
 
 That walk runs where a diagram enters: the constructor, ``from_arrows``,
 :func:`parse_diagram`, :func:`diagram_from_json`, ``from_word``,
-``identity`` and ``generator``.  Four producers build their output from
-valid diagrams or a valid canonical form, and it is a non-crossing
+``identity`` and ``generator``, after one helper has checked each string
+count and one each generator index.  Four producers build their output
+from valid diagrams or a valid canonical form, and it is a non-crossing
 matching by construction, so they skip the walk: the product of two
 diagrams, the two flips of the rectangle, the balanced walk of
 :func:`enumerate_diagrams`, and the bijection's drawing of a canonical
@@ -183,9 +187,7 @@ class Diagram:
     @classmethod
     def identity(cls, strings: int) -> Diagram:
         """All strands vertical."""
-        _check_strings_type(strings)
-        if strings < 1:
-            raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
+        _check_strings(strings)
         partner = tuple(range(strings, 2 * strings)) + tuple(range(strings))
         return cls(strings, partner)
 
@@ -193,10 +195,7 @@ class Diagram:
     def generator(cls, strings: int, i: int) -> Diagram:
         """The cup-cap diagram joining i with i+1 on both rows."""
         _check_strings_type(strings)
-        if type(i) is not int or not 1 <= i <= strings - 1:
-            raise IndexOutOfRangeError(
-                f"generator index must satisfy 1 <= i <= {strings - 1}, got {i}"
-            )
+        _check_generator_index(strings, i)
         partner = list(range(strings, 2 * strings)) + list(range(strings))
         k = strings
         partner[i - 1], partner[i] = i, i - 1
@@ -207,15 +206,14 @@ class Diagram:
     def from_word(cls, strings: int, word: Iterable[int]) -> tuple[Diagram, int]:
         """The product of the generators along ``word``, and its circle count.
 
-        The indices must be ints in 1..strings-1; :func:`run_action` glues
-        the word one letter per run, and the result is validated.
+        ``strings`` is checked as :meth:`identity` checks it and the
+        indices as :meth:`generator` checks its one; :func:`run_action`
+        glues the word one letter per run, and the result is validated.
         """
+        _check_strings(strings)
         word = tuple(word)
         for a in word:
-            if type(a) is not int or not 1 <= a < strings:
-                raise IndexOutOfRangeError(
-                    f"generator index must satisfy 1 <= i <= {strings - 1}, got {a}"
-                )
+            _check_generator_index(strings, a)
         partner, loops = run_action(strings, zip(word, word))
         return cls(strings, tuple(partner)), loops
 
@@ -252,7 +250,7 @@ class Diagram:
         return _dot_name(code, self.strings)
 
     def arrow_name(self, arrow: Arrow) -> str:
-        return arrows_text((arrow,), dot_names(self.strings))
+        return ArrowTexts(self.strings)[arrow]
 
     def _arrow_of(self, code: int) -> Arrow:
         q = self.partner[code]
@@ -321,7 +319,9 @@ class Diagram:
     # serialization
 
     def to_text(self) -> str:
-        return f"strings={self.strings};{arrows_text(self.arrows(), dot_names(self.strings))}"
+        # a diagram's arrows are distinct, so each is named with no lookup first
+        k = self.strings
+        return f"strings={k};{','.join(map(ArrowTexts(k).__missing__, self.arrows()))}"
 
     def to_json(self) -> dict:
         """Partner-array encoding with 1-based dots, top 1..k then bottom 1..k."""
@@ -359,6 +359,19 @@ def _check_strings_type(strings: object) -> None:
         raise NotMatchingError(f"strings must be a positive integer, got {strings!r}")
 
 
+def _check_strings(strings: object) -> None:
+    """Refuse a string count that is not an int of at least 1, or is a bool."""
+    _check_strings_type(strings)
+    if strings < 1:
+        raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
+
+
+def _check_generator_index(strings: int, i: object) -> None:
+    """Refuse a generator index that is not an int in 1..strings-1, or is a bool."""
+    if type(i) is not int or not 1 <= i < strings:
+        raise IndexOutOfRangeError(f"generator index must satisfy 1 <= i <= {strings - 1}, got {i}")
+
+
 def _dot_name(code: int, strings: int) -> str:
     """The text name of one dot: 1..k on the top row, 1'..k' on the bottom.
 
@@ -368,18 +381,26 @@ def _dot_name(code: int, strings: int) -> str:
     return str(code + 1) if code < strings else f"{code - strings + 1}'"
 
 
-def dot_names(strings: int) -> list[str]:
-    """The text name of every dot, indexed by code.
-
-    Built once per diagram and indexed per dot, so a text form makes one
-    call per dot, not three.
+class ArrowTexts(dict):
+    """The ``tail-head`` text of each arrow on ``strings`` strings, written
+    when first asked for, each dot named inline as :func:`_dot_name` would.
     """
-    return [_dot_name(d, strings) for d in range(2 * strings)]
 
+    def __init__(self, strings: int):
+        super().__init__()
+        self.strings = strings
 
-def arrows_text(arrows: Iterable[Arrow], names: list[str]) -> str:
-    """Arrows as ``tail-head`` pairs joined by commas, dots named from ``names``."""
-    return ",".join([f"{names[x]}-{names[y]}" for x, y in arrows])
+    def __missing__(self, arrow: Arrow) -> str:
+        x, y = arrow
+        k = self.strings
+        if y < k:
+            text = f"{x + 1}-{y + 1}"
+        elif x < k:
+            text = f"{x + 1}-{y - k + 1}'"
+        else:
+            text = f"{x - k + 1}'-{y - k + 1}'"
+        self[arrow] = text
+        return text
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +529,7 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
     a diagram one copy of the array, and no string count meets the
     interpreter's recursion limit.
     """
-    _check_strings_type(strings)
-    if strings < 1:
-        raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
+    _check_strings(strings)
     k = strings
     m = 2 * k
     code = [*range(k), *range(m - 1, k - 1, -1)]  # boundary position -> dot code

@@ -41,7 +41,8 @@ entry.  Its oracles are the ``verify`` check ``tl.census``, which
 recounts the keys of all diagrams grouped by element size, and the tests,
 which recount the five-pass drawings of the size-p elements.  Its keys
 are printed by :func:`key_texts`, which names each distinct arrow once
-per request and joins every key from those names.
+per request, through the namer that writes a diagram's arrows
+(``diagram.ArrowTexts``), and joins every key from those names.
 """
 
 from __future__ import annotations
@@ -52,20 +53,22 @@ from typing import Iterable, Iterator
 
 from .bijection import block_pairs
 from .counting import catalan_row
-from .diagram import Arrow, Diagram, run_action
+from .diagram import Arrow, ArrowTexts, Diagram, run_action
 from .errors import NotMatchingError, NotNormalizedError, RankMismatchError, RankOutOfRangeError
 from .fc import FCElement
 
 
 @dataclass(frozen=True)
 class DeltaPoly:
-    """An integer polynomial in delta, stored as sorted (exponent, coeff) pairs."""
+    """An integer polynomial in delta, stored as sorted (exponent, coeff) int pairs."""
 
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         prev = -1
         for e, c in self.coeffs:
+            if type(e) is not int or type(c) is not int:
+                raise NotNormalizedError(f"exponent and coefficient must be ints, got {e!r}, {c!r}")
             if e < 0:
                 raise NotNormalizedError("exponents must be nonnegative")
             if e <= prev:
@@ -157,6 +160,10 @@ class TLElement:
     def __post_init__(self) -> None:
         seen = set()
         for w, poly in self.terms:
+            if not isinstance(w, FCElement) or not isinstance(poly, DeltaPoly):
+                raise NotNormalizedError(
+                    f"a term must pair an FCElement with a DeltaPoly, got {w!r}, {poly!r}"
+                )
             if w.rank != self.rank:
                 raise RankMismatchError(f"term {w} has rank {w.rank}, element has {self.rank}")
             if not poly:
@@ -295,32 +302,15 @@ def equivalence_key(diagram: Diagram) -> Key:
 def key_texts(keys: Iterable[Key], strings: int) -> Iterator[str]:
     """The text of each key, in turn, with each distinct arrow named once.
 
-    Arrows are written ``tail-head`` and joined by commas; the empty key is
-    ``-``.  Each arrow is named the first time a key holds it and looked up
-    after that, so a census, whose keys share their arrows, formats its
-    classes with one lookup per arrow and names no dot that no key holds.
+    Arrows are named as diagrams name them and joined by commas; the empty
+    key is ``-``.  Each arrow is named the first time a key holds it and
+    looked up after that, so a census, whose keys share their arrows,
+    formats its classes with one lookup per arrow and names no dot that no
+    key holds.
     """
-    text_of = _ArrowTexts(strings).__getitem__
+    text_of = ArrowTexts(strings).__getitem__
     for key in keys:
         yield ",".join(map(text_of, key)) if key else "-"
-
-
-class _ArrowTexts(dict):
-    """The ``tail-head`` text of each cross arrow, named when first asked for.
-
-    A cross arrow on ``strings`` strings runs from top dot x to bottom dot
-    y, whose names are ``x+1`` and ``(y-strings+1)'``, as
-    ``diagram.dot_names`` gives them.
-    """
-
-    def __init__(self, strings: int):
-        super().__init__()
-        self.strings = strings
-
-    def __missing__(self, arrow: Arrow) -> str:
-        x, y = arrow
-        text = self[arrow] = f"{x + 1}-{y - self.strings + 1}'"
-        return text
 
 
 def key_to_text(key: Key, strings: int) -> str:

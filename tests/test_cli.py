@@ -136,6 +136,23 @@ class TestConversions:
             "the most it is allowed\n"
         )
 
+    def test_to_diagram_trace_at_the_rank_cap(self, capsys):
+        # the n = 10^5 staircase lists 1.25 G candidate dots: counted by one
+        # untraced drawing, and refused before the traced one
+        w = staircase(100_000)
+        start = time.perf_counter()
+        assert trace_candidates(w) == 1_250_075_000
+        assert time.perf_counter() - start < 1
+        text = w.to_text()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "to-diagram", "--trace", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: to-diagram --trace may print more than {cli.WORK_CAP} candidate dots, "
+            "the most it is allowed\n"
+        )
+
     def test_to_diagram_trace_at_the_work_cap(self, capsys, monkeypatch):
         text = "n=5:[4,5][3,3][1,1]"
         dots = trace_candidates(parse_fc(text))

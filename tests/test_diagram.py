@@ -28,7 +28,7 @@ from fcdiag import (
     enumerate_diagrams,
     parse_diagram,
 )
-from fcdiag.diagram import run_action
+from fcdiag.diagram import ArrowTexts, _dot_name, run_action
 from helpers import assert_diagram_revalidates, assert_holds, diagram_list, generator_words, mutated_json
 
 
@@ -40,6 +40,7 @@ STRING_COUNT_MAKERS = {
     "identity": Diagram.identity,
     "generator": lambda strings: Diagram.generator(strings, 1),
     "enumerate_diagrams": lambda strings: list(enumerate_diagrams(strings)),
+    "from_word": lambda strings: Diagram.from_word(strings, ()),
 }
 
 
@@ -478,6 +479,34 @@ class TestSerialization:
     def test_text_roundtrip(self, k):
         for d in diagram_list(k):
             assert parse_diagram(d.to_text()) == d
+
+    # SHA-256 of the text forms of enumerate_diagrams(k), one per line,
+    # taken when each text named its dots from a table of all 2k names
+    TEXTS = {
+        1: "b9d63db03dbaca7378a79fa09e63cd02221173497e45a5d61a1bf1cbc1ffb42b",
+        2: "7a4b82276038fecd649ff92e7f933e251e015bfd8b129b14e20e7c1faa175df0",
+        3: "cbe80c18121392198252694178f2bc3810b4cef6ca935229787ad3fbf19a5ddb",
+        4: "91d10667603e39a9af2c4e5b5a98605b649e41692a9737c8b07188ddf1a32c05",
+        5: "8cb6547e68ceac5151639bec7588388d06d029a379ae70ef9a9cf1c79ea702f9",
+        6: "2860b95893c1ff89694e051b6011e9ec1b6e932e740002d18a93a7766467644f",
+        7: "3e4a03a6fc9b19a094f8c8f53e8e5c177f7435b2c26235c018993384ae28f277",
+        8: "1fa9803ae571f68eed927fae9e9b7d489bb71580e1727b57993a807267b59a19",
+        9: "9b5ad2977adb7cb949b20ef598fd69344b5bc1cc1240c2555830e7b3ed6663ef",
+    }
+
+    @pytest.mark.parametrize("k", sorted(TEXTS))
+    def test_texts_are_pinned(self, k):
+        texts = "\n".join(d.to_text() for d in enumerate_diagrams(k))
+        assert hashlib.sha256(texts.encode()).hexdigest() == self.TEXTS[k]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_arrow_texts_name_both_dots(self, k):
+        # top arcs, arrows across and bottom arcs, each as its two dots
+        texts = ArrowTexts(k)
+        for d in enumerate_diagrams(k):
+            for x, y in d.arrows():
+                expected = f"{_dot_name(x, k)}-{_dot_name(y, k)}"
+                assert texts[(x, y)] == d.arrow_name((x, y)) == expected
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_json_roundtrip(self, k):

@@ -12,6 +12,7 @@ import fcdiag.fc
 from fcdiag import tl
 from fcdiag import (
     DeltaPoly,
+    Diagram,
     FCElement,
     NotMatchingError,
     NotNormalizedError,
@@ -81,6 +82,29 @@ class TestDeltaPoly:
             TLElement(2, ((w, DeltaPoly.one()), (w, DeltaPoly.one())))
         with pytest.raises(RankMismatchError, match="has rank 3, element has 2"):
             TLElement(2, ((FCElement(3), DeltaPoly.one()),))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # each printed as if exact: delta^0.5, 2.5*delta, (x)*e[n=1:[]]
+            (lambda: DeltaPoly(((0.5, 1),)), "exponent and coefficient must be ints, got 0.5, 1"),
+            (lambda: DeltaPoly(((True, 2.5),)), "exponent and coefficient must be ints, got True, 2.5"),
+            (
+                lambda: TLElement(1, ((FCElement(1), "x"),)),
+                "a term must pair an FCElement with a DeltaPoly, got FCElement(rank=1, pairs=()), 'x'",
+            ),
+            (
+                lambda: TLElement(1, (("n=1:[]", DeltaPoly.one()),)),
+                "a term must pair an FCElement with a DeltaPoly, got 'n=1:[]', "
+                "DeltaPoly(coeffs=((0, 1),))",
+            ),
+        ],
+        ids=["float-exponent", "bool-exponent", "str-coefficient", "str-key"],
+    )
+    def test_values_must_be_exact(self, make, message):
+        with pytest.raises(NotNormalizedError) as exc:
+            make()
+        assert str(exc.value) == message
 
     def test_odd_gap_is_a_domain_error(self):
         with pytest.raises(NotMatchingError, match="odd length"):
@@ -302,6 +326,22 @@ CENSUS_DIGESTS = {
 }
 
 
+# SHA-256 of the key texts of census(n, p) for p = 0..n in turn, one per
+# line, by rank n, as written when census keys had a namer of their own.
+KEY_TEXT_DIGESTS = {
+    0: "7db98085d62e945ef1e5bc23be45dc5c54b30a3d9407b2e93e9618f5efa6e56b",
+    1: "f28c42561e0b2150f02966c0aa08b60210963ed7597e7d69c89d8bf3be7256b7",
+    2: "cc03ac016560d71d36c3d75d2abefe21f2adb8063f1a55d3d2f6f4b9da2f502e",
+    3: "23e540264d250418baed8b1e65259912903262b6649b102c280666c505178e77",
+    4: "c813f6bc38df1f2670ffd0d6d4a38b30250b4fb46c239f3c59b8dd7610eac341",
+    5: "9c246405e5fef9212e64730adf57c3d71a2d4f935ac944e7e3158583543e0d74",
+    6: "33b5512bdc402a3dbf2ca02fc7ff00c549c32fea8690e3fc01e187dabc669317",
+    7: "3b7bbe1f0abb65878545be1695b93bec1c07975c1c0c8bee05aa52a1698fa405",
+    8: "d3dfee6f40d774b34ab4bb6be64234a9144896c746be31a76df70747bb34dcc8",
+    9: "237103e6b103f0c1bbc27b28f6f8b28fcc87a3a111bfd9cecaf8da2d90f71939",
+}
+
+
 class TestCensus:
     def test_single_generator_rank_one(self):
         assert census(1, 1) == [(equivalence_key(fc_to_diagram(gen(1, 1))[0]), 1)]
@@ -321,6 +361,17 @@ class TestCensus:
         d, _ = fc_to_diagram(FCElement(1, ((1, 1),)))
         assert key_to_text(equivalence_key(d), 2) == "-"
         assert list(tl.key_texts([key, (), key], 3)) == ["1-3'", "-", "1-3'"]
+
+    def test_key_text_names_arrows_as_diagrams_do(self):
+        # a top arc, which no census key holds, printed 1--1'
+        assert key_to_text(((0, 1),), 3) == "1-2" == Diagram.generator(3, 1).arrow_name((0, 1))
+
+    @pytest.mark.parametrize("n", sorted(KEY_TEXT_DIGESTS))
+    def test_key_texts_are_pinned(self, n):
+        texts = []
+        for p in range(n + 1):
+            texts.extend(tl.key_texts([key for key, _ in census(n, p)], n + 1))
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == KEY_TEXT_DIGESTS[n]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_classes_recount_and_factor(self, n):
