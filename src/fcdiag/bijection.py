@@ -136,10 +136,13 @@ def dplus_condition(w: FCElement, s: int, t: int) -> bool:
                    or j_t = i_r + 2(r-t) - 1;
     * saturation:  blocks t+1 .. s-1 cover every generator index in
                    [i_s + 1, j_t - 1].
+
+    Any other (s, t), or one that is not a pair of ints (a bool counts as
+    not an int), is refused with :class:`IndexOutOfRangeError`.
     """
     p = w.size
-    if not 1 <= t < s <= p:
-        raise IndexOutOfRangeError(f"need 1 <= t < s <= {p}, got s={s}, t={t}")
+    if type(s) is not int or type(t) is not int or not 1 <= t < s <= p:
+        raise IndexOutOfRangeError(f"need 1 <= t < s <= {p}, got s={s!r}, t={t!r}")
     i_s = w.pairs[s - 1][0]
     j_t = w.pairs[t - 1][1]
     if j_t != i_s + 2 * (s - t) - 1:

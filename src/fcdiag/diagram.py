@@ -23,8 +23,12 @@ like balanced brackets.
 
 That walk runs where a diagram enters: the constructor, ``from_arrows``,
 :func:`parse_diagram`, :func:`diagram_from_json`, ``from_word``,
-``identity`` and ``generator``, after one helper has checked each string
-count and one each generator index.  Four producers build their output
+``identity`` and ``generator``, after one helper, :func:`_check_strings`,
+has checked each string count and another each generator index.  The
+string-count helper also serves :func:`enumerate_diagrams` and, in ``tl``,
+``expected_class_size`` and ``key_texts``: a count that is not an int (a
+bool counts as not an int) is a :class:`NotMatchingError`, and an int
+below 1 an :class:`IndexOutOfRangeError`.  Four producers build their output
 from valid diagrams or a valid canonical form, and it is a non-crossing
 matching by construction, so they skip the walk: the product of two
 diagrams, the two flips of the rectangle, the balanced walk of
@@ -97,8 +101,7 @@ class Diagram:
 
     def __post_init__(self) -> None:
         k = self.strings
-        if type(k) is not int or k < 1:
-            raise NotMatchingError(f"strings must be a positive integer, got {k!r}")
+        _check_strings(k)
         try:
             partner = tuple(self.partner)
         except TypeError:
@@ -194,7 +197,7 @@ class Diagram:
     @classmethod
     def generator(cls, strings: int, i: int) -> Diagram:
         """The cup-cap diagram joining i with i+1 on both rows."""
-        _check_strings_type(strings)
+        _check_strings(strings)
         _check_generator_index(strings, i)
         partner = list(range(strings, 2 * strings)) + list(range(strings))
         k = strings
@@ -223,9 +226,18 @@ class Diagram:
 
         Memory is proportional to the arrows given, not to ``strings``: an
         incomplete matching is rejected before any 2k-entry array exists.
+        ``strings`` is checked as :meth:`identity` checks it, and each
+        arrow must be a pair of int dot codes.
         """
+        _check_strings(strings)
         partner: dict[int, int] = {}
-        for x, y in arrows:
+        for arrow in arrows:
+            try:  # a misshapen arrow falls to the check below
+                x, y = arrow
+            except (TypeError, ValueError):
+                x = y = None
+            if type(x) is not int or type(y) is not int:
+                raise NotMatchingError(f"arrow must be a pair of int dot codes, got {arrow!r}")
             for d in (x, y):
                 if not 0 <= d < 2 * strings:
                     raise NotMatchingError(f"dot code {d} out of range for {strings} strings")
@@ -353,15 +365,10 @@ class Components:
     size: int
 
 
-def _check_strings_type(strings: object) -> None:
-    """Refuse a string count that is not an int, or is a bool."""
-    if type(strings) is not int:
-        raise NotMatchingError(f"strings must be a positive integer, got {strings!r}")
-
-
 def _check_strings(strings: object) -> None:
     """Refuse a string count that is not an int of at least 1, or is a bool."""
-    _check_strings_type(strings)
+    if type(strings) is not int:
+        raise NotMatchingError(f"strings must be a positive integer, got {strings!r}")
     if strings < 1:
         raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
 

@@ -22,6 +22,13 @@ inversion tests, and the image set is exactly the 321-avoiding permutations.
 The helpers at the bottom of this module (`inversions`, `is_321_avoiding`,
 ...) exist for that purpose and are deliberately independent of the block
 calculus.
+
+Each argument rule is stated once.  :func:`_check_rank` refuses a rank that
+is not a nonnegative int (a bool counts as not an int), for
+:class:`FCElement`, :func:`enumerate_fc`, ``tl.census`` and
+``tl.TLElement``; :func:`_check_size` refuses a size that is not an int,
+for :func:`enumerate_fc` and ``tl.census``, where an int out of range means
+no element.  Both raise :class:`RankOutOfRangeError`.
 """
 
 from __future__ import annotations
@@ -69,8 +76,7 @@ class FCElement:
 
     def __post_init__(self) -> None:
         n = self.rank
-        if type(n) is not int or n < 0:
-            raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {n!r}")
+        _check_rank(n)
         pairs = self.pairs
         if type(pairs) is not tuple:
             try:
@@ -263,15 +269,13 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
     branch it takes ends in an element.  The walk keeps its own stack, so a
     long chain never meets the interpreter's recursion limit.  Every chain
     the walk reaches is canonical, so its elements are built unchecked;
-    a rank that is not an int (a bool, a float) is refused first, with
-    the constructor's error.
+    the rank is refused first by :func:`_check_rank`, as the constructor
+    refuses it, and a size by :func:`_check_size`.  A negative size, or
+    one above the rank, takes no branch and yields nothing.
     """
-    if type(rank) is not int:
-        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {rank!r}")
-    if rank < 0:
-        raise RankOutOfRangeError(f"rank must be nonnegative, got {rank}")
-    if size is not None and size < 0:
-        return
+    _check_rank(rank)
+    if size is not None:
+        _check_size(size)
 
     def lowest(depth: int) -> int:
         """Smallest start for a block after ``depth`` others."""
@@ -298,6 +302,20 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
                 break
         else:
             return
+
+
+def _check_rank(rank: object) -> None:
+    """Refuse a rank that is not a nonnegative int, or is a bool."""
+    if type(rank) is not int:
+        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {rank!r}")
+    if rank < 0:
+        raise RankOutOfRangeError(f"rank must be nonnegative, got {rank}")
+
+
+def _check_size(size: object) -> None:
+    """Refuse a size that is not an int, or is a bool; any int is a size."""
+    if type(size) is not int:
+        raise RankOutOfRangeError(f"size must be an integer, got {size!r}")
 
 
 def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:

@@ -43,6 +43,12 @@ which recount the five-pass drawings of the size-p elements.  Its keys
 are printed by :func:`key_texts`, which names each distinct arrow once
 per request, through the namer that writes a diagram's arrows
 (``diagram.ArrowTexts``), and joins every key from those names.
+
+Arguments are checked by the helpers of the modules that define them: a
+rank by ``fc._check_rank`` (:class:`TLElement`, :func:`census`), a size
+by ``fc._check_size`` (:func:`census`), and a string count by
+``diagram._check_strings`` (:func:`expected_class_size`,
+:func:`key_texts`).
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ from typing import Iterable, Iterator
 
 from .bijection import block_pairs
 from .counting import catalan_row
-from .diagram import Arrow, ArrowTexts, Diagram, run_action
-from .errors import NotMatchingError, NotNormalizedError, RankMismatchError, RankOutOfRangeError
-from .fc import FCElement
+from .diagram import Arrow, ArrowTexts, Diagram, _check_strings, run_action
+from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
+from .fc import FCElement, _check_rank, _check_size
 
 
 @dataclass(frozen=True)
@@ -152,12 +158,17 @@ def _term_order(term: tuple[FCElement, DeltaPoly]) -> tuple[tuple[int, int], ...
 
 @dataclass(frozen=True)
 class TLElement:
-    """A finite sum of monomials e_w with DeltaPoly coefficients, one rank."""
+    """A finite sum of monomials e_w with DeltaPoly coefficients, one rank.
+
+    The rank is checked by ``fc._check_rank``, as :class:`FCElement`
+    checks its own, so a sum with no terms has a valid rank too.
+    """
 
     rank: int
     terms: tuple[tuple[FCElement, DeltaPoly], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_rank(self.rank)
         seen = set()
         for w, poly in self.terms:
             if not isinstance(w, FCElement) or not isinstance(poly, DeltaPoly):
@@ -306,11 +317,12 @@ def key_texts(keys: Iterable[Key], strings: int) -> Iterator[str]:
     key is ``-``.  Each arrow is named the first time a key holds it and
     looked up after that, so a census, whose keys share their arrows,
     formats its classes with one lookup per arrow and names no dot that no
-    key holds.
+    key holds.  ``strings`` is checked by ``diagram._check_strings`` when
+    the call is made, before any key is read.
     """
+    _check_strings(strings)
     text_of = ArrowTexts(strings).__getitem__
-    for key in keys:
-        yield ",".join(map(text_of, key)) if key else "-"
+    return (",".join(map(text_of, key)) if key else "-" for key in keys)
 
 
 def key_to_text(key: Key, strings: int) -> str:
@@ -322,8 +334,10 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
     Returned sorted by key; the sizes add up to ``narayana(n, p)``, and the
-    list is empty unless 0 <= p <= n.  A rank or size that is not an int
-    (a bool, a float, a string) is refused with :class:`RankOutOfRangeError`.
+    list is empty unless 0 <= p <= n.  The rank is checked by
+    ``fc._check_rank`` and the size by ``fc._check_size``, so a negative
+    rank, or a rank or size that is not an int (a bool, a float, a
+    string), is refused with :class:`RankOutOfRangeError`.
     The classes are generated, not found: on k = n+1 strings, arrows
     (x_t, k+y_t) with x and y increasing are the cross arrows of some
     diagram exactly when every gap between them has even length, that is
@@ -347,10 +361,8 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     are computed here, not by ``expected_class_size``, which the ``verify``
     check holds them against.
     """
-    if type(n) is not int:
-        raise RankOutOfRangeError(f"rank must be an integer, got {n!r}")
-    if type(p) is not int:
-        raise RankOutOfRangeError(f"size must be an integer, got {p!r}")
+    _check_rank(n)
+    _check_size(p)
     k = n + 1
     if not 0 <= p <= n:
         return []
@@ -479,13 +491,13 @@ def expected_class_size(strings: int, key: Key) -> int:
     key, or a gap of odd length, is refused.  The Catalan numbers come
     from one row per string count, shared by the calls that follow.
 
+    The string count is checked first, by ``diagram._check_strings``.
     The gaps are read and the product taken in one pass.  A tail or head
     out of order is refused at once; an odd gap stops the product and is
     refused once the key has been read, so a key with both faults is
     refused for its order.
     """
-    if strings < 0:
-        raise NotMatchingError("tails and heads must increase along the key, each on its row")
+    _check_strings(strings)
     catalan = _gap_catalans(strings)
     size, odd = 1, False
     a, b = 0, strings  # lowest free dot after the last tail, after the last head

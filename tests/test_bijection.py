@@ -80,6 +80,13 @@ class TestPositiveArrowPredicate:
         with pytest.raises(IndexOutOfRangeError):
             dplus_condition(W_EXAMPLE, 4, 1)
 
+    @pytest.mark.parametrize("s, t", [(2.0, 1), (2, 1.0), ("2", 1), (2, True)])
+    def test_block_index_must_be_an_int(self, s, t):
+        # the floats and the string raised a bare TypeError; (2, True) was read as (2, 1)
+        with pytest.raises(IndexOutOfRangeError) as exc:
+            dplus_condition(W_EXAMPLE, s, t)
+        assert str(exc.value) == f"need 1 <= t < s <= 3, got s={s!r}, t={t!r}"
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_predicate_matches_reference_arrows(self, n):
         # (s, t) passes the predicate exactly when the oracle diagram has the

@@ -26,6 +26,8 @@ from fcdiag import (
     diagram_from_json,
     diagram_to_svg,
     enumerate_diagrams,
+    expected_class_size,
+    key_to_text,
     parse_diagram,
 )
 from fcdiag.diagram import ArrowTexts, _dot_name, run_action
@@ -41,6 +43,10 @@ STRING_COUNT_MAKERS = {
     "generator": lambda strings: Diagram.generator(strings, 1),
     "enumerate_diagrams": lambda strings: list(enumerate_diagrams(strings)),
     "from_word": lambda strings: Diagram.from_word(strings, ()),
+    "from_arrows": lambda strings: Diagram.from_arrows(strings, ()),
+    "expected_class_size": lambda strings: expected_class_size(strings, ()),
+    "key_to_text": lambda strings: key_to_text((), strings),
+    "Diagram": lambda strings: Diagram(strings, ()),
 }
 
 
@@ -119,7 +125,8 @@ class TestConstruction:
             Diagram(2, (0, 2, 1, 3))
 
     def test_no_strings(self):
-        with pytest.raises(NotMatchingError, match="strings must be a positive integer, got 0"):
+        # the constructor names a count below 1 as identity does
+        with pytest.raises(IndexOutOfRangeError, match="strings must be >= 1, got 0"):
             Diagram(0, ())
         with pytest.raises(IndexOutOfRangeError, match="strings must be >= 1, got 0"):
             Diagram.identity(0)
@@ -130,9 +137,6 @@ class TestConstruction:
         # a float or a digit string raised a bare TypeError from range()
         if type(strings) is not int:
             error, message = NotMatchingError, f"strings must be a positive integer, got {strings!r}"
-        elif maker == "generator":
-            error = IndexOutOfRangeError
-            message = f"generator index must satisfy 1 <= i <= {strings - 1}, got 1"
         else:
             error, message = IndexOutOfRangeError, f"strings must be >= 1, got {strings}"
         with pytest.raises(FCDiagramError) as exc:
@@ -144,6 +148,13 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRangeError) as exc:
             Diagram.generator(3, i)
         assert str(exc.value) == f"generator index must satisfy 1 <= i <= 2, got {i}"
+
+    @pytest.mark.parametrize("arrow", [0, None, (0, 1, 2), (0,), ("0", 1), (0, True)])
+    def test_from_arrows_names_a_malformed_arrow(self, arrow):
+        # each raised a bare TypeError or ValueError, or (a bool) was read as a dot code
+        with pytest.raises(NotMatchingError) as exc:
+            Diagram.from_arrows(2, [arrow, (2, 3)])
+        assert str(exc.value) == f"arrow must be a pair of int dot codes, got {arrow!r}"
 
     def test_arrow_dot_out_of_range(self):
         with pytest.raises(NotMatchingError, match="dot code 9 out of range for 2 strings"):

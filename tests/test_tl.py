@@ -57,6 +57,42 @@ def assert_tl_revalidates(x):
     assert TLElement(x.rank, tuple((w, DeltaPoly(poly.coeffs)) for w, poly in x.terms)) == x
 
 
+RANK_MAKERS = {
+    "FCElement": FCElement,
+    "enumerate_fc": lambda rank: next(enumerate_fc(rank)),
+    "census": lambda rank: census(rank, 0),
+    "TLElement": TLElement,
+    "TLElement.zero": TLElement.zero,
+    "TLElement.identity": TLElement.identity,
+}
+SIZE_MAKERS = {
+    "enumerate_fc": lambda size: next(enumerate_fc(3, size)),
+    "census": lambda size: census(3, size),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", -1])
+@pytest.mark.parametrize("maker", RANK_MAKERS)
+def test_rank_refused_by_name(maker, value):
+    # TLElement built all four (True compared equal to a rank-1 element)
+    if type(value) is int:
+        message = f"rank must be nonnegative, got {value}"
+    else:
+        message = f"rank must be a nonnegative integer, got {value!r}"
+    with pytest.raises(RankOutOfRangeError) as exc:
+        RANK_MAKERS[maker](value)
+    assert (type(exc.value), str(exc.value)) == (RankOutOfRangeError, message)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1"])
+@pytest.mark.parametrize("maker", SIZE_MAKERS)
+def test_size_refused_by_name(maker, value):
+    # enumerate_fc took True for 1, yielded nothing for 1.5, and raised a bare TypeError on "1"
+    with pytest.raises(RankOutOfRangeError) as exc:
+        SIZE_MAKERS[maker](value)
+    assert (type(exc.value), str(exc.value)) == (RankOutOfRangeError, f"size must be an integer, got {value!r}")
+
+
 class TestDeltaPoly:
     def test_arithmetic(self):
         one = DeltaPoly.one()
@@ -408,7 +444,9 @@ class TestCensus:
         [(True, 1, "rank"), (3, True, "size"), (3.0, 1, "rank"), (3, 1.0, "size"), ("3", 1, "rank")],
     )
     def test_refuses_a_rank_or_size_that_is_not_an_int(self, n, p, name):
-        with pytest.raises(RankOutOfRangeError, match=f"^{name} must be an integer, got "):
+        # the rank's message is the one every rank check gives
+        prefix = "rank must be a nonnegative integer" if name == "rank" else "size must be an integer"
+        with pytest.raises(RankOutOfRangeError, match=f"^{prefix}, got "):
             census(n, p)
 
     @pytest.mark.parametrize("n", range(10, 13))
