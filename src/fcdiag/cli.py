@@ -274,13 +274,19 @@ def _cmd_convert(args) -> int:
     from .bijection import diagram_of, diagram_to_fc
     from .diagram import parse_diagram
 
+    # One row per form: parse its text, read the FC element, build one.
+    forms = {
+        "fc": (functools.partial(_parse_drawable_fc, command="convert"), lambda w: w, lambda w: w),
+        "dyck": (lattice.parse_dyck, lattice.dyck_to_fc, lattice.fc_to_dyck),
+        "ballot": (
+            lattice.parse_ballot,
+            lambda ballot: lattice.dyck_to_fc(lattice.ballot_to_dyck(ballot)),
+            lattice.fc_to_ballot,
+        ),
+        "diagram": (parse_diagram, diagram_to_fc, diagram_of),
+    }
     src, dst = args.source, args.target
-    parse = {
-        "fc": functools.partial(_parse_drawable_fc, command="convert"),
-        "dyck": lattice.parse_dyck,
-        "ballot": lattice.parse_ballot,
-        "diagram": parse_diagram,
-    }[src]
+    parse, to_fc, _ = forms[src]
     value = parse(args.input)
     if src == "ballot" and dst == "diagram":
         args.usage_error(
@@ -290,19 +296,7 @@ def _cmd_convert(args) -> int:
         print(lattice.diagram_to_ballot(value).to_text())
         return 0
     # Every other conversion goes form -> FC element -> form.
-    to_fc = {
-        "fc": lambda w: w,
-        "dyck": lattice.dyck_to_fc,
-        "ballot": lambda ballot: lattice.dyck_to_fc(lattice.ballot_to_dyck(ballot)),
-        "diagram": diagram_to_fc,
-    }[src]
-    from_fc = {
-        "fc": lambda w: w,
-        "dyck": lattice.fc_to_dyck,
-        "ballot": lattice.fc_to_ballot,
-        "diagram": diagram_of,
-    }[dst]
-    print(from_fc(to_fc(value)).to_text())
+    print(forms[dst][2](to_fc(value)).to_text())
     return 0
 
 

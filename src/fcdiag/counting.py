@@ -148,10 +148,8 @@ def count_last_block(n: int, ip: int, jp: int) -> int:
     """Number of elements whose last block is [ip, jp].
 
     Reverse-and-reflect sends last block [ip, jp] to first block
-    [n+1-jp, n+1-ip].
+    [n+1-jp, n+1-ip], and out of range to out of range.
     """
-    if not 1 <= ip <= jp <= n:
-        return 0
     return count_first_block(n, n + 1 - jp, n + 1 - ip)
 
 
@@ -171,13 +169,12 @@ def count_start_size(n: int, i: int, p: int) -> int:
 def count_size_end(n: int, p: int, j: int) -> int:
     """Number of size-p elements ending with generator j.
 
-    Reverse-and-reflect keeps the size and sends last generator j to first
-    generator n+1-j.  Size 0 is the identity, counted under j = 0.
+    Reverse-and-reflect keeps the size, sends last generator j to first
+    generator n+1-j, and out of range to out of range.  Size 0 is the
+    identity, counted under j = 0, which the reflection does not carry.
     """
     if p == 0:
         return 1 if j == 0 and n >= 0 else 0
-    if p < 0 or p > n or not 1 <= j <= n:
-        return 0
     return count_start_size(n, n + 1 - j, p)
 
 

@@ -262,7 +262,16 @@ class Diagram:
         return _dot_name(code, self.strings)
 
     def arrow_name(self, arrow: Arrow) -> str:
-        return ArrowTexts(self.strings)[arrow]
+        """``tail-head`` for int codes x < y that this diagram matches to
+        each other; any other pair is refused with a NotMatchingError."""
+        try:  # a misshapen pair, or a tail out of range, falls to the check below
+            x, y = arrow
+            matched = self.partner[x] == y
+        except (TypeError, ValueError, IndexError):
+            matched = False
+        if not (matched and type(x) is int and type(y) is int and 0 <= x < y):
+            raise NotMatchingError(f"{arrow!r} is not an arrow of this diagram")
+        return ArrowTexts(self.strings)[x, y]
 
     def _arrow_of(self, code: int) -> Arrow:
         q = self.partner[code]
@@ -484,6 +493,8 @@ def concatenate(upper: Diagram, lower: Diagram) -> tuple[Diagram, int]:
             nxt = up[nxt + k]
         result[d], result[nxt] = nxt, d
     # A strand from the bottom row: the same walk, entered from ``lower``.
+    # Strands with a top-row end were all traced above, so this one ends
+    # on the bottom row, and each climb into ``upper`` comes back down.
     for d in range(k, 2 * k):
         if result[d] != -1:
             continue
@@ -491,8 +502,6 @@ def concatenate(upper: Diagram, lower: Diagram) -> tuple[Diagram, int]:
         while nxt < k:
             seen_mid[nxt] = True
             nxt = up[nxt + k]
-            if nxt < k:
-                break
             seen_mid[nxt - k] = True
             nxt = lo[nxt - k]
         result[d], result[nxt] = nxt, d

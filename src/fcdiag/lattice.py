@@ -31,14 +31,14 @@ from .fc import FCElement
 
 @dataclass(frozen=True)
 class Ballot:
-    """A +-1 sequence with nonnegative prefix sums and total zero."""
+    """A sequence of int +1s and -1s with nonnegative prefix sums and total zero."""
 
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         total = 0
         for s in self.signs:
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise InvalidBallotError(f"signs must be +1 or -1, got {s!r}")
             total += s
             if total < 0:

@@ -492,27 +492,25 @@ def expected_class_size(strings: int, key: Key) -> int:
     from one row per string count, shared by the calls that follow.
 
     The string count is checked first, by ``diagram._check_strings``.
-    The gaps are read and the product taken in one pass.  A tail or head
-    out of order is refused at once; an odd gap stops the product and is
-    refused once the key has been read, so a key with both faults is
-    refused for its order.
+    One pass reads the gaps, multiplies them all and ORs their lengths.
+    A tail or head out of order is refused at once; an odd gap is refused
+    once the key has been read, so a key with both faults is refused for
+    its order.
     """
     _check_strings(strings)
     catalan = _gap_catalans(strings)
-    size, odd = 1, False
+    size, odd = 1, 0
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
     for x, y in key:
         # the bounds keep the closing gaps from going negative
         if not (a <= x < strings and b <= y < 2 * strings):
             raise NotMatchingError("tails and heads must increase along the key, each on its row")
         g, h = x - a, y - b
-        if g % 2 or h % 2:
-            odd = True
-        elif not odd:
-            size *= catalan[g // 2] * catalan[h // 2]
+        odd |= g | h
+        size *= catalan[g // 2] * catalan[h // 2]
         a, b = x + 1, y + 1
     g, h = strings - a, 2 * strings - b
-    if odd or g % 2 or h % 2:
+    if (odd | g | h) % 2:
         raise NotMatchingError("gap of odd length cannot be matched")
     return size * catalan[g // 2] * catalan[h // 2]
 

@@ -422,7 +422,7 @@ def _arc_reconstruction(n):
             yield f"{d}: reconstruction from row arcs differs"
 
 
-@_check("diagram", "arc-persistence", 1, 5)
+@_check("diagram", "arc-persistence", 0, 5)
 def _arc_persistence(n):
     """Closure and row arcs: each product is a diagram, and it keeps the
     top arcs of the upper factor and the bottom arcs of the lower one.

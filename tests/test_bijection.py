@@ -321,10 +321,6 @@ class TestReader:
     def test_roundtrip_from_elements(self, n):
         assert_holds("bijection.roundtrips", n)
 
-    @pytest.mark.parametrize("k", range(1, 8))
-    def test_roundtrip_from_diagrams(self, k):
-        assert_holds("bijection.roundtrips", k - 1)
-
 
 class TestTrace:
     @pytest.mark.parametrize("n", range(1, 7))

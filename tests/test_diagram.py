@@ -519,6 +519,17 @@ class TestSerialization:
                 expected = f"{_dot_name(x, k)}-{_dot_name(y, k)}"
                 assert texts[(x, y)] == d.arrow_name((x, y)) == expected
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(0, 9), (5, 1), (0, 1), ("a", 1), (3, 0), (True, 3), (0, 3.0), (-3, 0), (0,), 5],
+        ids=repr,
+    )
+    def test_arrow_name_refuses_a_pair_that_is_not_an_arrow(self, pair):
+        # out of range, tail after head, unmatched, not ints, not a pair
+        with pytest.raises(NotMatchingError) as exc:
+            Diagram.identity(3).arrow_name(pair)
+        assert str(exc.value) == f"{pair!r} is not an arrow of this diagram"
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_json_roundtrip(self, k):
         for d in diagram_list(k):

@@ -42,6 +42,11 @@ class TestValidation:
     def test_ballot_signs(self):
         with pytest.raises(InvalidBallotError):
             Ballot((1, 0, -1))
+        # a bool and a float compare equal to 1, and are refused all the same
+        with pytest.raises(InvalidBallotError, match=r"^signs must be \+1 or -1, got True$"):
+            Ballot((True, -1))
+        with pytest.raises(InvalidBallotError, match=r"^signs must be \+1 or -1, got 1\.0$"):
+            Ballot((1.0, -1.0))
 
     def test_path_stays_below_diagonal(self):
         with pytest.raises(InvalidPathError):

@@ -145,6 +145,9 @@ class TestDeltaPoly:
     def test_odd_gap_is_a_domain_error(self):
         with pytest.raises(NotMatchingError, match="odd length"):
             expected_class_size(2, ((0, 2),))
+        # inside the key: the gaps before tail 1 and before head 2' are one dot each
+        with pytest.raises(NotMatchingError, match="gap of odd length cannot be matched"):
+            expected_class_size(4, ((1, 5),))
 
     @pytest.mark.parametrize(
         "strings,key",
@@ -153,6 +156,7 @@ class TestDeltaPoly:
             (4, ((0, 6), (1, 5))),  # heads 3', 2'
             (2, ((0, 1),)),  # a head on the top row
             (2, ((2, 2),)),  # a tail past the top row
+            (4, ((1, 5), (0, 6))),  # an odd gap before tails 1, 0: refused for its order
         ],
     )
     def test_key_out_of_order_is_a_domain_error(self, strings, key):

@@ -36,7 +36,7 @@ def test_check_holds(key, n):
 
 def test_catalogue_shape():
     assert DEFAULT_MAX_N == 8
-    assert len(CASES) == 475
+    assert len(CASES) == 476
     assert list(verify.SUITES) == ["fc", "counting", "diagram", "bijection", "tl", "lattice"]
     assert len(verify.CATALOGUE) == 35
 
