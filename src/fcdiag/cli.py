@@ -7,7 +7,10 @@ allowed range.  Output is deterministic for fixed argv.  Two rules, a rank
 cap and an output cap, bound every command but ``verify`` before any work
 (see DRAW_RANK_CAP and WORK_CAP below); a request past either is a domain
 error.  ``verify`` is bounded by its catalogue: no check that ``--max-n``
-caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.
+caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.  It
+spreads each suite's checks over the CPUs the process may use, in forked
+helpers, and prints their verdicts in catalogue order, so its output does
+not depend on the CPU count.
 
 :func:`main` builds its argparse tree once per process, on its first call,
 and reuses it: parsing keeps no state between calls, so a request pays for

@@ -48,7 +48,8 @@ Arguments are checked by the helpers of the modules that define them: a
 rank by ``fc._check_rank`` (:class:`TLElement`, :func:`census`), a size
 by ``fc._check_size`` (:func:`census`), and a string count by
 ``diagram._check_strings`` (:func:`expected_class_size`,
-:func:`key_texts`).
+:func:`key_texts`).  :func:`expected_class_size` refuses a key's tail or
+head that is not an int itself, where it reads the key.
 """
 
 from __future__ import annotations
@@ -488,38 +489,41 @@ def expected_class_size(strings: int, key: Key) -> int:
     its arrows by tail, as :func:`equivalence_key` gives them, so on a
     diagram's key the tails and the heads both increase, and each gap is
     read off two consecutive tails or two consecutive heads.  Any other
-    key, or a gap of odd length, is refused.  The Catalan numbers come
-    from one row per string count, shared by the calls that follow.
+    key, or a gap of odd length, is refused.  The ways to match each gap
+    come from one table per string count, shared by the calls that follow.
 
     The string count is checked first, by ``diagram._check_strings``.
-    One pass reads the gaps, multiplies them all and ORs their lengths.
-    A tail or head out of order is refused at once; an odd gap is refused
-    once the key has been read, so a key with both faults is refused for
-    its order.
+    One pass reads the gaps and multiplies their ways.  A tail or head
+    that is not an int (a bool counts as not an int) or is out of order is
+    refused at once.  A gap of odd length has no way, so the product is 0
+    exactly when the key holds one; it is refused once the key has been
+    read, so a key with both faults is refused for its order.
     """
     _check_strings(strings)
-    catalan = _gap_catalans(strings)
-    size, odd = 1, 0
+    ways = _gap_ways(strings)
+    size = 1
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
     for x, y in key:
-        # the bounds keep the closing gaps from going negative
+        if type(x) is not int or type(y) is not int:
+            raise NotMatchingError(f"tails and heads must be integers, got {(x, y)!r}")
+        # the bounds keep the gaps from going negative
         if not (a <= x < strings and b <= y < 2 * strings):
             raise NotMatchingError("tails and heads must increase along the key, each on its row")
-        g, h = x - a, y - b
-        odd |= g | h
-        size *= catalan[g // 2] * catalan[h // 2]
+        size *= ways[x - a] * ways[y - b]
         a, b = x + 1, y + 1
-    g, h = strings - a, 2 * strings - b
-    if (odd | g | h) % 2:
+    size *= ways[strings - a] * ways[2 * strings - b]
+    if not size:
         raise NotMatchingError("gap of odd length cannot be matched")
-    return size * catalan[g // 2] * catalan[h // 2]
+    return size
 
 
 @lru_cache(maxsize=1)
-def _gap_catalans(strings: int) -> tuple[int, ...]:
-    """``catalan(g)`` for every gap of 2g dots that a row of ``strings`` holds.
+def _gap_ways(strings: int) -> tuple[int, ...]:
+    """The ways to match a gap of g dots, for every g a row of ``strings``
+    holds: catalan(g / 2) for even g, 0 for odd g.
 
     A key's gaps on each row add up to at most ``strings``, so no gap is
-    longer.  One row is kept, for the last string count asked.
+    longer.  One table is kept, for the last string count asked.
     """
-    return tuple(catalan_row(strings // 2))
+    catalan = catalan_row(strings // 2)
+    return tuple(0 if g % 2 else catalan[g // 2] for g in range(strings + 1))

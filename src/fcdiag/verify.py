@@ -20,15 +20,31 @@ same catalogue is run case by case by pytest: every (check, rank) pair at
 the CLI default ``--max-n``, and the acceptance tests at their own ranks,
 each pair evaluated once per test session.  Checks share no state, so the
 output is deterministic for a fixed ``max_n``.
+
+A suite's checks run in the calling process and in helpers it forks, one
+per CPU the process may use beyond its own, at most one fewer than the
+checks; where ``fork`` is missing, one CPU is free or another thread runs,
+the caller runs them all.  Each process takes the next check from one
+shared pipe.  A helper starts from the caller's state at the fork, patches
+included, sends its verdicts back and ends with ``os._exit``; the caller
+reaps every helper before it returns or raises.  Since no verdict depends
+on the process that reached it, and the runner lists them in catalogue
+order, the output is the one-process output.  A check that raises
+anything but a domain error is run again in the caller, in catalogue
+order, so the same exception and traceback surface as in one process.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
 import random
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 from . import counting, lattice, tl
 from .bijection import (
@@ -589,8 +605,8 @@ def _presentation_relations(n):
 
 @_check("tl", "associativity", 1, 6)
 def _tl_associativity(n):
-    for x, y, z in _sample_triples(list(enumerate_fc(n)), n, ranks=6):
-        x, y, z = (tl.TLElement.monomial(v) for v in (x, y, z))
+    monomials = [tl.TLElement.monomial(v) for v in enumerate_fc(n)]
+    for x, y, z in _sample_triples(monomials, n, ranks=6):
         if (x * y) * z != x * (y * z):
             yield f"associativity fails at rank {n}"
 
@@ -669,18 +685,104 @@ def _diagram_ballot_bijective(n):
 # runner
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _helper_count(jobs: int) -> int:
+    """Helpers to fork for ``jobs`` checks: one per CPU beyond the caller's,
+    at most one fewer than the checks.  None without ``fork``, or while
+    another thread runs, whose locks a forked copy would find held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    return max(0, min(_cpus(), jobs) - 1)
+
+
+def _run(jobs: list[tuple[Check, range]], tasks: int) -> dict[int, str | None]:
+    """Run the jobs this process takes from ``tasks``, one index byte at a
+    time, until the pipe is empty.
+
+    A job that raises anything but a domain error (which
+    ``counterexample`` reports) is left out, for the caller to run again.
+    """
+    found = {}
+    while index := os.read(tasks, 1):
+        i = index[0]
+        check, ranks = jobs[i]
+        try:
+            found[i] = check.counterexample(ranks)
+        except Exception:
+            pass
+    return found
+
+
+def _serve(jobs: list[tuple[Check, range]], tasks: int, out: int) -> NoReturn:
+    """A helper's life: run jobs, send their verdicts down ``out``, and exit
+    without returning into the caller's stack, whatever is raised."""
+    code = 1
+    try:
+        with open(out, "wb") as pipe:
+            marshal.dump(_run(jobs, tasks), pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _counterexamples(jobs: list[tuple[Check, range]]) -> list[str | None]:
+    """``check.counterexample(ranks)`` for each job, in order.
+
+    The caller and its helpers take the jobs from one pipe.  A job whose
+    verdict did not come back (it raised, or its helper died) runs again
+    in the caller in order, so the first job that raises in a one-process
+    run raises here too.  Every helper is reaped before this returns or
+    raises.
+    """
+    tasks, feed = os.pipe()
+    helpers: dict[int, BinaryIO] = {}  # pid: read end of its verdict pipe
+    try:
+        with open(feed, "wb") as pipe:
+            pipe.write(bytes(range(len(jobs))))
+        for _ in range(_helper_count(len(jobs))):
+            verdicts, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(jobs, tasks, out)
+            os.close(out)
+            helpers[pid] = open(verdicts, "rb")
+        found = _run(jobs, tasks)
+        for pid, pipe in list(helpers.items()):
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            helpers.pop(pid).close()
+            if status == 0:
+                found.update(marshal.loads(data))
+    finally:
+        os.close(tasks)
+        for pid, pipe in helpers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [
+        found[i] if i in found else check.counterexample(ranks)
+        for i, (check, ranks) in enumerate(jobs)
+    ]
+
+
 def _suite_runner(suite: str) -> Callable[[int], list[CheckResult]]:
     def run(max_n: int) -> list[CheckResult]:
+        jobs = [(check, check.ranks(max_n)) for check in CATALOGUE.values() if check.suite == suite]
+        verdicts = iter(_counterexamples([job for job in jobs if job[1]]))
         results = []
-        for check in CATALOGUE.values():
-            if check.suite != suite:
-                continue
-            ranks = check.ranks(max_n)
+        for check, ranks in jobs:
             if not ranks:
                 skip = f"no rank in {check.first}..{check.last} within --max-n {max_n}"
                 results.append(CheckResult(suite, check.name, "SKIP", skip))
                 continue
-            bad = check.counterexample(ranks)
+            bad = next(verdicts)
             status = "PASS" if bad is None else "FAIL"
             results.append(CheckResult(suite, check.name, status, bad or ""))
         return results

@@ -163,6 +163,20 @@ class TestDeltaPoly:
         with pytest.raises(NotMatchingError, match="tails and heads must increase along the key"):
             expected_class_size(strings, key)
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (("a", 4),),  # raised a bare TypeError from the order test
+            ((0.0, 4),),  # raised a bare TypeError from the gap parity
+            ((True, 4),),  # read as dot 1 and refused for an odd gap
+        ],
+        ids=["str-tail", "float-tail", "bool-tail"],
+    )
+    def test_key_of_non_integers_is_a_domain_error(self, key):
+        with pytest.raises(NotMatchingError) as exc:
+            expected_class_size(4, key)
+        assert str(exc.value) == f"tails and heads must be integers, got {key[0]!r}"
+
     def test_zero_coefficient_is_zero(self):
         assert DeltaPoly.delta(2, 0) == DeltaPoly.zero()
 

@@ -5,9 +5,16 @@ Every (check, rank) pair that ``fcdiag verify --all`` runs at the default
 ``helpers.assert_holds``, so a pair that another test has already asked for
 is not evaluated again.  The fault-injection tests break one
 library function per suite and pin the exact FAIL lines, so a check that
-could never fail would show here.
+could never fail would show here.  The last tests hold the runner's
+helper processes to their rules: each ends with ``os._exit``, an
+unexpected error surfaces from the caller, none outlives the call, none is
+forked without ``fork`` or beside a running thread, and the output does
+not depend on the CPU count.
 """
 
+import os
+import threading
+import time
 from math import comb
 
 import pytest
@@ -225,3 +232,175 @@ def test_fault_that_raises(capsys, monkeypatch):
         "FAIL bijection.trace-consistency: rank 0: CrossingError: arrows 1'-3' and 3-2' cross",
         "2/5 checks passed",
     ]
+
+
+# ----------------------------------------------------------------------
+# checks spread over forked helpers
+
+
+@pytest.fixture
+def probe_suite(monkeypatch, tmp_path):
+    """A throwaway suite ``probe`` on two CPUs, so one helper is forked.
+
+    ``install(behaviour)`` registers two checks that each call
+    ``behaviour(name, in_helper)``.  In a helper they first leave a mark;
+    in the caller they first wait for one, so each run has a check taken
+    by the helper whichever process takes which index.
+    """
+    caller = os.getpid()
+    mark = tmp_path / "helper-ran"
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setitem(verify.SUITES, "probe", verify._suite_runner("probe"))
+
+    def install(behaviour):
+        def check(name):
+            def cases(n):
+                in_helper = os.getpid() != caller
+                if in_helper:
+                    mark.touch()
+                else:
+                    deadline = time.monotonic() + 10
+                    while not mark.exists():
+                        assert time.monotonic() < deadline, "no helper took a check"
+                        time.sleep(0.005)
+                behaviour(name, in_helper)
+                yield from ()
+
+            return verify.Check("probe", name, cases, 0, 0, False)
+
+        for name in ("first", "second"):
+            monkeypatch.setitem(verify.CATALOGUE, f"probe.{name}", check(name))
+
+    yield install
+    assert os.getpid() == caller
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("escape", [KeyboardInterrupt, SystemExit])
+def test_helper_ends_with_os_exit(probe_suite, tmp_path, escape):
+    # a helper that let the exception out would run on through this test
+    def behaviour(name, in_helper):
+        if in_helper:
+            raise escape
+
+    probe_suite(behaviour)
+    caller = os.getpid()
+    try:
+        results = verify.run_suites(["probe"], 0)
+    finally:
+        if os.getpid() != caller:
+            (tmp_path / "escaped").touch()
+            os._exit(0)
+    assert [(r.name, r.status) for r in results] == [("first", "PASS"), ("second", "PASS")]
+    assert not (tmp_path / "escaped").exists()
+    _no_child_left()
+
+
+def test_unexpected_error_surfaces_from_the_caller(probe_suite, tmp_path):
+    # both checks raise; as in one process, the first in catalogue order is the one seen
+    def behaviour(name, in_helper):
+        raise RuntimeError(name)
+
+    probe_suite(behaviour)
+    with pytest.raises(RuntimeError) as exc:
+        verify.run_suites(["probe"], 0)
+    assert exc.value.args == ("first",)
+    assert exc.traceback[-1].name == "behaviour"
+    assert (tmp_path / "helper-ran").exists()
+    _no_child_left()
+
+
+def test_interrupt_in_the_caller_stops_the_helpers(probe_suite):
+    def behaviour(name, in_helper):
+        if in_helper:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    probe_suite(behaviour)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suites(["probe"], 0)
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cpus,max_n,helpers",
+    # lattice has three checks, and readings-disagree has no rank below 2
+    [(1, 8, 0), (2, 8, 1), (8, 8, 2), (8, 1, 1)],
+)
+def test_helpers_forked(monkeypatch, cpus, max_n, helpers):
+    monkeypatch.setattr(verify, "_cpus", lambda: 1)
+    alone = verify.run_suites(["lattice"], max_n)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert verify.run_suites(["lattice"], max_n) == alone
+    assert len(forks) == helpers
+    _no_child_left()
+
+
+@pytest.mark.parametrize("obstacle", ["no fork", "a thread"])
+def test_caller_runs_alone(monkeypatch, obstacle):
+    monkeypatch.setattr(verify, "_cpus", lambda: 8)
+    if obstacle == "no fork":
+        monkeypatch.delattr(os, "fork")
+        results = verify.run_suites(["lattice"], 8)
+    else:
+        def forbidden():
+            raise AssertionError("forked beside a running thread")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(10,))
+        thread.start()
+        try:
+            results = verify.run_suites(["lattice"], 8)
+        finally:
+            done.set()
+            thread.join(10)
+        assert not thread.is_alive()
+    assert [r.status for r in results] == ["PASS"] * 3
+
+
+def test_one_cpu_prints_the_same(capsys, monkeypatch):
+    outputs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+        assert main(["verify", "--all", "--max-n", "6"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n35/35 checks passed\n")
+    _no_child_left()
+
+
+def test_each_check_runs_once(monkeypatch, tmp_path):
+    # seven helpers on fewer cores: a check taken twice, or by none, shows in the log
+    log = tmp_path / "log"
+    monkeypatch.setattr(verify, "_cpus", lambda: 8)
+    monkeypatch.setitem(verify.SUITES, "probe", verify._suite_runner("probe"))
+
+    def check(i):
+        def cases(n):
+            with open(log, "a") as handle:
+                handle.write(f"{i}\n")
+            yield from ()
+
+        return verify.Check("probe", f"c{i}", cases, 0, 0, False)
+
+    for i in range(40):
+        monkeypatch.setitem(verify.CATALOGUE, f"probe.c{i}", check(i))
+    results = verify.run_suites(["probe"], 0)
+    assert [(r.name, r.status) for r in results] == [(f"c{i}", "PASS") for i in range(40)]
+    assert sorted(map(int, log.read_text().split())) == list(range(40))
+    _no_child_left()
