@@ -14,36 +14,41 @@ by the rank.
 One runner reports, for each check, the first counterexample over its ranks
 in increasing order (a domain error the library raises counts as one, and
 the run goes on with the next check), or a skip when ``--max-n`` leaves it
-no rank;
-``SUITES`` maps each suite name to the function that runs its checks.  The
-same catalogue is run case by case by pytest: every (check, rank) pair at
-the CLI default ``--max-n``, and the acceptance tests at their own ranks,
-each pair evaluated once per test session.  Checks share no state, so the
-output is deterministic for a fixed ``max_n``.
+no rank.  :func:`run_suites` runs the named suites, each name once in the
+order first given and each suite's checks in catalogue order;
+``SUITES`` maps each suite name to the same runner for that suite alone.
+The same catalogue is run case by case by pytest: every (check, rank) pair
+at the CLI default ``--max-n``, and the acceptance tests at their own
+ranks, each pair evaluated once per test session.  Checks share no state,
+so the output is deterministic for a fixed ``max_n``.
 
-A suite's checks run in the calling process and in helpers it forks, one
-per CPU the process may use beyond its own, at most one fewer than the
-checks; where ``fork`` is missing, one CPU is free or another thread runs,
-the caller runs them all.  Each process takes the next check from one
-shared pipe.  A helper starts from the caller's state at the fork, patches
-included, sends its verdicts back and ends with ``os._exit``; the caller
-reaps every helper before it returns or raises.  Since no verdict depends
-on the process that reached it, and the runner lists them in catalogue
-order, the output is the one-process output.  A check that raises
-anything but a domain error is run again in the caller, in catalogue
-order, so the same exception and traceback surface as in one process.
+Each call builds one job list of every requested check that has a rank,
+and runs it in the calling process and in helpers forked once for the
+call, one per CPU the process may use beyond its own, at most one fewer
+than the jobs; where ``fork`` is missing, one CPU is free or another
+thread runs, the caller runs them all.  Each process takes the next job
+from one shared pipe.  A helper starts from the caller's state at the
+fork, patches included, sends back a record per job (the verdict and the
+seconds the check took in that helper) and ends with ``os._exit``; the
+caller reaps every helper before it returns or raises.  Since no verdict
+depends on the process that reached it, and the runner lists them in
+request order, the output is the one-process output.  A check that raises
+anything but a domain error is run again in the caller, in request order,
+so the same exception and traceback surface as in one process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import marshal
 import os
 import random
 import signal
 import threading
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn
 
 from . import counting, lattice, tl
@@ -75,6 +80,8 @@ class CheckResult:
     name: str
     status: str  # PASS, FAIL, or SKIP when no rank of the check ran
     detail: str = ""
+    # the check's time in the process that ran it, helper or caller; 0 for a SKIP
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -702,26 +709,41 @@ def _helper_count(jobs: int) -> int:
     return max(0, min(_cpus(), jobs) - 1)
 
 
-def _run(jobs: list[tuple[Check, range]], tasks: int) -> dict[int, str | None]:
-    """Run the jobs this process takes from ``tasks``, one index byte at a
+_Job = tuple[Check, range]
+_Record = tuple[str | None, float]  # the verdict and the seconds it took
+
+# Each job index goes down the task pipe as two bytes, all written before
+# any process reads, so the feed must fit the pipe's 64 KiB buffer.
+_INDEX_BYTES = 2
+_MAX_JOBS = 65536 // _INDEX_BYTES
+
+
+def _record(check: Check, ranks: range) -> _Record:
+    """``check.counterexample(ranks)`` and the seconds it took here."""
+    start = time.perf_counter()
+    verdict = check.counterexample(ranks)
+    return verdict, time.perf_counter() - start
+
+
+def _run(jobs: list[_Job], tasks: int) -> dict[int, _Record]:
+    """Run the jobs this process takes from ``tasks``, one index at a
     time, until the pipe is empty.
 
     A job that raises anything but a domain error (which
     ``counterexample`` reports) is left out, for the caller to run again.
     """
     found = {}
-    while index := os.read(tasks, 1):
-        i = index[0]
-        check, ranks = jobs[i]
+    while index := os.read(tasks, _INDEX_BYTES):
+        i = int.from_bytes(index, "big")
         try:
-            found[i] = check.counterexample(ranks)
+            found[i] = _record(*jobs[i])
         except Exception:
             pass
     return found
 
 
-def _serve(jobs: list[tuple[Check, range]], tasks: int, out: int) -> NoReturn:
-    """A helper's life: run jobs, send their verdicts down ``out``, and exit
+def _serve(jobs: list[_Job], tasks: int, out: int) -> NoReturn:
+    """A helper's life: run jobs, send their records down ``out``, and exit
     without returning into the caller's stack, whatever is raised."""
     code = 1
     try:
@@ -732,27 +754,29 @@ def _serve(jobs: list[tuple[Check, range]], tasks: int, out: int) -> NoReturn:
         os._exit(code)
 
 
-def _counterexamples(jobs: list[tuple[Check, range]]) -> list[str | None]:
-    """``check.counterexample(ranks)`` for each job, in order.
+def _counterexamples(jobs: list[_Job]) -> list[_Record]:
+    """The record of ``check.counterexample(ranks)`` for each job, in order.
 
     The caller and its helpers take the jobs from one pipe.  A job whose
-    verdict did not come back (it raised, or its helper died) runs again
+    record did not come back (it raised, or its helper died) runs again
     in the caller in order, so the first job that raises in a one-process
     run raises here too.  Every helper is reaped before this returns or
     raises.
     """
+    if len(jobs) > _MAX_JOBS:
+        raise ValueError(f"{len(jobs)} jobs, at most {_MAX_JOBS} fit the task pipe")
     tasks, feed = os.pipe()
-    helpers: dict[int, BinaryIO] = {}  # pid: read end of its verdict pipe
+    helpers: dict[int, BinaryIO] = {}  # pid: read end of its record pipe
     try:
         with open(feed, "wb") as pipe:
-            pipe.write(bytes(range(len(jobs))))
+            pipe.write(b"".join(i.to_bytes(_INDEX_BYTES, "big") for i in range(len(jobs))))
         for _ in range(_helper_count(len(jobs))):
-            verdicts, out = os.pipe()
+            records, out = os.pipe()
             pid = os.fork()
             if pid == 0:
                 _serve(jobs, tasks, out)
             os.close(out)
-            helpers[pid] = open(verdicts, "rb")
+            helpers[pid] = open(records, "rb")
         found = _run(jobs, tasks)
         for pid, pipe in list(helpers.items()):
             data = pipe.read()
@@ -766,37 +790,31 @@ def _counterexamples(jobs: list[tuple[Check, range]]) -> list[str | None]:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [
-        found[i] if i in found else check.counterexample(ranks)
-        for i, (check, ranks) in enumerate(jobs)
-    ]
+    return [found[i] if i in found else _record(*job) for i, job in enumerate(jobs)]
 
 
-def _suite_runner(suite: str) -> Callable[[int], list[CheckResult]]:
-    def run(max_n: int) -> list[CheckResult]:
-        jobs = [(check, check.ranks(max_n)) for check in CATALOGUE.values() if check.suite == suite]
-        verdicts = iter(_counterexamples([job for job in jobs if job[1]]))
-        results = []
-        for check, ranks in jobs:
-            if not ranks:
-                skip = f"no rank in {check.first}..{check.last} within --max-n {max_n}"
-                results.append(CheckResult(suite, check.name, "SKIP", skip))
-                continue
-            bad = next(verdicts)
-            status = "PASS" if bad is None else "FAIL"
-            results.append(CheckResult(suite, check.name, status, bad or ""))
-        return results
-
-    return run
+def run_suites(names: Iterable[str], max_n: int) -> list[CheckResult]:
+    """Every check of the named suites under ``--max-n max_n``: each name
+    once, in the order first given, and each suite's checks in catalogue
+    order.  The checks with a rank run as one job list; the others SKIP."""
+    by_suite: dict[str, list[Check]] = {}
+    for check in CATALOGUE.values():
+        by_suite.setdefault(check.suite, []).append(check)
+    jobs = [(check, check.ranks(max_n)) for name in dict.fromkeys(names) for check in by_suite[name]]
+    records = iter(_counterexamples([job for job in jobs if job[1]]))
+    results = []
+    for check, ranks in jobs:
+        if not ranks:
+            skip = f"no rank in {check.first}..{check.last} within --max-n {max_n}"
+            results.append(CheckResult(check.suite, check.name, "SKIP", skip))
+            continue
+        bad, seconds = next(records)
+        status = "PASS" if bad is None else "FAIL"
+        results.append(CheckResult(check.suite, check.name, status, bad or "", seconds))
+    return results
 
 
 SUITES: dict[str, Callable[[int], list[CheckResult]]] = {
-    suite: _suite_runner(suite) for suite in dict.fromkeys(c.suite for c in CATALOGUE.values())
+    suite: functools.partial(run_suites, [suite])
+    for suite in dict.fromkeys(c.suite for c in CATALOGUE.values())
 }
-
-
-def run_suites(names: list[str], max_n: int) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(SUITES[name](max_n))
-    return results

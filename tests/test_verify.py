@@ -8,8 +8,8 @@ library function per suite and pin the exact FAIL lines, so a check that
 could never fail would show here.  The last tests hold the runner's
 helper processes to their rules: each ends with ``os._exit``, an
 unexpected error surfaces from the caller, none outlives the call, none is
-forked without ``fork`` or beside a running thread, and the output does
-not depend on the CPU count.
+forked without ``fork`` or beside a running thread, one fork round serves
+every requested suite, and the output does not depend on the CPU count.
 """
 
 import os
@@ -250,7 +250,6 @@ def probe_suite(monkeypatch, tmp_path):
     caller = os.getpid()
     mark = tmp_path / "helper-ran"
     monkeypatch.setattr(verify, "_cpus", lambda: 2)
-    monkeypatch.setitem(verify.SUITES, "probe", verify._suite_runner("probe"))
 
     def install(behaviour):
         def check(name):
@@ -329,13 +328,20 @@ def test_interrupt_in_the_caller_stops_the_helpers(probe_suite):
 
 
 @pytest.mark.parametrize(
-    "cpus,max_n,helpers",
-    # lattice has three checks, and readings-disagree has no rank below 2
-    [(1, 8, 0), (2, 8, 1), (8, 8, 2), (8, 1, 1)],
+    "suites,cpus,max_n,helpers",
+    # lattice has three checks, and readings-disagree has no rank below 2;
+    # the six suites are one job list, so one fork round serves them all
+    [
+        pytest.param(["lattice"], 1, 8, 0, id="1-8-0"),
+        pytest.param(["lattice"], 2, 8, 1, id="2-8-1"),
+        pytest.param(["lattice"], 8, 8, 2, id="8-8-2"),
+        pytest.param(["lattice"], 8, 1, 1, id="8-1-1"),
+        pytest.param(list(verify.SUITES), 2, 4, 1, id="all-2-4-1"),
+    ],
 )
-def test_helpers_forked(monkeypatch, cpus, max_n, helpers):
+def test_helpers_forked(monkeypatch, suites, cpus, max_n, helpers):
     monkeypatch.setattr(verify, "_cpus", lambda: 1)
-    alone = verify.run_suites(["lattice"], max_n)
+    alone = verify.run_suites(suites, max_n)
     forks = []
     fork = os.fork
 
@@ -345,7 +351,7 @@ def test_helpers_forked(monkeypatch, cpus, max_n, helpers):
 
     monkeypatch.setattr(verify, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
-    assert verify.run_suites(["lattice"], max_n) == alone
+    assert verify.run_suites(suites, max_n) == alone
     assert len(forks) == helpers
     _no_child_left()
 
@@ -374,33 +380,60 @@ def test_caller_runs_alone(monkeypatch, obstacle):
 
 
 def test_one_cpu_prints_the_same(capsys, monkeypatch):
+    # suites print in request order; --all asks for them sorted
+    for argv, suites, passed in [
+        (["--all"], sorted(verify.SUITES), "35/35"),
+        (["tl", "fc"], ["tl", "fc"], "11/11"),
+    ]:
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+            assert main(["verify", *argv, "--max-n", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith(f"\n{passed} checks passed\n")
+        printed = [line.split()[1].partition(".")[0] for line in outputs[0].splitlines()[:-1]]
+        assert list(dict.fromkeys(printed)) == suites
+    _no_child_left()
+
+
+def test_a_suite_named_twice_runs_once(capsys):
     outputs = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(verify, "_cpus", lambda: cpus)
-        assert main(["verify", "--all", "--max-n", "6"]) == 0
+    for argv in (["fc", "fc"], ["fc"]):
+        assert main(["verify", *argv, "--max-n", "3"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert outputs[0].endswith("\n35/35 checks passed\n")
+    assert outputs[0].endswith("\n7/7 checks passed\n")
+
+
+def test_each_result_carries_its_seconds():
+    # lattice.readings-disagree has no rank below 2, so it is the one SKIP
+    results = verify.run_suites(["lattice", "fc"], 1)
+    assert [r.status for r in results].count("SKIP") == 1
+    for r in results:
+        assert (r.seconds == 0) if r.status == "SKIP" else (r.seconds > 0)
     _no_child_left()
 
 
 def test_each_check_runs_once(monkeypatch, tmp_path):
-    # seven helpers on fewer cores: a check taken twice, or by none, shows in the log
-    log = tmp_path / "log"
-    monkeypatch.setattr(verify, "_cpus", lambda: 8)
-    monkeypatch.setitem(verify.SUITES, "probe", verify._suite_runner("probe"))
+    # a check taken twice, or by none, shows in the log: seven helpers on
+    # fewer cores, then more jobs than one index byte can number
+    for cpus, checks in [(8, 40), (2, 300)]:
+        log = tmp_path / f"log-{checks}"
 
-    def check(i):
-        def cases(n):
-            with open(log, "a") as handle:
-                handle.write(f"{i}\n")
-            yield from ()
+        def check(i):
+            def cases(n):
+                with open(log, "a") as handle:
+                    handle.write(f"{i}\n")
+                yield from ()
 
-        return verify.Check("probe", f"c{i}", cases, 0, 0, False)
+            return verify.Check("probe", f"c{i}", cases, 0, 0, False)
 
-    for i in range(40):
-        monkeypatch.setitem(verify.CATALOGUE, f"probe.c{i}", check(i))
-    results = verify.run_suites(["probe"], 0)
-    assert [(r.name, r.status) for r in results] == [(f"c{i}", "PASS") for i in range(40)]
-    assert sorted(map(int, log.read_text().split())) == list(range(40))
-    _no_child_left()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_cpus", lambda: cpus)
+            for i in range(checks):
+                patch.setitem(verify.CATALOGUE, f"probe.c{i}", check(i))
+            results = verify.run_suites(["probe"], 0)
+        assert [(r.name, r.status) for r in results] == [(f"c{i}", "PASS") for i in range(checks)]
+        assert sorted(map(int, log.read_text().split())) == list(range(checks))
+        _no_child_left()
