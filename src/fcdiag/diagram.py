@@ -68,6 +68,7 @@ from .errors import (
     ParseError,
     StringMismatchError,
 )
+from .fc import _read_decimal
 
 Arrow = tuple[int, int]  # (tail code, head code), tail < head
 
@@ -593,7 +594,7 @@ def parse_dot(token: str, strings: int) -> int:
     m = _DOT_RE.match(token)
     if not m:
         raise ParseError(f"not a dot: {token!r}")
-    idx = int(m.group(1))
+    idx = _read_decimal(m.group(1))
     if not 1 <= idx <= strings:
         raise ParseError(f"dot index {idx} out of range for {strings} strings")
     return idx - 1 if not m.group(2) else strings + idx - 1
@@ -604,7 +605,7 @@ def parse_diagram(text: str) -> Diagram:
     m = _DIAGRAM_HEAD_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a diagram text form: {text!r}")
-    strings = int(m.group(1))
+    strings = _read_decimal(m.group(1))
     arrows = []
     body = m.group(2)
     if not body:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcdiag import (
+    ParseError,
     catalan,
     cli,
     count_start_end,
@@ -491,6 +492,30 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["count"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cli_first", [True, False], ids=["cli-first", "library-first"])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            pytest.param(["mul", "n=" + "7" * 5000 + ":[]", "n=3:[]"], parse_fc, id="mul-rank"),
+            pytest.param(["to-diagram", "n=3:[" + "9" * 5000 + ",1]"], parse_fc, id="to-diagram"),
+            pytest.param(
+                ["to-fc", "strings=" + "2" * 5000 + ";1-2,1'-2'"], parse_diagram, id="to-fc"
+            ),
+        ],
+    )
+    def test_long_number_refused_in_either_order(self, capsys, argv, read, cli_first):
+        # main lifts the int digit limit while it runs; the refusal must not
+        # depend on that, nor on which of the two read the text first
+        message = "a number of 5000 digits is more than 4300, the most a text form may hold"
+        text = next(arg for arg in argv[1:] if len(arg) > 5000)
+        for by_cli in (cli_first, not cli_first):
+            if by_cli:
+                assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+            else:
+                with pytest.raises(ParseError) as exc:
+                    read(text)
+                assert str(exc.value) == message
 
 
 def usage_error(capsys, *argv):

@@ -1,12 +1,17 @@
 """Canonical forms: validation, statistics, involutions, and the
 permutation oracle."""
 
+import contextlib
 import itertools
 import json
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from fcdiag import (
     Classification,
@@ -25,6 +30,7 @@ from fcdiag import (
     is_saturated_in,
     parse_fc,
 )
+from fcdiag import fc
 from helpers import assert_holds, fc_elements, fc_list, mutated_json
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
@@ -184,6 +190,228 @@ class TestTextAndJson:
     @given(fc_elements())
     def test_text_roundtrip_random(self, w):
         assert parse_fc(w.to_text()) == w
+
+
+@contextlib.contextmanager
+def empty_memo(chars: int | None = None):
+    """Run with an empty parse_fc memo, of ``chars`` characters if given,
+    and put the process's memo back after."""
+    saved = fc._memo, fc._blocks, fc._memo_chars, fc._MEMO_CHARS
+    fc._memo, fc._blocks, fc._memo_chars = {}, {}, 0
+    if chars is not None:
+        fc._MEMO_CHARS = chars
+    try:
+        yield
+    finally:
+        fc._memo, fc._blocks, fc._memo_chars, fc._MEMO_CHARS = saved
+
+
+def outcome(text):
+    """What ``parse_fc(text)`` gives: the element, or the refusal's class and message."""
+    try:
+        return parse_fc(text)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome compared
+        return type(exc), str(exc)
+
+
+def assert_memo_within_its_bound() -> None:
+    """The count of characters noted is right and within the bound, and
+    the shared block table holds exactly the blocks of the elements held,
+    each element using the shared tuples."""
+    assert fc._memo_chars == sum(map(len, fc._memo)) <= fc._MEMO_CHARS
+    held_blocks = [pair for w in fc._memo.values() if w is not None for pair in w.pairs]
+    assert set(fc._blocks) == set(held_blocks)
+    assert all(fc._blocks[pair] is pair for pair in held_blocks)
+
+
+class YieldingDict(dict):
+    """A dict whose ``setdefault`` first lets another thread run."""
+
+    def setdefault(self, key, default=None):
+        time.sleep(1e-5)
+        return super().setdefault(key, default)
+
+
+# Texts of the FC text form, of any other form, and junk.
+FC_TEXTS = st.one_of(
+    fc_elements().map(FCElement.to_text),
+    fc_elements().map(lambda w: f" {w.to_text()}\n"),
+    st.text("0123456789[],:n= ", max_size=24),
+)
+
+
+class TestParseMemo:
+    def test_every_text_to_rank_6_on_a_miss_and_a_hit(self):
+        with empty_memo():
+            for n in range(7):
+                for w in enumerate_fc(n):
+                    text = w.to_text()
+                    assert text not in fc._memo
+                    assert parse_fc(text) == w and fc._memo[text] is None  # noted
+                    second = parse_fc(text)
+                    assert second == w and fc._memo[text] is second  # held
+                    assert parse_fc(text) is second  # served
+            assert len(fc._memo) == sum(catalan(n + 1) for n in range(7))
+            assert_memo_within_its_bound()
+
+    @given(FC_TEXTS)
+    def test_a_text_reads_the_same_on_a_miss_and_a_hit(self, text):
+        with empty_memo():
+            first = outcome(text)
+            assert outcome(text) == outcome(text) == first
+            assert (text in fc._memo) == isinstance(first, FCElement)
+        assert outcome(text) == first  # with whatever the process's memo holds
+
+    def test_a_text_read_once_holds_no_element(self):
+        texts = [w.to_text() for w in enumerate_fc(5)]
+        with empty_memo():
+            for text in texts:
+                parse_fc(text)
+            assert list(fc._memo) == texts
+            assert set(fc._memo.values()) == {None} and fc._blocks == {}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=3:[2,3][2,2]",
+            "n=3:",
+            "5:[1,2]",
+            "n=3:[1,1]x",
+            pytest.param("n=3:[" + "9" * 4301 + ",1]", id="long"),
+        ],
+    )
+    def test_a_refusal_is_not_held(self, text):
+        with empty_memo():
+            first = outcome(text)
+            assert issubclass(first[0], FCDiagramError)
+            assert outcome(text) == first
+            assert fc._memo == {} and fc._blocks == {}
+
+    @pytest.mark.parametrize(
+        "arg, error",
+        [
+            (None, AttributeError),
+            (3, AttributeError),
+            (["n=3:[]"], AttributeError),
+            (b"n=3:[]", TypeError),
+        ],
+    )
+    def test_a_non_str_argument_is_refused_as_before(self, arg, error):
+        with empty_memo():
+            for _ in range(2):
+                with pytest.raises(error):
+                    parse_fc(arg)
+            assert fc._memo == {}
+
+    def test_a_str_subclass_is_parsed_but_not_held(self):
+        class Text(str):
+            pass
+
+        with empty_memo():
+            assert parse_fc(Text("n=3:[2,3]")) == FCElement(3, ((2, 3),))
+            assert fc._memo == {}
+
+    def test_memo_stays_within_its_bound(self):
+        texts = [w.to_text() for w in enumerate_fc(10)]
+        assert sum(map(len, texts)) > 4 * fc._MEMO_CHARS
+        with empty_memo():
+            for k, text in enumerate(texts):
+                assert parse_fc(text).to_text() == text
+                assert parse_fc(text).to_text() == text
+                if k % 5000 == 0:
+                    assert_memo_within_its_bound()
+            assert_memo_within_its_bound()
+            assert fc._memo  # the texts read since the memo was last emptied
+            assert all(fc._memo[text] is parse_fc(text) for text in list(fc._memo))
+
+    def test_a_text_longer_than_the_bound_is_read_but_not_held(self):
+        rank = 40_000
+        w = FCElement(rank, tuple((i, i) for i in range(rank, 0, -1)))
+        text = w.to_text()
+        assert len(text) > fc._MEMO_CHARS
+        with empty_memo():
+            parse_fc("n=3:[2,3]")
+            assert parse_fc(text) == w and parse_fc(text) == w
+            assert list(fc._memo) == ["n=3:[2,3]"] and fc._memo_chars == 9
+
+    def test_four_threads_read_the_same(self):
+        # A bound of a few texts empties the memo many times while the
+        # threads read, and the block table hands the interpreter to
+        # another thread at each block it shares, in the middle of holding
+        # an element.  Each thread checks the memo under its lock after
+        # every read, so an update made outside the lock shows as a count,
+        # a text or a block out of place.
+        texts = [w.to_text() for w in enumerate_fc(4)] + ["n=3:[2,3][2,2]", "n=3:"]
+        want = {text: outcome(text) for text in texts}
+        wrong: list[str] = []
+        errors: list[BaseException] = []
+        finished: list[int] = []
+
+        def read(seed):
+            try:
+                for text in random.Random(seed).sample(texts * 20, 20 * len(texts)):
+                    if outcome(text) != want[text]:
+                        wrong.append(text)
+                    with fc._memo_lock:
+                        assert_memo_within_its_bound()
+                finished.append(seed)
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with empty_memo(chars=120):
+                fc._blocks = YieldingDict()
+                threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+        assert sorted(finished) == [0, 1, 2, 3]
+
+
+class TestLongNumbers:
+    @pytest.mark.parametrize(
+        "text, digits",
+        [
+            pytest.param("n=" + "1" * 4301 + ":[]", 4301, id="rank"),
+            pytest.param("n=3:[" + "9" * 5000 + ",1]", 5000, id="start"),
+            pytest.param("n=3:[1," + "0" * 4301 + "1]", 4302, id="end"),
+        ],
+    )
+    def test_a_number_over_the_digit_cap_is_a_parse_error(self, text, digits):
+        with pytest.raises(ParseError) as exc:
+            parse_fc(text)
+        assert str(exc.value) == (
+            f"a number of {digits} digits is more than 4300, the most a text form may hold"
+        )
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_the_answer_does_not_depend_on_the_digit_limit(self, limit):
+        rank = 10**4299 + 7
+        texts = [
+            f"n={rank}:[]",
+            f"n={rank}:[{rank - 1},{rank}][1,1]",
+            "n=" + "0" * 4299 + "3:[3,3]",
+        ]
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with empty_memo():
+                got = [parse_fc(text) for text in texts]
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert got == [
+            FCElement(rank),
+            FCElement(rank, ((rank - 1, rank), (1, 1))),
+            FCElement(3, ((3, 3),)),
+        ]
 
 
 class TestLength:
