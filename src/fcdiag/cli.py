@@ -98,10 +98,13 @@ WORK_CAP = 10**7
 
 
 def _check_rank(rank: int, command: str) -> None:
-    """Rank rule: a domain error if ``rank`` is above DRAW_RANK_CAP."""
+    """Rank rule: a domain error if ``rank`` is above DRAW_RANK_CAP.
+
+    The message leaves the rank out, as the output rule leaves its amount.
+    """
     if rank > DRAW_RANK_CAP:
         raise RankOutOfRangeError(
-            f"rank {rank} is more than {DRAW_RANK_CAP}, the highest rank that {command} accepts"
+            f"rank is more than {DRAW_RANK_CAP}, the highest rank that {command} accepts"
         )
 
 

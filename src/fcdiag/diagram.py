@@ -586,8 +586,8 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
 # ----------------------------------------------------------------------
 # text and JSON input
 
-_DIAGRAM_HEAD_RE = re.compile(r"^strings=(\d+);(.*)$")
-_DOT_RE = re.compile(r"^(\d+)('?)$")
+_DIAGRAM_HEAD_RE = re.compile(r"^strings=(\d+);(.*)$", re.ASCII)
+_DOT_RE = re.compile(r"^(\d+)('?)$", re.ASCII)
 
 
 def parse_dot(token: str, strings: int) -> int:

@@ -28,10 +28,10 @@ is not a nonnegative int (a bool counts as not an int), for
 :class:`FCElement`, :func:`enumerate_fc`, ``tl.census`` and
 ``tl.TLElement``; :func:`_check_size` refuses a size that is not an int,
 for :func:`enumerate_fc` and ``tl.census``, where an int out of range means
-no element.  Both raise :class:`RankOutOfRangeError`.  :func:`_read_decimal`
-reads each number of a text form, for :func:`parse_fc` and
-``diagram.parse_diagram``, and refuses one of more than :data:`MAX_DIGITS`
-digits with :class:`ParseError`.
+no element.  Both raise :class:`RankOutOfRangeError`.  A number of a text
+form, for :func:`parse_fc` and ``diagram.parse_diagram``, is a run of ASCII
+digits, and one of more than :data:`MAX_DIGITS` digits is refused with
+:class:`ParseError` (:func:`_read_decimal`).
 
 :func:`parse_fc` stops parsing a text once it has read it twice.  A
 process-wide memo notes every ``str`` text it reads, and holds the
@@ -350,45 +350,32 @@ def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
 # ----------------------------------------------------------------------
 # text and JSON input
 
-# The most digits a number in a text form may have: Python's default limit
-# on int-to-str digits (3.11+), so that a text any interpreter reads with
-# its defaults is still read, on every version.
-MAX_DIGITS = 4300
-
-# Runs this short are read by int() under any such limit: the lowest limit
-# Python accepts is sys.int_info.str_digits_check_threshold, 640.
-_SAFE_DIGITS = 640
+# The most digits a number in a text form may have: the lowest int digit
+# limit that Python accepts (sys.int_info.str_digits_check_threshold, 3.11+).
+# int() reads every number a text may hold, and str() writes it back, under
+# any limit, so what a text parses to, or why it is refused, never depends on
+# the limit.  No command accepts a rank above 10^5, so no command loses by it.
+MAX_DIGITS = 640
 
 
 def _read_decimal(digits: str) -> int:
-    """The value of ``digits``, a run of decimal digits from a text form:
-    the one rule on numbers that every text parser shares.
-
-    A run of more than :data:`MAX_DIGITS` digits is refused with
-    :class:`ParseError`.  A run that a lowered digit limit could refuse is
-    read in pieces short enough for any limit, so the answer depends
-    neither on ``sys.get_int_max_str_digits()`` nor on the Python version.
-    """
-    if len(digits) <= _SAFE_DIGITS:
-        return int(digits)
+    """The value of ``digits``, a run of ASCII digits from a text form,
+    refused with :class:`ParseError` past :data:`MAX_DIGITS` digits."""
     if len(digits) > MAX_DIGITS:
         raise ParseError(
             f"a number of {len(digits)} digits is more than {MAX_DIGITS},"
             " the most a text form may hold"
         )
-    head = len(digits) % _SAFE_DIGITS or _SAFE_DIGITS
-    value = int(digits[:head])
-    for k in range(head, len(digits), _SAFE_DIGITS):
-        value = value * 10**_SAFE_DIGITS + int(digits[k : k + _SAFE_DIGITS])
-    return value
+    return int(digits)
 
 
-_HEAD_RE = re.compile(r"^n=(\d+):(.*)$")
-_BLOCK_RE = re.compile(r"\[(\d+),(\d+)\]")
-_BODY_RE = re.compile(r"(?:\[\d+,\d+\])*")
-# The same body with no number longer than int() reads under every digit
-# limit (see _read_decimal): the common case, read by int() alone.
-_SHORT_BODY_RE = re.compile(r"(?:\[\d{1,640},\d{1,640}\])*")
+_HEAD_RE = re.compile(r"^n=(\d+):(.*)$", re.ASCII)
+_BLOCK_RE = re.compile(r"\[(\d+),(\d+)\]", re.ASCII)
+# A block list whose numbers have at most MAX_DIGITS digits, and the same
+# with numbers of any length: a body that only the second takes holds a
+# number too long, not junk.
+_BODY_RE = re.compile(r"(?:\[\d{1,640},\d{1,640}\])*", re.ASCII)
+_LONG_BODY_RE = re.compile(r"(?:\[\d+,\d+\])*", re.ASCII)
 
 # The memo of parse_fc (see the module docstring): text -> the element
 # held, or None for a text read once; the characters of the texts noted;
@@ -404,8 +391,7 @@ _memo_lock = threading.Lock()
 def parse_fc(text: str) -> FCElement:
     """Parse the text form ``n=5:[4,5][3,3][1,1]`` (identity: ``n=5:[]``).
 
-    A number of more than :data:`MAX_DIGITS` digits is refused with
-    :class:`ParseError`, whatever the interpreter's digit limit.
+    Each number is a run of at most :data:`MAX_DIGITS` ASCII digits.
 
     A process-wide memo, of at most ``_MEMO_CHARS`` (2^18) characters of
     text, notes each ``str`` text read and holds its element from the
@@ -431,13 +417,13 @@ def _parse_fc(text: str) -> FCElement:
     body = m.group(2)
     if body == "[]":
         return FCElement(rank)
-    if _SHORT_BODY_RE.fullmatch(body):
-        read = int
-    elif _BODY_RE.fullmatch(body):
-        read = _read_decimal
-    else:
+    if not _BODY_RE.fullmatch(body):
+        if _LONG_BODY_RE.fullmatch(body):  # refuse the first long number
+            for pair in _BLOCK_RE.findall(body):
+                for digits in pair:
+                    _read_decimal(digits)
         raise ParseError(f"trailing junk in FC element text form: {text!r}")
-    pairs = tuple([(read(i), read(j)) for i, j in _BLOCK_RE.findall(body)])
+    pairs = tuple([(int(i), int(j)) for i, j in _BLOCK_RE.findall(body)])
     if not pairs:
         raise ParseError(f"missing block list in FC element text form: {text!r}")
     return FCElement(rank, pairs)

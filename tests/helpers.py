@@ -1,7 +1,8 @@
 """Shared test utilities: cached enumerations, the verify catalogue as a
 memoized assertion, hypothesis strategies, seeded random elements, a
-literal transcription of the paper's five-pass drawing, and a
-word-rewriting oracle for Temperley-Lieb monomial products.
+context that sets the int digit limit, a literal transcription of the
+paper's five-pass drawing, and a word-rewriting oracle for
+Temperley-Lieb monomial products.
 
 The rewriter is deliberately independent of the diagram machinery: it works
 on raw generator words with the three presentation relations and identifies
@@ -11,8 +12,10 @@ practical for small ranks, which is all the tests need.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import random
+import sys
 from collections import deque
 from functools import lru_cache
 
@@ -63,6 +66,18 @@ def assert_holds(check: str, ranks) -> None:
     for n in [ranks] if isinstance(ranks, int) else ranks:
         bad = _verdict(check, n)
         assert bad is None, f"{check}: {bad}"
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """Run with the interpreter's int digit limit at ``limit`` (Python 3.11+),
+    and put the process's limit back after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def assert_diagram_revalidates(d: Diagram) -> None:

@@ -342,10 +342,6 @@ class TestStructuralProperties:
         # that the one match is the drawn diagram is test_start_end_data
         assert_holds("bijection.uniqueness", n)
 
-    @pytest.mark.parametrize("n", range(0, 7))
-    def test_rotation_matches_delta_involution(self, n):
-        assert_holds("bijection.trace-consistency", n)
-
     @pytest.mark.parametrize("n", range(0, 5))
     def test_multiplication_compatibility(self, n):
         assert_holds("bijection.multiplication-compatible", n)

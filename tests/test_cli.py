@@ -27,7 +27,7 @@ from fcdiag import (
     trace_candidates,
 )
 from fcdiag.cli import main
-from helpers import fc_elements, random_fc, staircase
+from helpers import digit_limit, fc_elements, random_fc, staircase
 
 
 def run(capsys, *argv):
@@ -36,9 +36,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def rank_refusal(rank, command):
+def rank_refusal(command):
     """The stderr line of the rank rule."""
-    return f"error: rank {rank} is more than 100000, the highest rank that {command} accepts\n"
+    return f"error: rank is more than 100000, the highest rank that {command} accepts\n"
 
 
 def output_refusal(command, unit):
@@ -238,12 +238,12 @@ class TestEnumAndTable:
     def test_enum_above_the_listing_cap(self, capsys):
         # 35 357 670 elements: more blocks than elements, so the block bound refuses them
         assert run(capsys, "enum", "--n", "15") == (1, "", ENUM_REFUSAL)
-        assert run(capsys, "enum", "--n", "1000000000") == (1, "", rank_refusal(10**9, "enum"))
+        assert run(capsys, "enum", "--n", "1000000000") == (1, "", rank_refusal("enum"))
         # one empty element, but of a rank above the cap: answered before this change
         assert run(capsys, "enum", "--n", "1000000000", "--size", "0") == (
             1,
             "",
-            rank_refusal(10**9, "enum"),
+            rank_refusal("enum"),
         )
 
     def test_enum_above_the_work_cap(self, capsys):
@@ -253,7 +253,7 @@ class TestEnumAndTable:
         assert run(capsys, "enum", "--n", str(n), "--size", str(n)) == (
             1,
             "",
-            rank_refusal(n, "enum"),
+            rank_refusal("enum"),
         )
         assert time.perf_counter() - start < 2
         # 17 383 860 blocks at rank 13; rank 12 prints 4 457 400
@@ -263,7 +263,7 @@ class TestEnumAndTable:
     def test_enum_count_past_the_float_range(self, capsys):
         # the rank rule refuses before any count, so no count is estimated
         n = 10**400
-        assert run(capsys, "enum", "--n", str(n)) == (1, "", rank_refusal(n, "enum"))
+        assert run(capsys, "enum", "--n", str(n)) == (1, "", rank_refusal("enum"))
 
     def test_enum_size_above_the_draw_cap(self, capsys):
         # one element inside the work cap, but 10^6 blocks took 300 MB to print
@@ -273,7 +273,7 @@ class TestEnumAndTable:
             assert run(capsys, "enum", "--n", str(size), "--size", str(size)) == (
                 1,
                 "",
-                rank_refusal(size, "enum"),
+                rank_refusal("enum"),
             )
         code, out, err = run(capsys, "enum", "--n", str(cap), "--size", str(cap))
         assert time.perf_counter() - start < 2
@@ -381,7 +381,7 @@ class TestCensusCommand:
         assert run(capsys, "census", "--n", str(n), "--p", str(n)) == (
             1,
             "",
-            rank_refusal(n, "census"),
+            rank_refusal("census"),
         )
         assert time.perf_counter() - start < 2
         # 736 164 keys at most, of 14 arrows: 10 306 296 arrows
@@ -402,7 +402,7 @@ class TestCensusCommand:
             assert run(capsys, "census", "--n", str(n), "--p", "0") == (
                 1,
                 "",
-                rank_refusal(n, "census"),
+                rank_refusal("census"),
             )
         code, out, err = run(capsys, "census", "--n", str(cap), "--p", "0")
         assert time.perf_counter() - start < 2
@@ -445,7 +445,7 @@ class TestRender:
                 ["mul", "n=3:[]", text],
                 ["convert", "--from", "fc", "--to", "ballot", text],
             ):
-                assert run(capsys, *argv) == (1, "", rank_refusal(rank, argv[0])), argv
+                assert run(capsys, *argv) == (1, "", rank_refusal(argv[0])), argv
         assert time.perf_counter() - start < 2
         assert not target.exists()
         assert run(capsys, "convert", "--from", "fc", "--to", "fc", f"n={cap}:[]")[:2] == (0, f"n={cap}:[]\n")
@@ -507,15 +507,60 @@ class TestErrorPaths:
     def test_long_number_refused_in_either_order(self, capsys, argv, read, cli_first):
         # main lifts the int digit limit while it runs; the refusal must not
         # depend on that, nor on which of the two read the text first
-        message = "a number of 5000 digits is more than 4300, the most a text form may hold"
-        text = next(arg for arg in argv[1:] if len(arg) > 5000)
-        for by_cli in (cli_first, not cli_first):
-            if by_cli:
-                assert run(capsys, *argv) == (1, "", f"error: {message}\n")
-            else:
-                with pytest.raises(ParseError) as exc:
-                    read(text)
-                assert str(exc.value) == message
+        message = "a number of 5000 digits is more than 640, the most a text form may hold"
+        assert_refused_in_either_order(capsys, argv, read, cli_first, message)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    @pytest.mark.parametrize("cli_first", [True, False], ids=["cli-first", "library-first"])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            pytest.param(["mul", "n=3:[]", "n=" + "1" * 641 + ":[]"], parse_fc, id="rank"),
+            pytest.param(["to-diagram", "n=3:[" + "1" * 641 + ",1]"], parse_fc, id="start"),
+            pytest.param(
+                ["convert", "--from", "fc", "--to", "ballot", "n=3:[3," + "0" * 641 + "]"],
+                parse_fc,
+                id="end",
+            ),
+            pytest.param(["to-fc", "strings=" + "2" * 641 + ";1-2"], parse_diagram, id="strings"),
+            pytest.param(
+                ["convert", "--from", "diagram", "--to", "fc", "strings=2;1-2,1'-" + "2" * 641 + "'"],
+                parse_diagram,
+                id="dot",
+            ),
+        ],
+    )
+    def test_long_number_refused_at_the_lowest_digit_limit(self, capsys, argv, read, cli_first):
+        # 640 is the lowest int digit limit Python accepts; the refusal
+        # still names the number, where a bare ValueError came before
+        message = "a number of 641 digits is more than 640, the most a text form may hold"
+        with digit_limit(640):
+            assert_refused_in_either_order(capsys, argv, read, cli_first, message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "n=\uff13:[\uff12,\uff13]", "n=3:[1,2]"],
+            ["to-fc", "strings=2;1-2,1'-\u0662'"],
+        ],
+        ids=["fc", "diagram"],
+    )
+    def test_non_ascii_digits_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: not a")
+
+
+def assert_refused_in_either_order(capsys, argv, read, cli_first, message):
+    """``argv`` and ``read`` of its longest argument both refuse with
+    ``message``, whichever of the two reads the text first."""
+    text = max(argv, key=len)
+    for by_cli in (cli_first, not cli_first):
+        if by_cli:
+            assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+        else:
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert str(exc.value) == message
 
 
 def usage_error(capsys, *argv):
@@ -553,7 +598,7 @@ class TestCountAndTableBounds:
         "argv, values, err",
         [
             # no answer within 25 s before the two rules
-            (["count", "--n", "1000000"], 1, rank_refusal(10**6, "count")),
+            (["count", "--n", "1000000"], 1, rank_refusal("count")),
             (["count", "--n", "20000", "--narayana"], 20001, COUNT_REFUSAL),
             (["table", "narayana", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
             (["table", "triangle", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
@@ -612,7 +657,7 @@ class TestCountAndTableBounds:
         code, out, err = run(capsys, "count", "--n", str(cap))
         assert (code, err) == (0, "")
         assert 0 < len(out) - 1 <= digits_at_rank(cap)
-        assert run(capsys, "count", "--n", str(cap + 1)) == (1, "", rank_refusal(cap + 1, "count"))
+        assert run(capsys, "count", "--n", str(cap + 1)) == (1, "", rank_refusal("count"))
         assert time.perf_counter() - start < 4
 
 

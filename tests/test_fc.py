@@ -28,10 +28,11 @@ from fcdiag import (
     inversions,
     is_321_avoiding,
     is_saturated_in,
+    parse_diagram,
     parse_fc,
 )
 from fcdiag import fc
-from helpers import assert_holds, fc_elements, fc_list, mutated_json
+from helpers import assert_holds, digit_limit, fc_elements, fc_list, mutated_json
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
 
@@ -375,43 +376,107 @@ class TestParseMemo:
         assert sorted(finished) == [0, 1, 2, 3]
 
 
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+BIG = "9" * 640  # the longest number a text form may hold
+
+
+def long_number_refusal(digits):
+    return f"a number of {digits} digits is more than 640, the most a text form may hold"
+
+
 class TestLongNumbers:
     @pytest.mark.parametrize(
         "text, digits",
         [
-            pytest.param("n=" + "1" * 4301 + ":[]", 4301, id="rank"),
+            pytest.param("n=" + "1" * 641 + ":[]", 641, id="rank"),
             pytest.param("n=3:[" + "9" * 5000 + ",1]", 5000, id="start"),
-            pytest.param("n=3:[1," + "0" * 4301 + "1]", 4302, id="end"),
+            pytest.param("n=3:[1," + "0" * 641 + "1]", 642, id="end"),
         ],
     )
     def test_a_number_over_the_digit_cap_is_a_parse_error(self, text, digits):
         with pytest.raises(ParseError) as exc:
             parse_fc(text)
-        assert str(exc.value) == (
-            f"a number of {digits} digits is more than 4300, the most a text form may hold"
-        )
+        assert str(exc.value) == long_number_refusal(digits)
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_the_first_long_number_is_named_unless_the_body_is_junk(self):
+        text = "n=3:[3,3][" + "1" * 700 + ",1][1," + "2" * 800 + "]"
+        with pytest.raises(ParseError) as exc:
+            parse_fc(text)
+        assert str(exc.value) == long_number_refusal(700)
+        with pytest.raises(ParseError) as exc:
+            parse_fc(text + "x")
+        assert str(exc.value) == f"trailing junk in FC element text form: {text + 'x'!r}"
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
     @pytest.mark.parametrize("limit", [0, 640, 4300])
     def test_the_answer_does_not_depend_on_the_digit_limit(self, limit):
-        rank = 10**4299 + 7
+        rank = 10**639 + 7
         texts = [
             f"n={rank}:[]",
             f"n={rank}:[{rank - 1},{rank}][1,1]",
-            "n=" + "0" * 4299 + "3:[3,3]",
+            "n=" + "0" * 639 + "3:[3,3]",
         ]
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(limit)
-        try:
-            with empty_memo():
-                got = [parse_fc(text) for text in texts]
-        finally:
-            sys.set_int_max_str_digits(saved)
+        with digit_limit(limit), empty_memo():
+            got = [parse_fc(text) for text in texts]
+            assert [w.to_text() for w in got] == [texts[0], texts[1], "n=3:[3,3]"]
         assert got == [
             FCElement(rank),
             FCElement(rank, ((rank - 1, rank), (1, 1))),
             FCElement(3, ((3, 3),)),
         ]
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            pytest.param(parse_fc, f"n=3:[{BIG},1]", id="start-above-rank"),
+            pytest.param(parse_fc, f"n={BIG}:[{BIG},1][{BIG},1]", id="start-repeated"),
+            pytest.param(parse_fc, f"n={BIG}:[2,{BIG}][1,{BIG}]", id="end-repeated"),
+            pytest.param(parse_fc, f"n={BIG}:[{BIG},1]x", id="fc-junk"),
+            pytest.param(parse_fc, f"n={BIG}:", id="fc-no-blocks"),
+            pytest.param(parse_diagram, f"strings=2;1-{BIG}", id="dot-above-strings"),
+            pytest.param(parse_diagram, f"strings={BIG};1-2", id="dot-unmatched"),
+            pytest.param(parse_diagram, f"strings={BIG};{BIG}-{BIG}'x", id="diagram-junk"),
+        ],
+    )
+    def test_a_refusal_does_not_depend_on_the_digit_limit(self, read, text):
+        # the refusal quotes a number of 640 digits, or a dot, and str()
+        # writes it under the lowest limit as under none
+        outcomes = []
+        for limit in (0, 640, 4300):
+            with digit_limit(limit), empty_memo():
+                with pytest.raises(FCDiagramError) as exc:
+                    read(text)
+                outcomes.append((type(exc.value), str(exc.value)))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert BIG in outcomes[0][1] or "unmatched" in outcomes[0][1]
+
+
+class TestAsciiDigits:
+    # a digit of another script is no digit of a text form: fullwidth,
+    # Arabic-Indic, Devanagari
+    @pytest.mark.parametrize(
+        "digit", ["\uff13", "\u0663", "\u0969"], ids=["fullwidth", "arabic", "devanagari"]
+    )
+    @pytest.mark.parametrize(
+        "read, template",
+        [
+            pytest.param(parse_fc, "n={}:[2,3]", id="rank"),
+            pytest.param(parse_fc, "n=3:[{},3]", id="start"),
+            pytest.param(parse_fc, "n=3:[2,{}]", id="end"),
+            pytest.param(parse_diagram, "strings={};1-2,3-1',2'-3'", id="strings"),
+            pytest.param(parse_diagram, "strings=3;1-2,{}-1',2'-3'", id="top-dot"),
+            pytest.param(parse_diagram, "strings=3;1-2,3-1',2'-{}'", id="bottom-dot"),
+        ],
+    )
+    def test_a_non_ascii_digit_is_a_parse_error(self, read, template, digit):
+        read(template.format("3"))  # the ASCII digit 3 in its place reads
+        text = template.format(digit)
+        with empty_memo():
+            for _ in range(2):
+                with pytest.raises(ParseError):
+                    read(text)
+            assert fc._memo == {}
 
 
 class TestLength:
