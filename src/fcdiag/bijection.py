@@ -98,7 +98,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .diagram import Diagram, concatenate
-from .errors import FCDiagramError, IndexOutOfRangeError, UnexpectedLoopError
+from .errors import FCDiagramError, IndexOutOfRangeError, UnexpectedLoopError, shown
 from .fc import FCElement, Pair, enumerate_fc, is_saturated_in
 
 
@@ -142,7 +142,7 @@ def dplus_condition(w: FCElement, s: int, t: int) -> bool:
     """
     p = w.size
     if type(s) is not int or type(t) is not int or not 1 <= t < s <= p:
-        raise IndexOutOfRangeError(f"need 1 <= t < s <= {p}, got s={s!r}, t={t!r}")
+        raise IndexOutOfRangeError(f"need 1 <= t < s <= {p}, got s={shown(s)!r}, t={shown(t)!r}")
     i_s = w.pairs[s - 1][0]
     j_t = w.pairs[t - 1][1]
     if j_t != i_s + 2 * (s - t) - 1:

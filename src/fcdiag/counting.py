@@ -46,7 +46,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .errors import RankOutOfRangeError
+from .errors import RankOutOfRangeError, shown
 
 
 def _exact(numerator: int, denominator: int) -> int:
@@ -66,7 +66,7 @@ def catalan(m: int) -> int:
     recurrence is the ``verify`` check ``counting.catalan-convolution``.
     """
     if m < 0:
-        raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {m}")
+        raise RankOutOfRangeError(f"catalan is defined for m >= 0, got {shown(m)}")
     return _exact(comb(2 * m, m), m + 1)
 
 
@@ -225,7 +225,7 @@ def count_start_end(n: int, i: int, j: int) -> StartEndCount:
 def appendix_binomial_identity_check(n: int, p: int) -> bool:
     """Check sum_t C(p,t) C(n-p,t) / (t+1) == C(n+1,p) / (p+1) exactly."""
     if not 0 <= p <= n:
-        raise RankOutOfRangeError(f"need 0 <= p <= n, got p={p}, n={n}")
+        raise RankOutOfRangeError(f"need 0 <= p <= n, got p={shown(p)}, n={shown(n)}")
     from fractions import Fraction  # here, so that loading counting does not load decimal
 
     lhs = sum(Fraction(comb(p, t) * comb(n - p, t), t + 1) for t in range(p + 1))

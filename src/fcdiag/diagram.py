@@ -28,7 +28,8 @@ has checked each string count and another each generator index.  The
 string-count helper also serves :func:`enumerate_diagrams` and, in ``tl``,
 ``expected_class_size`` and ``key_texts``: a count that is not an int (a
 bool counts as not an int) is a :class:`NotMatchingError`, and an int
-below 1 an :class:`IndexOutOfRangeError`.  Four producers build their output
+below 1, or of more than 640 digits (the number rule of ``errors``), an
+:class:`IndexOutOfRangeError`.  Four producers build their output
 from valid diagrams or a valid canonical form, and it is a non-crossing
 matching by construction, so they skip the walk: the product of two
 diagrams, the two flips of the rectangle, the balanced walk of
@@ -62,11 +63,15 @@ from itertools import chain, count
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
+    LONG_INT,
+    MAX_DIGITS,
     CrossingError,
     IndexOutOfRangeError,
     NotMatchingError,
     ParseError,
     StringMismatchError,
+    check_text,
+    shown,
 )
 from .fc import _read_decimal
 
@@ -167,7 +172,9 @@ class Diagram:
         m = 2 * k
         for d, q in enumerate(partner):
             if type(q) is not int:
-                raise NotMatchingError(f"dot {self.dot_name(d)} is matched to {q!r}, not an int")
+                raise NotMatchingError(
+                    f"dot {self.dot_name(d)} is matched to {shown(q)!r}, not an int"
+                )
             if not 0 <= q < m:
                 raise NotMatchingError(f"dot {self.dot_name(d)} is matched out of range")
             if q == d:
@@ -238,10 +245,14 @@ class Diagram:
             except (TypeError, ValueError):
                 x = y = None
             if type(x) is not int or type(y) is not int:
-                raise NotMatchingError(f"arrow must be a pair of int dot codes, got {arrow!r}")
+                raise NotMatchingError(
+                    f"arrow must be a pair of int dot codes, got {shown(arrow)!r}"
+                )
             for d in (x, y):
                 if not 0 <= d < 2 * strings:
-                    raise NotMatchingError(f"dot code {d} out of range for {strings} strings")
+                    raise NotMatchingError(
+                        f"dot code {shown(d)} out of range for {strings} strings"
+                    )
                 if d in partner:
                     raise NotMatchingError(f"dot {_dot_name(d, strings)} used twice")
             partner[x], partner[y] = y, x
@@ -376,17 +387,24 @@ class Components:
 
 
 def _check_strings(strings: object) -> None:
-    """Refuse a string count that is not an int of at least 1, or is a bool."""
+    """Refuse a string count that is not an int of at least 1 and at most
+    :data:`~fcdiag.errors.MAX_DIGITS` digits, or is a bool."""
     if type(strings) is not int:
-        raise NotMatchingError(f"strings must be a positive integer, got {strings!r}")
-    if strings < 1:
-        raise IndexOutOfRangeError(f"strings must be >= 1, got {strings}")
+        raise NotMatchingError(f"strings must be a positive integer, got {shown(strings)!r}")
+    if not 1 <= strings < LONG_INT:
+        if strings < 1:
+            raise IndexOutOfRangeError(f"strings must be >= 1, got {shown(strings)}")
+        raise IndexOutOfRangeError(
+            f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
+        )
 
 
 def _check_generator_index(strings: int, i: object) -> None:
     """Refuse a generator index that is not an int in 1..strings-1, or is a bool."""
     if type(i) is not int or not 1 <= i < strings:
-        raise IndexOutOfRangeError(f"generator index must satisfy 1 <= i <= {strings - 1}, got {i}")
+        raise IndexOutOfRangeError(
+            f"generator index must satisfy 1 <= i <= {strings - 1}, got {shown(i)}"
+        )
 
 
 def _dot_name(code: int, strings: int) -> str:
@@ -601,7 +619,9 @@ def parse_dot(token: str, strings: int) -> int:
 
 
 def parse_diagram(text: str) -> Diagram:
-    """Parse the text form ``strings=2;1-2,1'-2'``."""
+    """Parse the text form ``strings=2;1-2,1'-2'``; a text that is not a
+    ``str`` is refused with :class:`ParseError`."""
+    check_text(text, "a diagram text form")
     m = _DIAGRAM_HEAD_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a diagram text form: {text!r}")

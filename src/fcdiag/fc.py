@@ -24,14 +24,16 @@ The helpers at the bottom of this module (`inversions`, `is_321_avoiding`,
 calculus.
 
 Each argument rule is stated once.  :func:`_check_rank` refuses a rank that
-is not a nonnegative int (a bool counts as not an int), for
+is not a nonnegative int (a bool counts as not an int) or has more than
+:data:`MAX_DIGITS` digits, the number rule of ``errors``, for
 :class:`FCElement`, :func:`enumerate_fc`, ``tl.census`` and
 ``tl.TLElement``; :func:`_check_size` refuses a size that is not an int,
 for :func:`enumerate_fc` and ``tl.census``, where an int out of range means
 no element.  Both raise :class:`RankOutOfRangeError`.  A number of a text
 form, for :func:`parse_fc` and ``diagram.parse_diagram``, is a run of ASCII
 digits, and one of more than :data:`MAX_DIGITS` digits is refused with
-:class:`ParseError` (:func:`_read_decimal`).
+:class:`ParseError` (:func:`_read_decimal`), as is a text that is not a
+``str``.
 
 :func:`parse_fc` stops parsing a text once it has read it twice.  A
 process-wide memo notes every ``str`` text it reads, and holds the
@@ -54,11 +56,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    LONG_INT,
+    MAX_DIGITS,
     IdentityHasNoDescentsError,
     NotStandardError,
     NotThickError,
     ParseError,
     RankOutOfRangeError,
+    check_text,
+    shown,
 )
 
 Pair = tuple[int, int]
@@ -108,9 +114,11 @@ class FCElement:
             except (TypeError, ValueError):
                 i = j = None
             if type(pair) is not tuple or type(i) is not int or type(j) is not int:
-                raise NotStandardError(f"block {t}: need a tuple of two ints, got {pair!r}")
+                raise NotStandardError(f"block {t}: need a tuple of two ints, got {shown(pair)!r}")
             if not 1 <= i <= j <= n:
-                raise NotStandardError(f"block {t}: need 1 <= i <= j <= {n}, got [{i},{j}]")
+                raise NotStandardError(
+                    f"block {t}: need 1 <= i <= j <= {n}, got [{shown(i)},{shown(j)}]"
+                )
             if i >= prev_i:
                 raise NotStandardError(
                     f"block {t}: start indices must strictly decrease, {i} follows {prev_i}"
@@ -320,17 +328,22 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
 
 
 def _check_rank(rank: object) -> None:
-    """Refuse a rank that is not a nonnegative int, or is a bool."""
+    """Refuse a rank that is not a nonnegative int of at most
+    :data:`MAX_DIGITS` digits, or is a bool."""
     if type(rank) is not int:
-        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {rank!r}")
-    if rank < 0:
-        raise RankOutOfRangeError(f"rank must be nonnegative, got {rank}")
+        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {shown(rank)!r}")
+    if not 0 <= rank < LONG_INT:
+        if rank < 0:
+            raise RankOutOfRangeError(f"rank must be nonnegative, got {shown(rank)}")
+        raise RankOutOfRangeError(
+            f"rank has more than {MAX_DIGITS} digits, the most a rank may have"
+        )
 
 
 def _check_size(size: object) -> None:
     """Refuse a size that is not an int, or is a bool; any int is a size."""
     if type(size) is not int:
-        raise RankOutOfRangeError(f"size must be an integer, got {size!r}")
+        raise RankOutOfRangeError(f"size must be an integer, got {shown(size)!r}")
 
 
 def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
@@ -350,12 +363,11 @@ def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
 # ----------------------------------------------------------------------
 # text and JSON input
 
-# The most digits a number in a text form may have: the lowest int digit
-# limit that Python accepts (sys.int_info.str_digits_check_threshold, 3.11+).
-# int() reads every number a text may hold, and str() writes it back, under
-# any limit, so what a text parses to, or why it is refused, never depends on
-# the limit.  No command accepts a rank above 10^5, so no command loses by it.
-MAX_DIGITS = 640
+# A number in a text form has at most MAX_DIGITS (640) digits, the number
+# rule of ``errors``: int() reads every number a text may hold, and str()
+# writes it back, under any limit, so what a text parses to, or why it is
+# refused, never depends on the limit.  No command accepts a rank above
+# 10^5, so no command loses by it.
 
 
 def _read_decimal(digits: str) -> int:
@@ -397,9 +409,12 @@ def parse_fc(text: str) -> FCElement:
     text, notes each ``str`` text read and holds its element from the
     second read on: from then on the text returns the element already
     built, the same immutable object to every caller.  A refused text is
-    never noted; it is parsed and refused again.
+    never noted; it is parsed and refused again.  A text that is not a
+    ``str`` is refused with :class:`ParseError`, and an instance of a
+    ``str`` subclass is parsed but never noted.
     """
     if type(text) is not str:
+        check_text(text, "an FC element text form")
         return _parse_fc(text)
     w = _memo.get(text)
     if w is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import Diagram
-from .errors import InvalidBallotError, InvalidPathError, ParseError
+from .errors import InvalidBallotError, InvalidPathError, ParseError, check_text, shown
 from .fc import FCElement
 
 
@@ -39,7 +39,7 @@ class Ballot:
         total = 0
         for s in self.signs:
             if type(s) is not int or s not in (1, -1):
-                raise InvalidBallotError(f"signs must be +1 or -1, got {s!r}")
+                raise InvalidBallotError(f"signs must be +1 or -1, got {shown(s)!r}")
             total += s
             if total < 0:
                 raise InvalidBallotError("prefix sums must stay nonnegative")
@@ -67,7 +67,7 @@ class DyckPath:
             elif step == "U":
                 ups += 1
             else:
-                raise InvalidPathError(f"steps must be 'R' or 'U', got {step!r}")
+                raise InvalidPathError(f"steps must be 'R' or 'U', got {shown(step)!r}")
             if ups > rights:
                 raise InvalidPathError("path must not rise above the diagonal")
         if rights != ups:
@@ -81,6 +81,7 @@ class DyckPath:
 
 
 def parse_ballot(text: str) -> Ballot:
+    check_text(text, "a ballot text form")
     signs = []
     for ch in text.strip():
         if ch == "+":
@@ -93,6 +94,7 @@ def parse_ballot(text: str) -> Ballot:
 
 
 def parse_dyck(text: str) -> DyckPath:
+    check_text(text, "a path text form")
     steps = tuple(text.strip().upper())
     if any(ch not in "RU" for ch in steps):
         raise ParseError(f"not a path text form: {text!r}")

@@ -61,7 +61,7 @@ from typing import Iterable, Iterator
 from .bijection import block_pairs
 from .counting import catalan_row
 from .diagram import Arrow, ArrowTexts, Diagram, _check_strings, run_action
-from .errors import NotMatchingError, NotNormalizedError, RankMismatchError
+from .errors import NotMatchingError, NotNormalizedError, RankMismatchError, shown
 from .fc import FCElement, _check_rank, _check_size
 
 
@@ -75,7 +75,9 @@ class DeltaPoly:
         prev = -1
         for e, c in self.coeffs:
             if type(e) is not int or type(c) is not int:
-                raise NotNormalizedError(f"exponent and coefficient must be ints, got {e!r}, {c!r}")
+                raise NotNormalizedError(
+                    f"exponent and coefficient must be ints, got {shown(e)!r}, {shown(c)!r}"
+                )
             if e < 0:
                 raise NotNormalizedError("exponents must be nonnegative")
             if e <= prev:
@@ -174,7 +176,8 @@ class TLElement:
         for w, poly in self.terms:
             if not isinstance(w, FCElement) or not isinstance(poly, DeltaPoly):
                 raise NotNormalizedError(
-                    f"a term must pair an FCElement with a DeltaPoly, got {w!r}, {poly!r}"
+                    "a term must pair an FCElement with a DeltaPoly,"
+                    f" got {shown(w)!r}, {shown(poly)!r}"
                 )
             if w.rank != self.rank:
                 raise RankMismatchError(f"term {w} has rank {w.rank}, element has {self.rank}")
@@ -505,7 +508,7 @@ def expected_class_size(strings: int, key: Key) -> int:
     a, b = 0, strings  # lowest free dot after the last tail, after the last head
     for x, y in key:
         if type(x) is not int or type(y) is not int:
-            raise NotMatchingError(f"tails and heads must be integers, got {(x, y)!r}")
+            raise NotMatchingError(f"tails and heads must be integers, got {shown((x, y))!r}")
         # the bounds keep the gaps from going negative
         if not (a <= x < strings and b <= y < 2 * strings):
             raise NotMatchingError("tails and heads must increase along the key, each on its row")

@@ -341,7 +341,3 @@ class TestStructuralProperties:
     def test_uniqueness_of_start_end_data(self, n):
         # that the one match is the drawn diagram is test_start_end_data
         assert_holds("bijection.uniqueness", n)
-
-    @pytest.mark.parametrize("n", range(0, 5))
-    def test_multiplication_compatibility(self, n):
-        assert_holds("bijection.multiplication-compatible", n)

@@ -294,9 +294,8 @@ class TestStartEndRecurrence:
 
     @pytest.mark.parametrize("n", range(0, 25))
     def test_row_equals_cells(self, n):
-        # inside 1..n the cells are the chain recurrence's columns; around them, zeros
-        if n:
-            assert_holds("counting.start-end-vs-chains", n)
+        # inside 1..n the cells are the chain recurrence's columns, which
+        # test_verify asks of counting.start-end-vs-chains; around them, zeros
         around = range(-1, n + 3)
         for i, j in itertools.product(around, around):
             if not (1 <= i <= n and 1 <= j <= n):

@@ -14,21 +14,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fcdiag import (
+    Ballot,
     Classification,
+    Diagram,
     FCDiagramError,
     FCElement,
     IdentityHasNoDescentsError,
+    IndexOutOfRangeError,
+    InvalidBallotError,
+    NotMatchingError,
     NotStandardError,
     NotThickError,
     ParseError,
     RankOutOfRangeError,
+    TLElement,
     catalan,
+    census,
+    dplus_condition,
+    enumerate_diagrams,
     enumerate_fc,
+    expected_class_size,
     fc_from_json,
     inversions,
     is_321_avoiding,
     is_saturated_in,
+    parse_ballot,
     parse_diagram,
+    parse_dyck,
     parse_fc,
 )
 from fcdiag import fc
@@ -289,7 +301,7 @@ class TestParseMemo:
             assert fc._memo == {} and fc._blocks == {}
 
     @pytest.mark.parametrize(
-        "arg, error",
+        "arg, bare",
         [
             (None, AttributeError),
             (3, AttributeError),
@@ -297,11 +309,17 @@ class TestParseMemo:
             (b"n=3:[]", TypeError),
         ],
     )
-    def test_a_non_str_argument_is_refused_as_before(self, arg, error):
+    def test_a_non_str_argument_is_refused_as_before(self, arg, bare):
+        # refused before the parse now, by name, not with the bare error
+        # that the parse used to meet
         with empty_memo():
             for _ in range(2):
-                with pytest.raises(error):
+                with pytest.raises(ParseError) as exc:
                     parse_fc(arg)
+                assert str(exc.value) == (
+                    f"an FC element text form must be a str, got {type(arg).__name__}"
+                )
+                assert not isinstance(exc.value, bare)
             assert fc._memo == {}
 
     def test_a_str_subclass_is_parsed_but_not_held(self):
@@ -450,6 +468,165 @@ class TestLongNumbers:
                 outcomes.append((type(exc.value), str(exc.value)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert BIG in outcomes[0][1] or "unmatched" in outcomes[0][1]
+
+
+HUGE = 10**5000  # more digits than int() writes under the default limit
+LONG = "an int of more than 640 digits"
+
+
+class TestLongInts:
+    """An int of more than 640 digits is no rank or string count, and no
+    refusal writes one out: class and message are the same under any int
+    digit limit."""
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: FCElement(-HUGE),
+                RankOutOfRangeError,
+                f"rank must be nonnegative, got {LONG}",
+                id="fc-negative-rank",
+            ),
+            pytest.param(
+                lambda: FCElement(HUGE).to_text(),
+                RankOutOfRangeError,
+                "rank has more than 640 digits, the most a rank may have",
+                id="fc-rank",
+            ),
+            pytest.param(
+                lambda: FCElement(3, ((HUGE, 1),)),
+                NotStandardError,
+                f"block 1: need 1 <= i <= j <= 3, got [{LONG},1]",
+                id="fc-start",
+            ),
+            pytest.param(
+                lambda: FCElement(3, ((HUGE, 1.5),)),
+                NotStandardError,
+                f"block 1: need a tuple of two ints, got ({LONG}, 1.5)",
+                id="fc-block",
+            ),
+            pytest.param(
+                lambda: next(enumerate_fc(10**640)),
+                RankOutOfRangeError,
+                "rank has more than 640 digits, the most a rank may have",
+                id="enumerate-fc",
+            ),
+            pytest.param(
+                lambda: Diagram.identity(-HUGE),
+                IndexOutOfRangeError,
+                f"strings must be >= 1, got {LONG}",
+                id="identity",
+            ),
+            pytest.param(
+                lambda: Diagram.identity(10**640),
+                IndexOutOfRangeError,
+                "strings has more than 640 digits, the most a string count may have",
+                id="identity-long",
+            ),
+            pytest.param(
+                lambda: Diagram.generator(3, HUGE),
+                IndexOutOfRangeError,
+                f"generator index must satisfy 1 <= i <= 2, got {LONG}",
+                id="generator",
+            ),
+            pytest.param(
+                lambda: Diagram.from_arrows(2, [(0, HUGE)]),
+                NotMatchingError,
+                f"dot code {LONG} out of range for 2 strings",
+                id="from-arrows",
+            ),
+            pytest.param(
+                lambda: next(enumerate_diagrams(-HUGE)),
+                IndexOutOfRangeError,
+                f"strings must be >= 1, got {LONG}",
+                id="enumerate-diagrams",
+            ),
+            pytest.param(
+                lambda: expected_class_size(-HUGE, ()),
+                IndexOutOfRangeError,
+                f"strings must be >= 1, got {LONG}",
+                id="class-size",
+            ),
+            pytest.param(
+                lambda: dplus_condition(W_EXAMPLE, HUGE, 1),
+                IndexOutOfRangeError,
+                f"need 1 <= t < s <= 3, got s={LONG}, t=1",
+                id="dplus",
+            ),
+            pytest.param(
+                lambda: Ballot((HUGE, -1)),
+                InvalidBallotError,
+                f"signs must be +1 or -1, got {LONG}",
+                id="ballot",
+            ),
+            pytest.param(
+                lambda: census(-HUGE, 1),
+                RankOutOfRangeError,
+                f"rank must be nonnegative, got {LONG}",
+                id="census",
+            ),
+            pytest.param(
+                lambda: TLElement.zero(-HUGE),
+                RankOutOfRangeError,
+                f"rank must be nonnegative, got {LONG}",
+                id="tl-zero",
+            ),
+            pytest.param(
+                lambda: catalan(-HUGE),
+                RankOutOfRangeError,
+                f"catalan is defined for m >= 0, got {LONG}",
+                id="catalan",
+            ),
+        ],
+    )
+    def test_refused_by_name_under_any_digit_limit(self, call, error, message):
+        for limit in (0, 640, 4300):
+            with digit_limit(limit):
+                with pytest.raises(FCDiagramError) as exc:
+                    call()
+            assert (type(exc.value), str(exc.value)) == (error, message), limit
+
+    @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
+    def test_the_longest_rank_prints_under_the_lowest_limit(self):
+        rank = 10**640 - 1
+        with digit_limit(640):
+            assert FCElement(rank, ((rank, rank),)).to_text() == f"n={rank}:[{rank},{rank}]"
+            with pytest.raises(RankOutOfRangeError, match="rank has more than 640 digits"):
+                FCElement(rank + 1)
+
+
+class TestNonStrText:
+    """Every text reader refuses a non-``str`` by name; a ``str`` subclass reads."""
+
+    @pytest.mark.parametrize("arg", [None, 3, b"+-", ["+-"]], ids=["none", "int", "bytes", "list"])
+    @pytest.mark.parametrize(
+        "read, form",
+        [
+            pytest.param(parse_diagram, "a diagram text form", id="diagram"),
+            pytest.param(parse_dyck, "a path text form", id="dyck"),
+            pytest.param(parse_ballot, "a ballot text form", id="ballot"),
+        ],
+    )
+    def test_refused_with_a_parse_error(self, read, form, arg):
+        with pytest.raises(ParseError) as exc:
+            read(arg)
+        assert str(exc.value) == f"{form} must be a str, got {type(arg).__name__}"
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            pytest.param(parse_diagram, "strings=2;1-2,1'-2'", id="diagram"),
+            pytest.param(parse_dyck, "RRUU", id="dyck"),
+            pytest.param(parse_ballot, "++--", id="ballot"),
+        ],
+    )
+    def test_a_str_subclass_reads(self, read, text):
+        class Text(str):
+            pass
+
+        assert read(Text(text)) == read(text)
 
 
 class TestAsciiDigits:
