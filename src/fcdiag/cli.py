@@ -97,7 +97,7 @@ DRAW_RANK_CAP = 10**5
 WORK_CAP = 10**7
 
 
-def _check_rank(rank: int, command: str) -> None:
+def _rank_rule(rank: int, command: str) -> None:
     """Rank rule: a domain error if ``rank`` is above DRAW_RANK_CAP.
 
     The message leaves the rank out, as the output rule leaves its amount.
@@ -108,7 +108,7 @@ def _check_rank(rank: int, command: str) -> None:
         )
 
 
-def _check_output(amount: int, unit: str, command: str) -> None:
+def _output_rule(amount: int, unit: str, command: str) -> None:
     """Output rule: a domain error if ``amount``, a bound on what
     ``command`` would print counted in ``unit``, is above WORK_CAP.
 
@@ -140,7 +140,7 @@ def _parse_drawable_fc(text: str, command: str) -> FCElement:
     from .fc import parse_fc
 
     w = parse_fc(text)
-    _check_rank(w.rank, command)
+    _rank_rule(w.rank, command)
     return w
 
 
@@ -148,12 +148,12 @@ def _cmd_enum(args) -> int:
     from .fc import enumerate_fc
 
     _check_at_most(args, "size", args.n)
-    _check_rank(args.n, "enum")
+    _rank_rule(args.n, "enum")
     if args.size is None:  # sizes p and n-p are equally common
         blocks = args.n * counting.catalan(args.n + 1) // 2
     else:
         blocks = args.size * counting.narayana(args.n, args.size)
-    _check_output(blocks, "blocks", "enum")
+    _output_rule(blocks, "blocks", "enum")
     for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
@@ -161,9 +161,9 @@ def _cmd_enum(args) -> int:
 
 def _cmd_count(args) -> int:
     n = args.n
-    _check_rank(n, "count")
+    _rank_rule(n, "count")
     row = args.narayana or args.triangle
-    _check_output((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
+    _output_rule((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
     if args.narayana:
         values = counting.narayana_row(n)
     elif args.triangle:
@@ -209,9 +209,9 @@ def _cmd_table(args) -> int:
     n = args.n
     if n < low:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
-    _check_rank(n, "table")
+    _rank_rule(n, "table")
     indices = range(low, n + 1)
-    _check_output(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
+    _output_rule(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
     header = [corner] + [str(c) for c in indices]
     rows = ([str(r)] + row_of(n, r, indices) for r in indices)
     if args.format == "csv":
@@ -234,7 +234,7 @@ def _cmd_to_diagram(args) -> int:
 
     w = _parse_drawable_fc(args.element, "to-diagram")
     if args.trace:
-        _check_output(trace_candidates(w), "candidate dots", "to-diagram --trace")
+        _output_rule(trace_candidates(w), "candidate dots", "to-diagram --trace")
         diagram, trace = fc_to_diagram(w)
     else:
         diagram = diagram_of(w)
@@ -332,8 +332,8 @@ def _cmd_census(args) -> int:
     from . import tl
 
     _check_at_most(args, "p", args.n)
-    _check_rank(args.n, "census")
-    _check_output((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
+    _rank_rule(args.n, "census")
+    _output_rule((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
     classes = tl.census(args.n, args.p)
     texts = tl.key_texts([key for key, _ in classes], args.n + 1)
     if args.json:

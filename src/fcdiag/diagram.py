@@ -23,13 +23,9 @@ like balanced brackets.
 
 That walk runs where a diagram enters: the constructor, ``from_arrows``,
 :func:`parse_diagram`, :func:`diagram_from_json`, ``from_word``,
-``identity`` and ``generator``, after one helper, :func:`_check_strings`,
-has checked each string count and another each generator index.  The
-string-count helper also serves :func:`enumerate_diagrams` and, in ``tl``,
-``expected_class_size`` and ``key_texts``: a count that is not an int (a
-bool counts as not an int) is a :class:`NotMatchingError`, and an int
-below 1, or of more than 640 digits (the number rule of ``errors``), an
-:class:`IndexOutOfRangeError`.  Four producers build their output
+``identity`` and ``generator``, once each string count has passed its
+rule, stated in ``errors``, and each generator index
+:func:`_check_generator_index`.  Four producers build their output
 from valid diagrams or a valid canonical form, and it is a non-crossing
 matching by construction, so they skip the walk: the product of two
 diagrams, the two flips of the rectangle, the balanced walk of
@@ -63,17 +59,16 @@ from itertools import chain, count
 from typing import Iterable, Iterator, NoReturn
 
 from .errors import (
-    LONG_INT,
-    MAX_DIGITS,
     CrossingError,
     IndexOutOfRangeError,
     NotMatchingError,
     ParseError,
     StringMismatchError,
+    check_strings,
     check_text,
+    read_decimal,
     shown,
 )
-from .fc import _read_decimal
 
 Arrow = tuple[int, int]  # (tail code, head code), tail < head
 
@@ -107,7 +102,7 @@ class Diagram:
 
     def __post_init__(self) -> None:
         k = self.strings
-        _check_strings(k)
+        check_strings(k)
         try:
             partner = tuple(self.partner)
         except TypeError:
@@ -198,14 +193,14 @@ class Diagram:
     @classmethod
     def identity(cls, strings: int) -> Diagram:
         """All strands vertical."""
-        _check_strings(strings)
+        check_strings(strings)
         partner = tuple(range(strings, 2 * strings)) + tuple(range(strings))
         return cls(strings, partner)
 
     @classmethod
     def generator(cls, strings: int, i: int) -> Diagram:
         """The cup-cap diagram joining i with i+1 on both rows."""
-        _check_strings(strings)
+        check_strings(strings)
         _check_generator_index(strings, i)
         partner = list(range(strings, 2 * strings)) + list(range(strings))
         k = strings
@@ -221,7 +216,7 @@ class Diagram:
         indices as :meth:`generator` checks its one; :func:`run_action`
         glues the word one letter per run, and the result is validated.
         """
-        _check_strings(strings)
+        check_strings(strings)
         word = tuple(word)
         for a in word:
             _check_generator_index(strings, a)
@@ -237,7 +232,7 @@ class Diagram:
         ``strings`` is checked as :meth:`identity` checks it, and each
         arrow must be a pair of int dot codes.
         """
-        _check_strings(strings)
+        check_strings(strings)
         partner: dict[int, int] = {}
         for arrow in arrows:
             try:  # a misshapen arrow falls to the check below
@@ -386,19 +381,6 @@ class Components:
     size: int
 
 
-def _check_strings(strings: object) -> None:
-    """Refuse a string count that is not an int of at least 1 and at most
-    :data:`~fcdiag.errors.MAX_DIGITS` digits, or is a bool."""
-    if type(strings) is not int:
-        raise NotMatchingError(f"strings must be a positive integer, got {shown(strings)!r}")
-    if not 1 <= strings < LONG_INT:
-        if strings < 1:
-            raise IndexOutOfRangeError(f"strings must be >= 1, got {shown(strings)}")
-        raise IndexOutOfRangeError(
-            f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
-        )
-
-
 def _check_generator_index(strings: int, i: object) -> None:
     """Refuse a generator index that is not an int in 1..strings-1, or is a bool."""
     if type(i) is not int or not 1 <= i < strings:
@@ -418,7 +400,7 @@ def _dot_name(code: int, strings: int) -> str:
 
 class ArrowTexts(dict):
     """The ``tail-head`` text of each arrow on ``strings`` strings, written
-    when first asked for, each dot named inline as :func:`_dot_name` would.
+    when first asked for, each dot named by :func:`_dot_name`.
     """
 
     def __init__(self, strings: int):
@@ -427,14 +409,7 @@ class ArrowTexts(dict):
 
     def __missing__(self, arrow: Arrow) -> str:
         x, y = arrow
-        k = self.strings
-        if y < k:
-            text = f"{x + 1}-{y + 1}"
-        elif x < k:
-            text = f"{x + 1}-{y - k + 1}'"
-        else:
-            text = f"{x - k + 1}'-{y - k + 1}'"
-        self[arrow] = text
+        text = self[arrow] = f"{_dot_name(x, self.strings)}-{_dot_name(y, self.strings)}"
         return text
 
 
@@ -564,7 +539,7 @@ def enumerate_diagrams(strings: int) -> Iterator[Diagram]:
     a diagram one copy of the array, and no string count meets the
     interpreter's recursion limit.
     """
-    _check_strings(strings)
+    check_strings(strings)
     k = strings
     m = 2 * k
     code = [*range(k), *range(m - 1, k - 1, -1)]  # boundary position -> dot code
@@ -612,7 +587,7 @@ def parse_dot(token: str, strings: int) -> int:
     m = _DOT_RE.match(token)
     if not m:
         raise ParseError(f"not a dot: {token!r}")
-    idx = _read_decimal(m.group(1))
+    idx = read_decimal(m.group(1))
     if not 1 <= idx <= strings:
         raise ParseError(f"dot index {idx} out of range for {strings} strings")
     return idx - 1 if not m.group(2) else strings + idx - 1
@@ -625,7 +600,7 @@ def parse_diagram(text: str) -> Diagram:
     m = _DIAGRAM_HEAD_RE.match(text.strip())
     if not m:
         raise ParseError(f"not a diagram text form: {text!r}")
-    strings = _read_decimal(m.group(1))
+    strings = read_decimal(m.group(1))
     arrows = []
     body = m.group(2)
     if not body:
@@ -651,7 +626,7 @@ def diagram_from_json(obj: dict) -> Diagram:
     try:
         strings, partner = obj["strings"], obj["partner"]
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"not a diagram JSON object: {obj!r}") from exc
+        raise ParseError(f"not a diagram JSON object: {shown(obj)!r}") from exc
     if type(partner) is not list or any(type(v) is not int for v in (strings, *partner)):
-        raise ParseError(f"not a diagram JSON object: {obj!r}")
+        raise ParseError(f"not a diagram JSON object: {shown(obj)!r}")
     return Diagram(strings, tuple(q - 1 for q in partner))

@@ -1,19 +1,35 @@
-"""Exception types shared by all modules of the package.
+"""Exception types shared by all modules of the package, and the argument
+rules that raise them.
 
 Everything derives from :class:`FCDiagramError`, itself a ``ValueError``, so
 callers who do not care about the fine-grained class can catch either.
 
-The number rule lives here too, so that every module can quote a caller's
-value by it without loading another.  An int of more than
-:data:`MAX_DIGITS` digits is no rank, string count or text-form number,
-and a refusal message names it by the rule (:func:`shown`) instead of
-writing it out, so messages do not depend on the int digit limit.
+Each argument rule is stated here once, and checked by one helper wherever
+its argument enters.  A bool is never taken for an int.
+
+- A rank (:func:`check_rank`: ``FCElement``, ``enumerate_fc``,
+  ``tl.census``, ``tl.TLElement``) that is not an int, is negative, or has
+  more than :data:`MAX_DIGITS` digits raises :class:`RankOutOfRangeError`.
+- A size (:func:`check_size`: ``enumerate_fc``, ``tl.census``) that is not
+  an int raises :class:`RankOutOfRangeError`; an int out of range means no
+  element.
+- A string count (:func:`check_strings`: every ``Diagram`` constructor,
+  ``enumerate_diagrams``, ``tl.expected_class_size``, ``tl.key_texts``)
+  that is not an int raises :class:`NotMatchingError`, and an int below 1
+  or of more than :data:`MAX_DIGITS` digits :class:`IndexOutOfRangeError`.
+- A text that is not a ``str`` (:func:`check_text`: every text reader), and
+  a number of a text form, a run of ASCII digits, of more than
+  :data:`MAX_DIGITS` digits (:func:`read_decimal`: ``parse_fc``,
+  ``parse_diagram``), raise :class:`ParseError`.
+
+That is the number rule: an int of more than MAX_DIGITS digits is no rank,
+string count or text-form number, and a refusal message names it
+(:func:`shown`) instead of writing it out.  MAX_DIGITS is the lowest int
+digit limit that Python accepts (3.11+), so int() and str() work on every
+int the rule admits, and no refusal depends on the limit.
 """
 
-# The most digits an int may have where the package reads or writes it: the
-# lowest int digit limit that Python accepts (sys.int_info.
-# str_digits_check_threshold, 3.11+), so int() and str() work on every such
-# int under any limit.  LONG_INT is the least positive int it refuses.
+# The number rule; LONG_INT is the least positive int it refuses.
 MAX_DIGITS = 640
 LONG_INT = 10**MAX_DIGITS
 
@@ -102,25 +118,37 @@ class _LongInt:
     __str__ = __repr__
 
 
-_LONG = _LongInt()
-
-
 def shown(value):
     """``value`` as a refusal message may show it, by ``str`` or ``repr``.
 
-    An int of more than :data:`MAX_DIGITS` digits, or such an int as an
-    item of a tuple or list, is replaced by a stand-in that names it by
-    the number rule; anything else is shown as it is.
+    An int of more than :data:`MAX_DIGITS` digits, at any depth of tuples,
+    lists and dicts, is replaced by a stand-in that names it by the number
+    rule; anything else is shown as it is.  A container that holds itself
+    is copied with its cycle, so it shows as it would.
     """
-    if type(value) in (tuple, list):
-        return type(value)(map(_shown_int, value))
-    return _shown_int(value)
+    return _shown(value, {})
 
 
-def _shown_int(value):
-    if isinstance(value, int) and not -LONG_INT < value < LONG_INT:
-        return _LONG
-    return value
+def _shown(value, copies: dict):
+    if isinstance(value, int):
+        return value if -LONG_INT < value < LONG_INT else _LongInt()
+    kind = type(value)
+    if kind not in (tuple, list, dict):
+        return value
+    if id(value) in copies:  # a cycle back to a container being copied
+        return copies[id(value)]
+    if kind is dict:
+        copy = copies[id(value)] = {}
+        for key, item in value.items():  # a fresh stand-in per int keeps keys apart
+            copy[_shown(key, copies)] = _shown(item, copies)
+        return copy
+    items = []
+    if kind is list:  # held before its items, as the dict above, for a cycle to find
+        copies[id(value)] = items
+    for item in value:  # a loop, not a comprehension: one frame a level
+        items.append(_shown(item, copies))
+    # a cycle through a tuple copies it again, while its items are walked
+    return items if kind is list else copies.setdefault(id(value), tuple(items))
 
 
 def check_text(text: object, form: str) -> None:
@@ -128,3 +156,43 @@ def check_text(text: object, form: str) -> None:
     naming ``form`` and the type given."""
     if not isinstance(text, str):
         raise ParseError(f"{form} must be a str, got {type(text).__name__}")
+
+
+def check_rank(rank: object) -> None:
+    """Refuse a rank by the rank rule."""
+    if type(rank) is not int:
+        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {shown(rank)!r}")
+    if not 0 <= rank < LONG_INT:
+        if rank < 0:
+            raise RankOutOfRangeError(f"rank must be nonnegative, got {shown(rank)}")
+        raise RankOutOfRangeError(
+            f"rank has more than {MAX_DIGITS} digits, the most a rank may have"
+        )
+
+
+def check_size(size: object) -> None:
+    """Refuse a size by the size rule: any int is a size."""
+    if type(size) is not int:
+        raise RankOutOfRangeError(f"size must be an integer, got {shown(size)!r}")
+
+
+def check_strings(strings: object) -> None:
+    """Refuse a string count by the string-count rule."""
+    if type(strings) is not int:
+        raise NotMatchingError(f"strings must be a positive integer, got {shown(strings)!r}")
+    if not 1 <= strings < LONG_INT:
+        if strings < 1:
+            raise IndexOutOfRangeError(f"strings must be >= 1, got {shown(strings)}")
+        raise IndexOutOfRangeError(
+            f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
+        )
+
+
+def read_decimal(digits: str) -> int:
+    """The value of ``digits``, a run of ASCII digits from a text form."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"a number of {len(digits)} digits is more than {MAX_DIGITS},"
+            " the most a text form may hold"
+        )
+    return int(digits)

@@ -23,17 +23,7 @@ The helpers at the bottom of this module (`inversions`, `is_321_avoiding`,
 ...) exist for that purpose and are deliberately independent of the block
 calculus.
 
-Each argument rule is stated once.  :func:`_check_rank` refuses a rank that
-is not a nonnegative int (a bool counts as not an int) or has more than
-:data:`MAX_DIGITS` digits, the number rule of ``errors``, for
-:class:`FCElement`, :func:`enumerate_fc`, ``tl.census`` and
-``tl.TLElement``; :func:`_check_size` refuses a size that is not an int,
-for :func:`enumerate_fc` and ``tl.census``, where an int out of range means
-no element.  Both raise :class:`RankOutOfRangeError`.  A number of a text
-form, for :func:`parse_fc` and ``diagram.parse_diagram``, is a run of ASCII
-digits, and one of more than :data:`MAX_DIGITS` digits is refused with
-:class:`ParseError` (:func:`_read_decimal`), as is a text that is not a
-``str``.
+The rank, size and text-form number rules are stated in ``errors``.
 
 :func:`parse_fc` stops parsing a text once it has read it twice.  A
 process-wide memo notes every ``str`` text it reads, and holds the
@@ -56,14 +46,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    LONG_INT,
     MAX_DIGITS,
     IdentityHasNoDescentsError,
     NotStandardError,
     NotThickError,
     ParseError,
-    RankOutOfRangeError,
+    check_rank,
+    check_size,
     check_text,
+    read_decimal,
     shown,
 )
 
@@ -97,7 +88,7 @@ class FCElement:
 
     def __post_init__(self) -> None:
         n = self.rank
-        _check_rank(n)
+        check_rank(n)
         pairs = self.pairs
         if type(pairs) is not tuple:
             try:
@@ -292,13 +283,13 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
     branch it takes ends in an element.  The walk keeps its own stack, so a
     long chain never meets the interpreter's recursion limit.  Every chain
     the walk reaches is canonical, so its elements are built unchecked;
-    the rank is refused first by :func:`_check_rank`, as the constructor
-    refuses it, and a size by :func:`_check_size`.  A negative size, or
+    the rank is refused first by ``errors.check_rank``, as the constructor
+    refuses it, and a size by ``errors.check_size``.  A negative size, or
     one above the rank, takes no branch and yields nothing.
     """
-    _check_rank(rank)
+    check_rank(rank)
     if size is not None:
-        _check_size(size)
+        check_size(size)
 
     def lowest(depth: int) -> int:
         """Smallest start for a block after ``depth`` others."""
@@ -327,25 +318,6 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
             return
 
 
-def _check_rank(rank: object) -> None:
-    """Refuse a rank that is not a nonnegative int of at most
-    :data:`MAX_DIGITS` digits, or is a bool."""
-    if type(rank) is not int:
-        raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {shown(rank)!r}")
-    if not 0 <= rank < LONG_INT:
-        if rank < 0:
-            raise RankOutOfRangeError(f"rank must be nonnegative, got {shown(rank)}")
-        raise RankOutOfRangeError(
-            f"rank has more than {MAX_DIGITS} digits, the most a rank may have"
-        )
-
-
-def _check_size(size: object) -> None:
-    """Refuse a size that is not an int, or is a bool; any int is a size."""
-    if type(size) is not int:
-        raise RankOutOfRangeError(f"size must be an integer, got {shown(size)!r}")
-
-
 def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
     """True when the blocks cover every generator index in [lo, hi].
 
@@ -363,30 +335,12 @@ def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
 # ----------------------------------------------------------------------
 # text and JSON input
 
-# A number in a text form has at most MAX_DIGITS (640) digits, the number
-# rule of ``errors``: int() reads every number a text may hold, and str()
-# writes it back, under any limit, so what a text parses to, or why it is
-# refused, never depends on the limit.  No command accepts a rank above
-# 10^5, so no command loses by it.
-
-
-def _read_decimal(digits: str) -> int:
-    """The value of ``digits``, a run of ASCII digits from a text form,
-    refused with :class:`ParseError` past :data:`MAX_DIGITS` digits."""
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(
-            f"a number of {len(digits)} digits is more than {MAX_DIGITS},"
-            " the most a text form may hold"
-        )
-    return int(digits)
-
-
 _HEAD_RE = re.compile(r"^n=(\d+):(.*)$", re.ASCII)
 _BLOCK_RE = re.compile(r"\[(\d+),(\d+)\]", re.ASCII)
 # A block list whose numbers have at most MAX_DIGITS digits, and the same
 # with numbers of any length: a body that only the second takes holds a
 # number too long, not junk.
-_BODY_RE = re.compile(r"(?:\[\d{1,640},\d{1,640}\])*", re.ASCII)
+_BODY_RE = re.compile(rf"(?:\[\d{{1,{MAX_DIGITS}}},\d{{1,{MAX_DIGITS}}}\])*", re.ASCII)
 _LONG_BODY_RE = re.compile(r"(?:\[\d+,\d+\])*", re.ASCII)
 
 # The memo of parse_fc (see the module docstring): text -> the element
@@ -428,7 +382,7 @@ def _parse_fc(text: str) -> FCElement:
     m = _HEAD_RE.match(text.strip())
     if not m:
         raise ParseError(f"not an FC element text form: {text!r}")
-    rank = _read_decimal(m.group(1))
+    rank = read_decimal(m.group(1))
     body = m.group(2)
     if body == "[]":
         return FCElement(rank)
@@ -436,7 +390,7 @@ def _parse_fc(text: str) -> FCElement:
         if _LONG_BODY_RE.fullmatch(body):  # refuse the first long number
             for pair in _BLOCK_RE.findall(body):
                 for digits in pair:
-                    _read_decimal(digits)
+                    read_decimal(digits)
         raise ParseError(f"trailing junk in FC element text form: {text!r}")
     pairs = tuple([(int(i), int(j)) for i, j in _BLOCK_RE.findall(body)])
     if not pairs:
@@ -485,11 +439,11 @@ def fc_from_json(obj: dict) -> FCElement:
     try:
         rank, pairs = obj["n"], obj["pairs"]
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"not an FC element JSON object: {obj!r}") from exc
+        raise ParseError(f"not an FC element JSON object: {shown(obj)!r}") from exc
     if type(pairs) is not list or not all(type(pair) is list and len(pair) == 2 for pair in pairs):
-        raise ParseError(f"not an FC element JSON object: {obj!r}")
+        raise ParseError(f"not an FC element JSON object: {shown(obj)!r}")
     if any(type(v) is not int for v in (rank, *(v for pair in pairs for v in pair))):
-        raise ParseError(f"not an FC element JSON object: {obj!r}")
+        raise ParseError(f"not an FC element JSON object: {shown(obj)!r}")
     return FCElement(rank, pairs)
 
 

@@ -44,12 +44,9 @@ are printed by :func:`key_texts`, which names each distinct arrow once
 per request, through the namer that writes a diagram's arrows
 (``diagram.ArrowTexts``), and joins every key from those names.
 
-Arguments are checked by the helpers of the modules that define them: a
-rank by ``fc._check_rank`` (:class:`TLElement`, :func:`census`), a size
-by ``fc._check_size`` (:func:`census`), and a string count by
-``diagram._check_strings`` (:func:`expected_class_size`,
-:func:`key_texts`).  :func:`expected_class_size` refuses a key's tail or
-head that is not an int itself, where it reads the key.
+Ranks, sizes and string counts are checked by the rules of ``errors``.
+:func:`expected_class_size` refuses a key's tail or head that is not an
+int itself, where it reads the key.
 """
 
 from __future__ import annotations
@@ -60,9 +57,17 @@ from typing import Iterable, Iterator
 
 from .bijection import block_pairs
 from .counting import catalan_row
-from .diagram import Arrow, ArrowTexts, Diagram, _check_strings, run_action
-from .errors import NotMatchingError, NotNormalizedError, RankMismatchError, shown
-from .fc import FCElement, _check_rank, _check_size
+from .diagram import Arrow, ArrowTexts, Diagram, run_action
+from .errors import (
+    NotMatchingError,
+    NotNormalizedError,
+    RankMismatchError,
+    check_rank,
+    check_size,
+    check_strings,
+    shown,
+)
+from .fc import FCElement
 
 
 @dataclass(frozen=True)
@@ -163,15 +168,15 @@ def _term_order(term: tuple[FCElement, DeltaPoly]) -> tuple[tuple[int, int], ...
 class TLElement:
     """A finite sum of monomials e_w with DeltaPoly coefficients, one rank.
 
-    The rank is checked by ``fc._check_rank``, as :class:`FCElement`
-    checks its own, so a sum with no terms has a valid rank too.
+    The rank is checked as :class:`FCElement` checks its own, so a sum
+    with no terms has a valid rank too.
     """
 
     rank: int
     terms: tuple[tuple[FCElement, DeltaPoly], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_rank(self.rank)
+        check_rank(self.rank)
         seen = set()
         for w, poly in self.terms:
             if not isinstance(w, FCElement) or not isinstance(poly, DeltaPoly):
@@ -321,10 +326,10 @@ def key_texts(keys: Iterable[Key], strings: int) -> Iterator[str]:
     key is ``-``.  Each arrow is named the first time a key holds it and
     looked up after that, so a census, whose keys share their arrows,
     formats its classes with one lookup per arrow and names no dot that no
-    key holds.  ``strings`` is checked by ``diagram._check_strings`` when
-    the call is made, before any key is read.
+    key holds.  ``strings`` is checked when the call is made, before any
+    key is read.
     """
-    _check_strings(strings)
+    check_strings(strings)
     text_of = ArrowTexts(strings).__getitem__
     return (",".join(map(text_of, key)) if key else "-" for key in keys)
 
@@ -338,10 +343,8 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     """Class sizes of the cross-arrow equivalence on size-p elements of rank n.
 
     Returned sorted by key; the sizes add up to ``narayana(n, p)``, and the
-    list is empty unless 0 <= p <= n.  The rank is checked by
-    ``fc._check_rank`` and the size by ``fc._check_size``, so a negative
-    rank, or a rank or size that is not an int (a bool, a float, a
-    string), is refused with :class:`RankOutOfRangeError`.
+    list is empty unless 0 <= p <= n.  The rank and size are checked
+    first, as :func:`~fcdiag.fc.enumerate_fc` checks them.
     The classes are generated, not found: on k = n+1 strings, arrows
     (x_t, k+y_t) with x and y increasing are the cross arrows of some
     diagram exactly when every gap between them has even length, that is
@@ -365,8 +368,8 @@ def census(n: int, p: int) -> list[tuple[Key, int]]:
     are computed here, not by ``expected_class_size``, which the ``verify``
     check holds them against.
     """
-    _check_rank(n)
-    _check_size(p)
+    check_rank(n)
+    check_size(p)
     k = n + 1
     if not 0 <= p <= n:
         return []
@@ -495,14 +498,14 @@ def expected_class_size(strings: int, key: Key) -> int:
     key, or a gap of odd length, is refused.  The ways to match each gap
     come from one table per string count, shared by the calls that follow.
 
-    The string count is checked first, by ``diagram._check_strings``.
+    The string count is checked first.
     One pass reads the gaps and multiplies their ways.  A tail or head
     that is not an int (a bool counts as not an int) or is out of order is
     refused at once.  A gap of odd length has no way, so the product is 0
     exactly when the key holds one; it is refused once the key has been
     read, so a key with both faults is refused for its order.
     """
-    _check_strings(strings)
+    check_strings(strings)
     ways = _gap_ways(strings)
     size = 1
     a, b = 0, strings  # lowest free dot after the last tail, after the last head

@@ -323,10 +323,6 @@ class TestReader:
 
 
 class TestTrace:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_candidate_sets(self, n):
-        assert_holds("bijection.trace-consistency", n)
-
     @settings(deadline=None)
     @given(fc_elements(max_rank=40))
     def test_long_elements(self, w):

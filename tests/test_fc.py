@@ -30,6 +30,7 @@ from fcdiag import (
     TLElement,
     catalan,
     census,
+    diagram_from_json,
     dplus_condition,
     enumerate_diagrams,
     enumerate_fc,
@@ -472,6 +473,8 @@ class TestLongNumbers:
 
 HUGE = 10**5000  # more digits than int() writes under the default limit
 LONG = "an int of more than 640 digits"
+SELF_HOLDING: list = []
+SELF_HOLDING.append(SELF_HOLDING)
 
 
 class TestLongInts:
@@ -578,6 +581,48 @@ class TestLongInts:
                 RankOutOfRangeError,
                 f"catalan is defined for m >= 0, got {LONG}",
                 id="catalan",
+            ),
+            pytest.param(
+                lambda: fc_from_json({"n": HUGE, "pairs": 3}),
+                ParseError,
+                f"not an FC element JSON object: {{'n': {LONG}, 'pairs': 3}}",
+                id="fc-json",
+            ),
+            pytest.param(
+                lambda: diagram_from_json({"strings": HUGE, "partner": "x"}),
+                ParseError,
+                f"not a diagram JSON object: {{'strings': {LONG}, 'partner': 'x'}}",
+                id="diagram-json",
+            ),
+            pytest.param(
+                lambda: fc_from_json({"n": 3, "pairs": [[1, 2, HUGE]]}),
+                ParseError,
+                f"not an FC element JSON object: {{'n': 3, 'pairs': [[1, 2, {LONG}]]}}",
+                id="fc-json-nested",
+            ),
+            pytest.param(
+                lambda: FCElement(3, ((1, (2, HUGE)),)),
+                NotStandardError,
+                f"block 1: need a tuple of two ints, got (1, (2, {LONG}))",
+                id="fc-block-nested",
+            ),
+            pytest.param(
+                lambda: Diagram.from_arrows(3, [(0, (1, HUGE))]),
+                NotMatchingError,
+                f"arrow must be a pair of int dot codes, got (0, (1, {LONG}))",
+                id="from-arrows-nested",
+            ),
+            pytest.param(
+                lambda: Diagram(((HUGE,),), ()),
+                NotMatchingError,
+                f"strings must be a positive integer, got (({LONG},),)",
+                id="strings-nested",
+            ),
+            pytest.param(
+                lambda: fc_from_json({"n": 3, "pairs": SELF_HOLDING}),
+                ParseError,
+                "not an FC element JSON object: {'n': 3, 'pairs': [[...]]}",
+                id="fc-json-self-holding",
             ),
         ],
     )

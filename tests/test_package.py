@@ -5,6 +5,7 @@ what it needs when it runs; these tests pin both the public names and the
 modules a fresh interpreter loads.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -66,6 +67,9 @@ class TestImportFootprint:
     def test_package_alone(self):
         assert loaded_by("import fcdiag") == {"fcdiag"}
 
+    def test_diagram_loads_only_errors(self):
+        assert loaded_by("import fcdiag.diagram") == {"fcdiag", "diagram", "errors"}
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -91,6 +95,22 @@ class TestImportFootprint:
     )
     def test_products_and_drawings_load_no_verify_lattice_or_svg(self, argv):
         assert not after_main(argv) & {"verify", "lattice", "svg"}
+
+
+class TestPrivateNames:
+    def test_no_module_imports_a_private_name_of_another(self):
+        found = []
+        for path in sorted(Path(fcdiag.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "fcdiag"
+                ):
+                    found += [
+                        f"{path.name}: {node.module}.{alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert found == []
 
 
 class TestNamespace:
