@@ -16,7 +16,12 @@ depend on the CPU count.
 :func:`main` builds its argparse tree once per process, on its first call,
 and reuses it: parsing keeps no state between calls, so a request pays for
 its answer and not for building ten subcommand parsers.
-:func:`build_parser` still returns a fresh parser.
+:func:`build_parser` still returns a fresh parser.  Each request is parsed
+once, by its command's parser: when the first argument names a command,
+:func:`main` hands the rest to that parser and refuses what it leaves over
+as the whole tree would, with the same message and exit code.  Only an
+argv that does not start with a command name (none at all, a top-level
+option such as ``-h``, an unknown name) still takes the whole tree.
 
 Each command imports the modules it uses when it runs, not when this module
 loads, so a one-shot command compiles only its own code path.  At import
@@ -449,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify, usage_error=parser.error)
 
+    parser.commands = sub.choices  # command name -> its parser, for main()
     return parser
 
 
@@ -457,7 +463,19 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = _shared_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # What parse_args does once it has chosen the command, without
+        # reading the arguments a second time to choose it.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     # Counts print in full: lift Python's limit on int-to-str digits
     # (3.11+) for the command, and restore it for the caller.
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -26,12 +26,20 @@ That is the number rule: an int of more than MAX_DIGITS digits is no rank,
 string count or text-form number, and a refusal message names it
 (:func:`shown`) instead of writing it out.  MAX_DIGITS is the lowest int
 digit limit that Python accepts (3.11+), so int() and str() work on every
-int the rule admits, and no refusal depends on the limit.
+int the rule admits, and no refusal depends on the limit.  Likewise
+:func:`shown` names a container nested :data:`SHOWN_DEPTH` deep
+instead of writing it out, so that no refusal runs into the recursion
+limit.
 """
 
 # The number rule; LONG_INT is the least positive int it refuses.
 MAX_DIGITS = 640
 LONG_INT = 10**MAX_DIGITS
+
+# The depth at which a refusal message stops writing out nested containers:
+# far below the default recursion limit of 1000, so that copying and
+# writing out what is shown take at most this many frames each.
+SHOWN_DEPTH = 100
 
 
 class FCDiagramError(ValueError):
@@ -118,18 +126,33 @@ class _LongInt:
     __str__ = __repr__
 
 
+class _Deep:
+    """What a message shows for a container nested SHOWN_DEPTH deep."""
+
+    def __init__(self, kind: type):
+        self.kind = kind.__name__
+
+    def __repr__(self) -> str:
+        return f"a {self.kind} nested {SHOWN_DEPTH} deep"
+
+    __str__ = __repr__
+
+
 def shown(value):
     """``value`` as a refusal message may show it, by ``str`` or ``repr``.
 
     An int of more than :data:`MAX_DIGITS` digits, at any depth of tuples,
     lists and dicts, is replaced by a stand-in that names it by the number
-    rule; anything else is shown as it is.  A container that holds itself
-    is copied with its cycle, so it shows as it would.
+    rule, and so is a container nested :data:`SHOWN_DEPTH` deep (``value``
+    itself is at depth 0), which ``repr`` could not write out if it were
+    nested past the recursion limit.  Anything else is shown as it is.  A
+    container that holds itself is copied with its cycle, so it shows as it
+    would.
     """
-    return _shown(value, {})
+    return _shown(value, {}, 0)
 
 
-def _shown(value, copies: dict):
+def _shown(value, copies: dict, depth: int):
     if isinstance(value, int):
         return value if -LONG_INT < value < LONG_INT else _LongInt()
     kind = type(value)
@@ -137,16 +160,19 @@ def _shown(value, copies: dict):
         return value
     if id(value) in copies:  # a cycle back to a container being copied
         return copies[id(value)]
+    if depth == SHOWN_DEPTH:
+        return _Deep(kind)
+    depth += 1
     if kind is dict:
         copy = copies[id(value)] = {}
         for key, item in value.items():  # a fresh stand-in per int keeps keys apart
-            copy[_shown(key, copies)] = _shown(item, copies)
+            copy[_shown(key, copies, depth)] = _shown(item, copies, depth)
         return copy
     items = []
     if kind is list:  # held before its items, as the dict above, for a cycle to find
         copies[id(value)] = items
     for item in value:  # a loop, not a comprehension: one frame a level
-        items.append(_shown(item, copies))
+        items.append(_shown(item, copies, depth))
     # a cycle through a tuple copies it again, while its items are walked
     return items if kind is list else copies.setdefault(id(value), tuple(items))
 

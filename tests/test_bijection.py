@@ -330,10 +330,3 @@ class TestTrace:
         drawn, trace = fc_to_diagram(w)
         assert run_action(w.rank + 1, w.pairs) == (list(drawn.partner), 0)
         assert list(_trace_faults(w, drawn, trace, drawn.components().positive)) == []
-
-
-class TestStructuralProperties:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_uniqueness_of_start_end_data(self, n):
-        # that the one match is the drawn diagram is test_start_end_data
-        assert_holds("bijection.uniqueness", n)

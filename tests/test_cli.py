@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcdiag import (
+    FCDiagramError,
     ParseError,
     catalan,
     cli,
@@ -881,3 +883,94 @@ class TestSharedParser:
         fresh = [self.outcome(capsys, argv) for argv in argvs]
         assert shared == fresh + fresh
         assert [code for code, _, _ in fresh] == [0] * 10 + [2, 2, 2, 1, 2, 0, 0, 0]
+
+
+class TestDispatch:
+    """main() parses a known command's arguments once, with that command's
+    parser; every outcome and every Namespace equal the whole tree's."""
+
+    def argv_list(self, tmp_path):
+        return TestSharedParser().argv_list(tmp_path) + [
+            [],
+            ["bogus"],
+            ["count", "--n", "3", "extra"],
+            ["count", "--n", "3", "--", "x"],
+            ["verify", "--", "fc", "--max-n", "2"],
+            ["table", "narayana", "--n", "3", "--form", "csv"],
+            ["count", "--n", "3", "--js"],
+            ["count", "--n", "3", "--he"],
+            ["table", "-h"],
+            ["count", "--n", "3", "-1"],
+            ["mul", "n=2:[1,1]", "n=2:[2,2]", "n=2:[]"],
+        ]
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The Namespaces that parse_known_args returns, in call order."""
+        seen = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            result = parse_known_args(self, *args, **kwargs)
+            seen.append(result[0])
+            return result
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        return seen
+
+    @staticmethod
+    def whole_tree(argv):
+        """parse_args of the whole tree, then the command: (Namespace or
+        None, code, stdout, stderr)."""
+        out, err = io.StringIO(), io.StringIO()
+        args = None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = cli._shared_parser().parse_args(argv)
+                code = args.func(args)
+            except SystemExit as exc:
+                code = exc.code
+            except FCDiagramError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 1
+        return args, code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def dispatched(parses, argv):
+        """main(argv): (a Namespace or None, code, stdout, stderr)."""
+        del parses[:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        # once parsing succeeds, the last Namespace returned is main()'s
+        return (parses or [None])[-1], code, out.getvalue(), err.getvalue()
+
+    def assert_same(self, parses, argv):
+        args, *outcome = self.dispatched(parses, argv)
+        expected_args, *expected = self.whole_tree(argv)
+        assert outcome == expected, argv
+        if expected_args is not None:
+            assert vars(args) == vars(expected_args), argv
+        return outcome[0]
+
+    def test_same_outcomes_as_the_whole_tree(self, parses, tmp_path):
+        argvs = self.argv_list(tmp_path)
+        codes = [self.assert_same(parses, argv) for argv in argvs]
+        # how "--" is read varies with the Python version; the rest does not
+        added = [code for argv, code in zip(argvs[-11:], codes[-11:]) if "--" not in argv]
+        assert added == [2, 2, 2, 0, 0, 0, 0, 2, 2]
+
+    def test_argv_from_sys_argv(self, parses, monkeypatch):
+        for argv in (["count", "--n", "4", "--triangle"], ["count", "--n"], []):
+            monkeypatch.setattr(sys, "argv", ["fcdiag", *argv])
+            self.assert_same(parses, None)
+
+    def test_a_known_command_is_parsed_once(self, parses, monkeypatch, capsys):
+        assert main(["count", "--n", "3"]) == 0
+        monkeypatch.setattr(sys, "argv", ["fcdiag", "count", "--n", "3"])
+        assert main() == 0
+        assert [vars(args)["command"] for args in parses] == ["count", "count"]
+        assert capsys.readouterr().out == "14\n14\n"

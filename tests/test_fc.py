@@ -475,6 +475,11 @@ HUGE = 10**5000  # more digits than int() writes under the default limit
 LONG = "an int of more than 640 digits"
 SELF_HOLDING: list = []
 SELF_HOLDING.append(SELF_HOLDING)
+DEEP: list = []  # a list nested 10 000 deep, ten times the recursion limit
+for _ in range(10_000):
+    DEEP = [DEEP]
+# how a message shows DEEP one level down: 99 levels, then a stand-in
+DEEP_SHOWN = "[" * 99 + "a list nested 100 deep" + "]" * 99
 
 
 class TestLongInts:
@@ -623,6 +628,18 @@ class TestLongInts:
                 ParseError,
                 "not an FC element JSON object: {'n': 3, 'pairs': [[...]]}",
                 id="fc-json-self-holding",
+            ),
+            pytest.param(
+                lambda: fc_from_json({"n": 3, "pairs": DEEP}),
+                ParseError,
+                f"not an FC element JSON object: {{'n': 3, 'pairs': {DEEP_SHOWN}}}",
+                id="fc-json-deep",
+            ),
+            pytest.param(
+                lambda: diagram_from_json({"strings": 3, "partner": DEEP}),
+                ParseError,
+                f"not a diagram JSON object: {{'strings': 3, 'partner': {DEEP_SHOWN}}}",
+                id="diagram-json-deep",
             ),
         ],
     )
