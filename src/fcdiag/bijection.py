@@ -87,9 +87,12 @@ drawing with the last block, so each generator product is taken once per
 rank rather than once per element containing it.  Both entry points share
 one fold and its circle check.  The other oracle is the generator-action
 kernel ``diagram.run_action``, which serves products and glues the word
-letter by letter.  The ``verify`` check ``bijection.oracle-equivalence`` asserts,
+one ascending run at a time.  The ``verify`` check ``bijection.oracle-equivalence`` asserts,
 over that sweep, that the passes, the concatenation oracle and the kernel
-agree.
+agree.  None of them reads the drawing that ``tl.monomial_product`` keeps
+on a left factor: the passes draw from the canonical form, the oracle
+concatenates generators, and ``verify`` glues the kernel from the
+identity, so all three stay independent of the products they check.
 """
 
 from __future__ import annotations

@@ -268,7 +268,9 @@ def _cmd_to_fc(args) -> int:
 def _cmd_mul(args) -> int:
     from . import tl
 
-    w1, w2 = _parse_drawable_fc(args.left, "mul"), _parse_drawable_fc(args.right, "mul")
+    w1 = _parse_drawable_fc(args.left, "mul")
+    # a square multiplies one element by itself, parsed once
+    w2 = w1 if args.right == args.left else _parse_drawable_fc(args.right, "mul")
     w3, m = tl.monomial_product(w1, w2)
     if args.json:
         print(json.dumps({"delta_exponent": m, "result": w3.to_json()}))

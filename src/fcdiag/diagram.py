@@ -36,13 +36,16 @@ Products of generators are built by one kernel, :func:`run_action`, which
 glues one cup-cap generator at a time below a partner array in place: four
 writes per letter, or one closed circle.  It takes the word as ascending
 runs [i, j] = e_i e_{i+1} ... e_j, so the block list of an FC element is
-its input as it stands.  It serves two callers: monomial products, which
-read its bare partner list, and :meth:`Diagram.from_word`, the only entry
-for a raw generator word, which checks the indices, feeds the word one
-letter per run, and validates the result as a :class:`Diagram`.  It
-checks nothing itself.  Drawing one FC element does not use it: the
-bijection's passes draw from the canonical form, and ``verify`` holds
-them against this kernel.
+its input as it stands, and it starts from the identity or from a partner
+list it is given.  It serves three callers: monomial products, which glue
+the left factor's runs from the identity once, keep that drawing on the
+element, and glue the right factor's runs onto a copy of it, reading the
+bare partner list; :meth:`Diagram.from_word`, the only entry for a raw
+generator word, which checks the indices, feeds the word one letter per
+run, and validates the result as a :class:`Diagram`; and ``verify``,
+which holds the bijection's drawings against it.  It checks nothing
+itself.  Drawing one FC element does not use it: the bijection's passes
+draw from the canonical form.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning
@@ -417,23 +420,29 @@ class ArrowTexts(dict):
 # the generator-action kernel
 
 
-def run_action(strings: int, runs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+def run_action(
+    strings: int, runs: Iterable[tuple[int, int]], partner: list[int] | None = None
+) -> tuple[list[int], int]:
     """Partner list and circle count of the product of the ascending runs.
 
-    Run (i, j) stands for e_i e_{i+1} ... e_j.  Starts from the identity
-    partner array and glues each generator below it in place.  If bottom
+    Run (i, j) stands for e_i e_{i+1} ... e_j.  Starts from ``partner``,
+    a partner list on ``strings`` strings that it glues onto in place, or
+    from the identity if none is given, and glues each generator below
+    it.  The circles counted are those the runs close.  If bottom
     dots a' and (a+1)' already form a cap, the glue closes one circle and
     nothing else changes; otherwise the strands ending at a' and (a+1)'
     are joined to each other and a' is capped with (a+1)'.  Linear in the
     word length.
 
     Nothing is checked: every run must satisfy 1 <= i <= j <= strings-1,
-    as the blocks of an :class:`FCElement` of rank strings-1 do.  Every
-    step keeps the list a non-crossing perfect matching, so callers that
-    only read it (products) use it as it is.
+    as the blocks of an :class:`FCElement` of rank strings-1 do, and a
+    given ``partner`` must be a non-crossing perfect matching of 2 *
+    strings dots.  Every step keeps the list one, so callers that only
+    read it (products) use it as it is.
     """
     k = strings
-    partner = list(range(k, 2 * k)) + list(range(k))
+    if partner is None:
+        partner = list(range(k, 2 * k)) + list(range(k))
     loops = 0
     for i, j in runs:
         for left in range(k + i - 1, k + j):

@@ -14,9 +14,12 @@ its argument enters.  A bool is never taken for an int.
   an int raises :class:`RankOutOfRangeError`; an int out of range means no
   element.
 - A string count (:func:`check_strings`: every ``Diagram`` constructor,
-  ``enumerate_diagrams``, ``tl.expected_class_size``, ``tl.key_texts``)
-  that is not an int raises :class:`NotMatchingError`, and an int below 1
-  or of more than :data:`MAX_DIGITS` digits :class:`IndexOutOfRangeError`.
+  ``enumerate_diagrams``, ``tl.expected_class_size``, ``tl.key_texts``,
+  and ``tl.monomial_product`` for rank + 1)
+  that is not an int raises :class:`NotMatchingError`, and an int below 1,
+  of more than :data:`MAX_DIGITS` digits, or above :data:`MAX_STRINGS`,
+  whose partner array of 2 * strings entries no Python sequence can
+  index, :class:`IndexOutOfRangeError`.
 - A text that is not a ``str`` (:func:`check_text`: every text reader), and
   a number of a text form, a run of ASCII digits, of more than
   :data:`MAX_DIGITS` digits (:func:`read_decimal`: ``parse_fc``,
@@ -32,9 +35,15 @@ instead of writing it out, so that no refusal runs into the recursion
 limit.
 """
 
+import sys
+
 # The number rule; LONG_INT is the least positive int it refuses.
 MAX_DIGITS = 640
 LONG_INT = 10**MAX_DIGITS
+
+# The most strings whose partner array, of 2 * strings entries, a Python
+# sequence can index.
+MAX_STRINGS = sys.maxsize // 2
 
 # The depth at which a refusal message stops writing out nested containers:
 # far below the default recursion limit of 1000, so that copying and
@@ -102,6 +111,8 @@ class NotNormalizedError(FCDiagramError):
     """A polynomial or algebra element is not in its stored normal form.
 
     Exponents and terms must be sorted and distinct, with no zero entries.
+    A polynomial that holds an int of more than MAX_DIGITS digits is
+    refused with it when printed.
     """
 
 
@@ -206,11 +217,16 @@ def check_strings(strings: object) -> None:
     """Refuse a string count by the string-count rule."""
     if type(strings) is not int:
         raise NotMatchingError(f"strings must be a positive integer, got {shown(strings)!r}")
-    if not 1 <= strings < LONG_INT:
+    if not 1 <= strings <= MAX_STRINGS:
         if strings < 1:
             raise IndexOutOfRangeError(f"strings must be >= 1, got {shown(strings)}")
+        if strings >= LONG_INT:
+            raise IndexOutOfRangeError(
+                f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
+            )
         raise IndexOutOfRangeError(
-            f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
+            f"strings is more than {MAX_STRINGS}, the most whose partner array"
+            " of 2 * strings dots can be indexed"
         )
 
 

@@ -30,11 +30,18 @@ process-wide memo notes every ``str`` text it reads, and holds the
 element a text names from the second read of that text on; a text read
 once is never held, so input that does not repeat keeps no element alive.
 A held text returns the element already built, so callers share one
-immutable, validated object, and a refused text is never noted.  The memo
-is bounded by the characters of the texts it notes (``_MEMO_CHARS``,
-2^18; all 4862 texts of rank 8 take 116 690).  A text that would take it
-past its bound empties it first, and a text longer than the bound is
-parsed but not noted.  The elements held share their block tuples.
+immutable, validated object, and a refused text is never noted.
+
+A held element costs its text and its blocks, and once it has been the
+left factor of a product also the partner array of its drawing, 2(n+1)
+entries at rank n, which :func:`~fcdiag.tl.monomial_product` keeps on
+it.  So the memo charges each text it notes its characters plus those
+2(n+1) entries, and is bounded by that charge (``_MEMO_CHARS``, 2^18;
+all 4862 texts of rank 8 take 204 206, of which 116 690 characters).  A
+text that would take it past its bound empties it first, and a text
+charged more than the bound is parsed but not noted: near rank 10^5 one
+identity text is held at a time.  The elements held share their block
+tuples.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ class FCElement:
 
     rank: int
     pairs: tuple[Pair, ...] = ()
+    # The partner array drawn by the canonical word, a tuple kept by
+    # ``tl.monomial_product`` the first time the element is a left factor.
+    # It is no field, so it is not compared, hashed, printed or pickled.
+    _drawing = None
 
     def __post_init__(self) -> None:
         n = self.rank
@@ -138,6 +149,11 @@ class FCElement:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "pairs", pairs)
         return self
+
+    def __getstate__(self) -> dict:
+        """The fields alone, so that a copy or a pickle leaves out the
+        drawing that a product keeps."""
+        return {"rank": self.rank, "pairs": self.pairs}
 
     # ------------------------------------------------------------------
     # basic statistics
@@ -344,9 +360,10 @@ _BODY_RE = re.compile(rf"(?:\[\d{{1,{MAX_DIGITS}}},\d{{1,{MAX_DIGITS}}}\])*", re
 _LONG_BODY_RE = re.compile(r"(?:\[\d+,\d+\])*", re.ASCII)
 
 # The memo of parse_fc (see the module docstring): text -> the element
-# held, or None for a text read once; the characters of the texts noted;
-# and the block tuples that the elements held share.  A bound on the
-# number of texts would not do: one text of rank 10^5 is 641 kB.
+# held, or None for a text read once; the charge of the texts noted; and
+# the block tuples that the elements held share.  A bound on the number
+# of texts would not do: one text of rank 10^5 is 641 kB, and the
+# drawing of any element of that rank 200 002 entries.
 _MEMO_CHARS = 1 << 18
 _memo: dict[str, FCElement | None] = {}
 _memo_chars = 0
@@ -359,13 +376,14 @@ def parse_fc(text: str) -> FCElement:
 
     Each number is a run of at most :data:`MAX_DIGITS` ASCII digits.
 
-    A process-wide memo, of at most ``_MEMO_CHARS`` (2^18) characters of
-    text, notes each ``str`` text read and holds its element from the
-    second read on: from then on the text returns the element already
-    built, the same immutable object to every caller.  A refused text is
-    never noted; it is parsed and refused again.  A text that is not a
-    ``str`` is refused with :class:`ParseError`, and an instance of a
-    ``str`` subclass is parsed but never noted.
+    A process-wide memo, of a charge of at most ``_MEMO_CHARS`` (2^18)
+    characters and drawing entries, notes each ``str`` text read and
+    holds its element from the second read on: from then on the text
+    returns the element already built, the same immutable object to every
+    caller.  A refused text is never noted; it is parsed and refused
+    again.  A text that is not a ``str`` is refused with
+    :class:`ParseError`, and an instance of a ``str`` subclass is parsed
+    but never noted.
     """
     if type(text) is not str:
         check_text(text, "an FC element text form")
@@ -373,8 +391,10 @@ def parse_fc(text: str) -> FCElement:
     w = _memo.get(text)
     if w is None:
         w = _parse_fc(text)
-        if len(text) <= _MEMO_CHARS:
-            w = _note(text, w)
+        # the text, and the drawing a product may keep on its element
+        charge = len(text) + 2 * (w.rank + 1)
+        if charge <= _MEMO_CHARS:
+            w = _note(text, w, charge)
     return w
 
 
@@ -398,9 +418,9 @@ def _parse_fc(text: str) -> FCElement:
     return FCElement(rank, pairs)
 
 
-def _note(text: str, w: FCElement) -> FCElement:
-    """Note ``text``, just parsed to ``w``, and return the element to give
-    for it: ``w``, or the one another thread held first.
+def _note(text: str, w: FCElement, charge: int) -> FCElement:
+    """Note ``text``, just parsed to ``w``, at ``charge``, and return the
+    element to give for it: ``w``, or the one another thread held first.
 
     A text read before has ``w`` held.  Holding only repeated texts keeps
     a stream of distinct texts from keeping every element alive until the
@@ -420,12 +440,12 @@ def _note(text: str, w: FCElement) -> FCElement:
             object.__setattr__(w, "pairs", tuple([share(pair, pair) for pair in w.pairs]))
             _memo[text] = w
             return w
-        if _memo_chars + len(text) > _MEMO_CHARS:
+        if _memo_chars + charge > _MEMO_CHARS:
             _memo.clear()
             _blocks.clear()
             _memo_chars = 0
         _memo[text] = None
-        _memo_chars += len(text)
+        _memo_chars += charge
     return w
 
 

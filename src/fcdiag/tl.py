@@ -6,19 +6,23 @@ The algebra on generators e_1 .. e_n satisfies e_i^2 = delta e_i,
 e_i e_{i+-1} e_i = e_i, and e_i e_j = e_j e_i for |i-j| > 1.  Its monomial
 basis is indexed by FC elements: e_w is the product of generators along the
 canonical word of w.  A product of monomials e_{w1} e_{w2} is the diagram of
-the concatenated word word(w1) + word(w2), built in one pass by the
-generator-action kernel :func:`run_action`, which takes the two block lists
-as they stand, one ascending run per block, and also counts the closed
-circles.  Reading the block list off its bare partner list
-(:func:`block_pairs`) gives the result, already in canonical form.  Neither
-factor is drawn on its own, no word is spelled out, and nothing is
-revalidated: the kernel keeps its list a non-crossing matching, and
-``block_pairs`` reads a canonical block list off any such matching, so the
-result is built by the unchecked constructor of :class:`FCElement`.  The
-tests run the validating constructor on every product up to rank 8 and on
-random words.  The paper's five-pass drawing (:func:`fc_to_diagram`) and
-the concatenation oracle (:func:`concatenate`) are checked against this
-route by the tests, not used by it.
+the concatenated word word(w1) + word(w2), so its first half is the
+drawing of w1 alone.  The generator-action kernel :func:`run_action`
+glues the two block lists as they stand, one ascending run per block, and
+counts the closed circles.  It glues w1's runs from the identity the
+first time w1 is a left factor, and w1 keeps a tuple snapshot of that
+partner array; every later product with w1 on the left copies the
+snapshot and glues only w2's runs onto it.  Reading the block list off
+the bare partner list (:func:`block_pairs`) gives the result, already in
+canonical form.  No word is spelled out and nothing is revalidated: the
+kernel keeps its list a non-crossing matching, and ``block_pairs`` reads a
+canonical block list off any such matching, so the result is built by the
+unchecked constructor of :class:`FCElement`.  The tests run the validating
+constructor on every product up to rank 8 and on random words, with each
+left factor both fresh and holding its snapshot.  The paper's five-pass
+drawing (:func:`fc_to_diagram`, and :func:`diagram_of`) and the
+concatenation oracle (:func:`concatenate`) never read the snapshot: they
+are checked against this route by the tests, not used by it.
 
 :class:`DeltaPoly` is the coefficient ring (integer polynomials in delta,
 exact, never specialized to a number) and :class:`TLElement` a finite linear
@@ -44,7 +48,10 @@ are printed by :func:`key_texts`, which names each distinct arrow once
 per request, through the namer that writes a diagram's arrows
 (``diagram.ArrowTexts``), and joins every key from those names.
 
-Ranks, sizes and string counts are checked by the rules of ``errors``.
+Ranks, sizes and string counts are checked by the rules of ``errors``,
+and a :class:`DeltaPoly` refuses by name to print an int of more than
+``errors.MAX_DIGITS`` digits, so its text does not depend on the int
+digit limit.
 :func:`expected_class_size` refuses a key's tail or head that is not an
 int itself, where it reads the key.
 """
@@ -59,6 +66,8 @@ from .bijection import block_pairs
 from .counting import catalan_row
 from .diagram import Arrow, ArrowTexts, Diagram, run_action
 from .errors import (
+    LONG_INT,
+    MAX_DIGITS,
     NotMatchingError,
     NotNormalizedError,
     RankMismatchError,
@@ -147,10 +156,18 @@ class DeltaPoly:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
+        """The terms, highest power first; an exponent or a coefficient of
+        more than MAX_DIGITS digits is refused by name, not written out,
+        so what prints does not depend on the int digit limit."""
         if not self.coeffs:
             return "0"
         parts = []
         for e, c in reversed(self.coeffs):
+            if not (e < LONG_INT and -LONG_INT < c < LONG_INT):
+                raise NotNormalizedError(
+                    f"an exponent or a coefficient has more than {MAX_DIGITS} digits,"
+                    " the most a polynomial prints"
+                )
             if e == 0:
                 parts.append(str(c))
             else:
@@ -252,13 +269,27 @@ def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
     Returns (w3, m).  The product is the diagram of the word
     word(w1) + word(w2), so w3 comes out in canonical form with no
     rewriting and m is the number of circles the word closes.  The kernel
-    glues the blocks of w1 and then of w2 as runs, and w3 is read straight
-    off its partner list without revalidation.
+    starts from the drawing of w1, the partner array its blocks glue as
+    runs, and glues the blocks of w2 onto a copy of it; w3 is read
+    straight off the partner list without revalidation.  The first time
+    w1 is a left factor, the kernel glues its blocks from the identity
+    and w1 keeps a tuple snapshot of that array (``FCElement._drawing``),
+    which every later product with w1 on the left copies instead.  A
+    reduced word closes no circle, so m is what w2's runs close.  The
+    string count rank + 1 is checked by the string-count rule of
+    ``errors`` before the first drawing is built.
     """
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply ranks {w1.rank} and {w2.rank}")
     strings = w1.rank + 1
-    partner, loops = run_action(strings, w1.pairs + w2.pairs)
+    drawn = w1._drawing
+    if drawn is None:
+        check_strings(strings)
+        partner = run_action(strings, w1.pairs)[0]
+        object.__setattr__(w1, "_drawing", tuple(partner))
+    else:
+        partner = list(drawn)
+    partner, loops = run_action(strings, w2.pairs, partner)
     return FCElement._trusted(w1.rank, block_pairs(strings, partner)), loops
 
 

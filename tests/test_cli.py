@@ -26,6 +26,7 @@ from fcdiag import (
     narayana,
     parse_diagram,
     parse_fc,
+    tl,
     trace_candidates,
 )
 from fcdiag.cli import main
@@ -65,6 +66,21 @@ class TestMul:
             "delta_exponent": 1,
             "result": {"n": 4, "pairs": [[4, 4], [1, 1]]},
         }
+
+    def test_square_multiplies_one_element_by_itself(self, capsys, monkeypatch):
+        text = "n=8:[6,8][5,7][3,4][1,3]"
+        factors = []
+        product = tl.monomial_product
+
+        def recorded(*pair):
+            factors.append(pair)
+            return product(*pair)
+
+        monkeypatch.setattr(tl, "monomial_product", recorded)
+        for _ in range(2):  # the second time, the left factor keeps its drawing
+            code, out, _ = run(capsys, "mul", text, text)
+            assert (code, out) == (0, f"delta^1 * {text}\n")
+        assert [left is right for left, right in factors] == [True, True]
 
     def test_non_canonical_factor_is_domain_error(self, capsys):
         code, out, err = run(capsys, "mul", "n=3:[2,3][2,2]", "n=3:[1,2]")

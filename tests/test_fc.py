@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from fcdiag import (
     Ballot,
     Classification,
+    DeltaPoly,
     Diagram,
     FCDiagramError,
     FCElement,
@@ -23,6 +25,7 @@ from fcdiag import (
     IndexOutOfRangeError,
     InvalidBallotError,
     NotMatchingError,
+    NotNormalizedError,
     NotStandardError,
     NotThickError,
     ParseError,
@@ -39,6 +42,7 @@ from fcdiag import (
     inversions,
     is_321_avoiding,
     is_saturated_in,
+    monomial_product,
     parse_ballot,
     parse_diagram,
     parse_dyck,
@@ -229,10 +233,12 @@ def outcome(text):
 
 
 def assert_memo_within_its_bound() -> None:
-    """The count of characters noted is right and within the bound, and
-    the shared block table holds exactly the blocks of the elements held,
-    each element using the shared tuples."""
-    assert fc._memo_chars == sum(map(len, fc._memo)) <= fc._MEMO_CHARS
+    """The charge of the texts noted, their characters and the entries of
+    their drawings, is right and within the bound, and the shared block
+    table holds exactly the blocks of the elements held, each element
+    using the shared tuples."""
+    charges = (len(text) + 2 * (fc._parse_fc(text).rank + 1) for text in fc._memo)
+    assert fc._memo_chars == sum(charges) <= fc._MEMO_CHARS
     held_blocks = [pair for w in fc._memo.values() if w is not None for pair in w.pairs]
     assert set(fc._blocks) == set(held_blocks)
     assert all(fc._blocks[pair] is pair for pair in held_blocks)
@@ -352,7 +358,24 @@ class TestParseMemo:
         with empty_memo():
             parse_fc("n=3:[2,3]")
             assert parse_fc(text) == w and parse_fc(text) == w
-            assert list(fc._memo) == ["n=3:[2,3]"] and fc._memo_chars == 9
+            # 9 characters and the 8 entries of the drawing
+            assert list(fc._memo) == ["n=3:[2,3]"] and fc._memo_chars == 17
+
+    def test_a_held_drawing_is_charged(self):
+        # An identity text near rank 10^5 is 10 characters, and its element,
+        # once a left factor, keeps a drawing of 2 * 10^5 entries: the
+        # charge holds one such element at a time, not one per text.
+        alive = []
+        with empty_memo():
+            for rank in range(99_993, 100_001):
+                text = f"n={rank}:[]"
+                parse_fc(text)
+                w = parse_fc(text)
+                assert fc._memo[text] is w
+                monomial_product(w, w)
+                alive.append(weakref.ref(w))
+                del w
+            assert sum(ref() is not None for ref in alive) <= 1
 
     def test_four_threads_read_the_same(self):
         # A bound of a few texts empties the memo many times while the
@@ -454,13 +477,15 @@ class TestLongNumbers:
             pytest.param(parse_fc, f"n={BIG}:[{BIG},1]x", id="fc-junk"),
             pytest.param(parse_fc, f"n={BIG}:", id="fc-no-blocks"),
             pytest.param(parse_diagram, f"strings=2;1-{BIG}", id="dot-above-strings"),
-            pytest.param(parse_diagram, f"strings={BIG};1-2", id="dot-unmatched"),
+            pytest.param(parse_diagram, f"strings={sys.maxsize // 2};1-2", id="dot-unmatched"),
+            pytest.param(parse_diagram, f"strings={BIG};1-2", id="strings-unindexable"),
             pytest.param(parse_diagram, f"strings={BIG};{BIG}-{BIG}'x", id="diagram-junk"),
         ],
     )
     def test_a_refusal_does_not_depend_on_the_digit_limit(self, read, text):
-        # the refusal quotes a number of 640 digits, or a dot, and str()
-        # writes it under the lowest limit as under none
+        # the refusal quotes a number of 640 digits, a dot, or the most
+        # strings a partner array can index, and str() writes it under the
+        # lowest limit as under none
         outcomes = []
         for limit in (0, 640, 4300):
             with digit_limit(limit), empty_memo():
@@ -468,7 +493,7 @@ class TestLongNumbers:
                     read(text)
                 outcomes.append((type(exc.value), str(exc.value)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert BIG in outcomes[0][1] or "unmatched" in outcomes[0][1]
+        assert any(part in outcomes[0][1] for part in (BIG, "unmatched", "can be indexed"))
 
 
 HUGE = 10**5000  # more digits than int() writes under the default limit
@@ -534,6 +559,20 @@ class TestLongInts:
                 id="identity-long",
             ),
             pytest.param(
+                lambda: Diagram.identity(10**600),
+                IndexOutOfRangeError,
+                f"strings is more than {sys.maxsize // 2}, the most whose partner array"
+                " of 2 * strings dots can be indexed",
+                id="identity-unindexable",
+            ),
+            pytest.param(
+                lambda: monomial_product(FCElement(10**600), FCElement(10**600)),
+                IndexOutOfRangeError,
+                f"strings is more than {sys.maxsize // 2}, the most whose partner array"
+                " of 2 * strings dots can be indexed",
+                id="product-unindexable",
+            ),
+            pytest.param(
                 lambda: Diagram.generator(3, HUGE),
                 IndexOutOfRangeError,
                 f"generator index must satisfy 1 <= i <= 2, got {LONG}",
@@ -580,6 +619,18 @@ class TestLongInts:
                 RankOutOfRangeError,
                 f"rank must be nonnegative, got {LONG}",
                 id="tl-zero",
+            ),
+            pytest.param(
+                lambda: str(DeltaPoly(((HUGE, 1),))),
+                NotNormalizedError,
+                "an exponent or a coefficient has more than 640 digits, the most a polynomial prints",
+                id="delta-poly-exponent",
+            ),
+            pytest.param(
+                lambda: str(DeltaPoly(((1, HUGE),))),
+                NotNormalizedError,
+                "an exponent or a coefficient has more than 640 digits, the most a polynomial prints",
+                id="delta-poly-coefficient",
             ),
             pytest.param(
                 lambda: catalan(-HUGE),

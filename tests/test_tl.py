@@ -1,7 +1,12 @@
 """Algebra arithmetic, descent reading, and the cross-arrow census."""
 
+import copy
 import hashlib
+import json
+import pickle
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from functools import lru_cache
@@ -19,6 +24,7 @@ from fcdiag import (
     RankMismatchError,
     RankOutOfRangeError,
     TLElement,
+    block_pairs,
     census,
     descents_from_diagram,
     diagram_of,
@@ -32,7 +38,8 @@ from fcdiag import (
     narayana,
     parse_fc,
 )
-from helpers import assert_holds, fc_list, rewrite_word
+from fcdiag.diagram import run_action
+from helpers import assert_holds, fc_list, random_fc, rewrite_word
 
 
 def gen(n, i):
@@ -48,6 +55,34 @@ def product_by_formula(x, y):
             w3, m = monomial_product(w1, w2)
             acc[w3] = acc.get(w3, DeltaPoly.zero()) + c1 * c2 * DeltaPoly.delta(m)
     return TLElement.from_dict(x.rank, acc)
+
+
+def glued_from_the_identity(w1, w2):
+    """e_{w1} e_{w2} as one glue of both block lists from the identity,
+    read through ``block_pairs`` and the validating constructor."""
+    k = w1.rank + 1
+    partner, loops = run_action(k, w1.pairs + w2.pairs)
+    return FCElement(w1.rank, block_pairs(k, partner)), loops
+
+
+def fresh(w, warm):
+    """A new element equal to ``w``, from the validating constructor; if
+    ``warm``, it has been a left factor once and keeps its drawing."""
+    w = FCElement(w.rank, w.pairs)
+    if warm:
+        monomial_product(w, w)
+        assert w._drawing is not None
+    return w
+
+
+def assert_products_glue_from_the_identity(a, b, warm):
+    """a b, b a and a a, each from fresh factors, the last from one object
+    on both sides, equal the product glued from the identity."""
+    for x, y in ((a, b), (b, a), (a, a)):
+        left = fresh(x, warm)
+        right = left if y is x else fresh(y, warm)
+        assert monomial_product(left, right) == glued_from_the_identity(x, y)
+        assert left._drawing == tuple(run_action(x.rank + 1, x.pairs)[0])
 
 
 def assert_tl_revalidates(x):
@@ -206,6 +241,93 @@ class TestMonomialProduct:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_presentation_relations(self, n):
         assert_holds("tl.presentation-relations", n)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_pair_equals_one_glue_from_the_identity(self, n, warm):
+        # a left factor glues its own blocks once and keeps the drawing;
+        # every later product copies it and glues only the right factor
+        elements = fc_list(n)
+        for i, a in enumerate(elements):
+            for b in elements[i:]:
+                assert_products_glue_from_the_identity(a, b, warm)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("rank, pairs", [(20, 30), (200, 10), (2000, 2)])
+    def test_random_pairs_equal_one_glue_from_the_identity(self, rank, pairs, warm):
+        rng = random.Random(rank)
+        for _ in range(pairs):
+            assert_products_glue_from_the_identity(
+                random_fc(rank, rng), random_fc(rank, rng), warm
+            )
+
+    def test_the_kept_drawing_is_invisible(self):
+        rng = random.Random(3)
+        for w in [*fc_list(3), random_fc(20, rng), random_fc(200, rng)]:
+            w = fresh(w, warm=False)
+            seen = (
+                w,
+                hash(w),
+                repr(w),
+                w.to_text(),
+                json.dumps(w.to_json()),
+                [pickle.dumps(w, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+            )
+            monomial_product(w, w)
+            assert w._drawing is not None
+            copied = copy.deepcopy(w)
+            assert copied == w and copied._drawing is None
+            assert pickle.loads(seen[-1][-1])._drawing is None
+            assert seen == (
+                w,
+                hash(w),
+                repr(w),
+                w.to_text(),
+                json.dumps(w.to_json()),
+                [pickle.dumps(w, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+            )
+
+    def test_a_wrong_kept_drawing_leaves_the_drawings_alone(self):
+        # the five passes never read what a product keeps, so they stay
+        # an oracle for it
+        rng = random.Random(4)
+        for w in [*fc_list(4)[1:], random_fc(50, rng)]:
+            planted = fresh(w, warm=False)
+            wrong = FCElement(w.rank)
+            object.__setattr__(planted, "_drawing", tuple(diagram_of(wrong).partner))
+            assert monomial_product(planted, wrong) == (wrong, 0)  # products read it
+            assert diagram_of(planted) == diagram_of(w)
+            assert fc_to_diagram(planted) == fc_to_diagram(w)
+
+    def test_four_threads_share_the_left_factors(self):
+        # Threads may draw one left factor at once; each keeps the same
+        # tuple, so every product and every kept drawing comes out right.
+        elements = [fresh(w, warm=False) for w in fc_list(4)]
+        want = {(a, b): glued_from_the_identity(a, b) for a in elements for b in elements}
+        wrong: list = []
+        errors: list[BaseException] = []
+
+        def multiply_all(seed):
+            try:
+                for a, b in random.Random(seed).sample(list(want), len(want)):
+                    if monomial_product(a, b) != want[a, b]:
+                        wrong.append((a, b))
+            except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=multiply_all, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+        assert all(w._drawing == tuple(run_action(5, w.pairs)[0]) for w in elements)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_against_word_rewriting_oracle(self, n):
