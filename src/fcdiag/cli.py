@@ -3,15 +3,16 @@
 Exit codes: 0 on success, 1 on domain errors (message names the violated
 invariant), 2 on usage errors.  Numeric arguments are range-checked by the
 parser, so an out-of-range value is a usage error whose message gives the
-allowed range.  Output is deterministic for fixed argv.  Two rules, a rank
-cap and an output cap, bound every command but ``verify`` before any work
-(see DRAW_RANK_CAP and WORK_CAP below); a request past either is a domain
-error.  ``verify`` is bounded by its catalogue: no check that ``--max-n``
-caps goes past rank 10, so a larger ``--max-n`` runs what 10 runs.  It
-spreads the checks of every suite it is asked for, as one job list, over
-the CPUs the process may use, in helpers forked once per call, and prints
-their verdicts in request order (each suite once), so its output does not
-depend on the CPU count.
+allowed range.  Output is deterministic for fixed argv.  Two rules bound
+every command but ``verify`` before any work, and a request past either is
+a domain error: the library's rank rule (``errors.MAX_RANK``), which the
+``--n`` commands check first and every text meets as the library reads
+it, and the output rule (WORK_CAP below).  ``verify`` is bounded by its
+catalogue: no check that ``--max-n`` caps goes past rank 10, so a larger
+``--max-n`` runs what 10 runs.  It spreads the checks of every suite it is
+asked for, as one job list, over the CPUs the process may use, in helpers
+forked once per call, and prints their verdicts in request order (each
+suite once), so its output does not depend on the CPU count.
 
 :func:`main` builds its argparse tree once per process, on its first call,
 and reuses it: parsing keeps no state between calls, so a request pays for
@@ -43,13 +44,10 @@ import itertools
 import json
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import counting
-from .errors import FCDiagramError, RankOutOfRangeError
-
-if TYPE_CHECKING:
-    from .fc import FCElement
+from .errors import FCDiagramError, RankOutOfRangeError, check_rank
 
 # The keys of ``verify.SUITES``, sorted, kept here so that the verify
 # parser's help names them without importing ``verify``.
@@ -76,18 +74,6 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
-# Two rules bound every command but verify (which its catalogue bounds),
-# each checked by one helper before any work.  A diagram, Dyck or ballot
-# text form is as long as what it describes, so it needs neither.
-#
-# Rank rule: every rank the user gives is at most DRAW_RANK_CAP, whether as
-# --n or as the rank of an FC text form.  A text form names its rank in a
-# few digits, but drawing or multiplying the element builds a partner array
-# of 2(n+1) entries, and render writes an SVG of O(n) lines: at rank 10^6
-# render peaked at 1.7 GB for a 259 MB file.  One item of 10^6 blocks or
-# strings took 231-300 MB to print.  Under this rule every count a command
-# needs is computed exactly and cheaply (C_{10^5+1} in under a second).
-#
 # Output rule: what a command prints, counted in its own unit, is at most
 # WORK_CAP.  enum prints blocks, census arrows (at most N(n, p) class keys
 # of at most n+1 arrows each), to-diagram --trace candidate dots (counted
@@ -95,22 +81,10 @@ def _check_at_most(args, option: str, high: int) -> None:
 # recorded; a trace can be quadratic in the size, 12.5 M dots on the
 # rank-10^4 staircase), and count and table digits.
 # Every count at rank n is at most C_{n+1} < 4^(n+1), so each value they
-# print has at most the digits of 4^(n+1).  Just under the cap, a random
+# print has at most the digits of 4^(n+1).  Just under the rank cap, a random
 # rank-10^5 element of 9.96 M dots drew its trace in 2.5-3.1 s, peaking at
 # 385 MB.
-DRAW_RANK_CAP = 10**5
 WORK_CAP = 10**7
-
-
-def _rank_rule(rank: int, command: str) -> None:
-    """Rank rule: a domain error if ``rank`` is above DRAW_RANK_CAP.
-
-    The message leaves the rank out, as the output rule leaves its amount.
-    """
-    if rank > DRAW_RANK_CAP:
-        raise RankOutOfRangeError(
-            f"rank is more than {DRAW_RANK_CAP}, the highest rank that {command} accepts"
-        )
 
 
 def _output_rule(amount: int, unit: str, command: str) -> None:
@@ -131,29 +105,16 @@ def _digits_per_count(n: int) -> int:
 
     That is floor(m log10 2) + 1 for m = 2n + 2, with log10 2 to 20 places
     so that no power of 4 is built.  It is exact for every m up to
-    2 DRAW_RANK_CAP + 4, as checked against the digits of 2^m.
+    2 errors.MAX_RANK + 4, as checked against the digits of 2^m.
     """
     return (2 * n + 2) * 30102999566398119521 // 10**20 + 1
-
-
-def _parse_drawable_fc(text: str, command: str) -> FCElement:
-    """``parse_fc``, then the rank rule.
-
-    Parsing builds only the blocks the text lists, so a large rank is
-    refused before anything of its size is allocated.
-    """
-    from .fc import parse_fc
-
-    w = parse_fc(text)
-    _rank_rule(w.rank, command)
-    return w
 
 
 def _cmd_enum(args) -> int:
     from .fc import enumerate_fc
 
     _check_at_most(args, "size", args.n)
-    _rank_rule(args.n, "enum")
+    check_rank(args.n)
     if args.size is None:  # sizes p and n-p are equally common
         blocks = args.n * counting.catalan(args.n + 1) // 2
     else:
@@ -166,7 +127,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_count(args) -> int:
     n = args.n
-    _rank_rule(n, "count")
+    check_rank(n)
     row = args.narayana or args.triangle
     _output_rule((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
     if args.narayana:
@@ -214,7 +175,7 @@ def _cmd_table(args) -> int:
     n = args.n
     if n < low:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
-    _rank_rule(n, "table")
+    check_rank(n)
     indices = range(low, n + 1)
     _output_rule(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
     header = [corner] + [str(c) for c in indices]
@@ -236,8 +197,9 @@ def _cmd_table(args) -> int:
 
 def _cmd_to_diagram(args) -> int:
     from .bijection import diagram_of, fc_to_diagram, trace_candidates
+    from .fc import parse_fc
 
-    w = _parse_drawable_fc(args.element, "to-diagram")
+    w = parse_fc(args.element)
     if args.trace:
         _output_rule(trace_candidates(w), "candidate dots", "to-diagram --trace")
         diagram, trace = fc_to_diagram(w)
@@ -267,10 +229,11 @@ def _cmd_to_fc(args) -> int:
 
 def _cmd_mul(args) -> int:
     from . import tl
+    from .fc import parse_fc
 
-    w1 = _parse_drawable_fc(args.left, "mul")
+    w1 = parse_fc(args.left)
     # a square multiplies one element by itself, parsed once
-    w2 = w1 if args.right == args.left else _parse_drawable_fc(args.right, "mul")
+    w2 = w1 if args.right == args.left else parse_fc(args.right)
     w3, m = tl.monomial_product(w1, w2)
     if args.json:
         print(json.dumps({"delta_exponent": m, "result": w3.to_json()}))
@@ -287,10 +250,11 @@ def _cmd_convert(args) -> int:
     from . import lattice
     from .bijection import diagram_of, diagram_to_fc
     from .diagram import parse_diagram
+    from .fc import parse_fc
 
     # One row per form: parse its text, read the FC element, build one.
     forms = {
-        "fc": (functools.partial(_parse_drawable_fc, command="convert"), lambda w: w, lambda w: w),
+        "fc": (parse_fc, lambda w: w, lambda w: w),
         "dyck": (lattice.parse_dyck, lattice.dyck_to_fc, lattice.fc_to_dyck),
         "ballot": (
             lattice.parse_ballot,
@@ -317,13 +281,14 @@ def _cmd_convert(args) -> int:
 def _cmd_render(args) -> int:
     from .bijection import diagram_of
     from .diagram import parse_diagram
+    from .fc import parse_fc
     from .svg import diagram_to_svg
 
     text = args.input.strip()
     if text.startswith("strings="):
         diagram = parse_diagram(text)
     else:
-        diagram = diagram_of(_parse_drawable_fc(text, "render"))
+        diagram = diagram_of(parse_fc(text))
     svg = diagram_to_svg(diagram)
     try:
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -339,7 +304,7 @@ def _cmd_census(args) -> int:
     from . import tl
 
     _check_at_most(args, "p", args.n)
-    _rank_rule(args.n, "census")
+    check_rank(args.n)
     _output_rule((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
     classes = tl.census(args.n, args.p)
     texts = tl.key_texts([key for key, _ in classes], args.n + 1)

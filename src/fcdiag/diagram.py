@@ -37,15 +37,16 @@ glues one cup-cap generator at a time below a partner array in place: four
 writes per letter, or one closed circle.  It takes the word as ascending
 runs [i, j] = e_i e_{i+1} ... e_j, so the block list of an FC element is
 its input as it stands, and it starts from the identity or from a partner
-list it is given.  It serves three callers: monomial products, which glue
-the left factor's runs from the identity once, keep that drawing on the
-element, and glue the right factor's runs onto a copy of it, reading the
-bare partner list; :meth:`Diagram.from_word`, the only entry for a raw
-generator word, which checks the indices, feeds the word one letter per
-run, and validates the result as a :class:`Diagram`; and ``verify``,
-which holds the bijection's drawings against it.  It checks nothing
-itself.  Drawing one FC element does not use it: the bijection's passes
-draw from the canonical form.
+list it is given.  No other code writes the identity or a cup-cap.  It
+serves three callers: monomial products, which glue the left factor's runs
+from the identity once, keep that drawing on the element, and glue the
+right factor's runs onto a copy of it, reading the bare partner list;
+:meth:`Diagram.from_word`, the only entry for a raw generator word, and so
+of ``identity`` and ``generator``, which checks the indices, feeds the word
+one letter per run, and validates the result as a :class:`Diagram`; and
+``verify``, which holds the bijection's drawings against it.  It checks
+nothing itself.  Drawing one FC element does not use it: the bijection's
+passes draw from the canonical form.
 
 Concatenation stacks one diagram on top of another, traces the composite
 strands through the glued middle row, and deletes closed circles, returning
@@ -195,28 +196,19 @@ class Diagram:
 
     @classmethod
     def identity(cls, strings: int) -> Diagram:
-        """All strands vertical."""
-        check_strings(strings)
-        partner = tuple(range(strings, 2 * strings)) + tuple(range(strings))
-        return cls(strings, partner)
+        """All strands vertical: the empty word."""
+        return cls.from_word(strings, ())[0]
 
     @classmethod
     def generator(cls, strings: int, i: int) -> Diagram:
-        """The cup-cap diagram joining i with i+1 on both rows."""
-        check_strings(strings)
-        _check_generator_index(strings, i)
-        partner = list(range(strings, 2 * strings)) + list(range(strings))
-        k = strings
-        partner[i - 1], partner[i] = i, i - 1
-        partner[k + i - 1], partner[k + i] = k + i, k + i - 1
-        return cls(strings, tuple(partner))
+        """The cup-cap diagram joining i with i+1 on both rows: the word (i,)."""
+        return cls.from_word(strings, (i,))[0]
 
     @classmethod
     def from_word(cls, strings: int, word: Iterable[int]) -> tuple[Diagram, int]:
         """The product of the generators along ``word``, and its circle count.
 
-        ``strings`` is checked as :meth:`identity` checks it and the
-        indices as :meth:`generator` checks its one; :func:`run_action`
+        ``strings`` is checked first, then each index; :func:`run_action`
         glues the word one letter per run, and the result is validated.
         """
         check_strings(strings)

@@ -7,43 +7,51 @@ callers who do not care about the fine-grained class can catch either.
 Each argument rule is stated here once, and checked by one helper wherever
 its argument enters.  A bool is never taken for an int.
 
-- A rank (:func:`check_rank`: ``FCElement``, ``enumerate_fc``,
-  ``tl.census``, ``tl.TLElement``) that is not an int, is negative, or has
-  more than :data:`MAX_DIGITS` digits raises :class:`RankOutOfRangeError`.
+One rank rule bounds the library and the command line alike: a rank is at
+most :data:`MAX_RANK` (10^5), and a string count, the rank + 1 strings of
+a diagram, at most MAX_RANK + 1.  Drawing or multiplying an element of
+rank n builds a partner array of 2(n+1) entries, and a text form names its
+rank in a few digits, so a few characters given anywhere could ask for
+gigabytes: at rank 10^6 ``fcdiag render`` peaked at 1.7 GB for a 259 MB
+file, and one item of 10^6 blocks or strings took 231-300 MB to print.
+Under the cap each count of a rank is computed exactly and cheaply
+(C_{10^5+1} in under a second).  The refusal leaves the value out.
+
+- A rank (:func:`check_rank`: ``FCElement``, and through it every text and
+  JSON reader of an element, ``enumerate_fc``, ``tl.census``,
+  ``tl.TLElement``, and the ``--n`` of ``cli``'s ``enum``, ``count``,
+  ``table`` and ``census``) that is not an int raises
+  :class:`RankOutOfRangeError`, and so does an int that is negative or
+  above MAX_RANK.
 - A size (:func:`check_size`: ``enumerate_fc``, ``tl.census``) that is not
   an int raises :class:`RankOutOfRangeError`; an int out of range means no
   element.
 - A string count (:func:`check_strings`: every ``Diagram`` constructor,
-  ``enumerate_diagrams``, ``tl.expected_class_size``, ``tl.key_texts``,
-  and ``tl.monomial_product`` for rank + 1)
-  that is not an int raises :class:`NotMatchingError`, and an int below 1,
-  of more than :data:`MAX_DIGITS` digits, or above :data:`MAX_STRINGS`,
-  whose partner array of 2 * strings entries no Python sequence can
-  index, :class:`IndexOutOfRangeError`.
+  and through them every diagram reader, ``enumerate_diagrams``,
+  ``tl.expected_class_size`` and ``tl.key_texts``) that is not an int
+  raises :class:`NotMatchingError`, and an int below 1 or above
+  MAX_RANK + 1 :class:`IndexOutOfRangeError`.
 - A text that is not a ``str`` (:func:`check_text`: every text reader), and
   a number of a text form, a run of ASCII digits, of more than
   :data:`MAX_DIGITS` digits (:func:`read_decimal`: ``parse_fc``,
   ``parse_diagram``), raise :class:`ParseError`.
 
-That is the number rule: an int of more than MAX_DIGITS digits is no rank,
-string count or text-form number, and a refusal message names it
-(:func:`shown`) instead of writing it out.  MAX_DIGITS is the lowest int
-digit limit that Python accepts (3.11+), so int() and str() work on every
-int the rule admits, and no refusal depends on the limit.  Likewise
-:func:`shown` names a container nested :data:`SHOWN_DEPTH` deep
-instead of writing it out, so that no refusal runs into the recursion
-limit.
+The number rule bounds only text-form numbers and the ints a refusal
+quotes: an int of more than MAX_DIGITS digits is no text-form number, and
+a refusal message names it (:func:`shown`) instead of writing it out.
+MAX_DIGITS is the lowest int digit limit that Python accepts (3.11+), so
+int() and str() work on every int the rule admits, and no refusal depends
+on the limit.  Likewise :func:`shown` names a container nested
+:data:`SHOWN_DEPTH` deep instead of writing it out, so that no refusal
+runs into the recursion limit.
 """
 
-import sys
+# The rank rule: the highest rank, one less than the most strings.
+MAX_RANK = 10**5
 
 # The number rule; LONG_INT is the least positive int it refuses.
 MAX_DIGITS = 640
 LONG_INT = 10**MAX_DIGITS
-
-# The most strings whose partner array, of 2 * strings entries, a Python
-# sequence can index.
-MAX_STRINGS = sys.maxsize // 2
 
 # The depth at which a refusal message stops writing out nested containers:
 # far below the default recursion limit of 1000, so that copying and
@@ -199,12 +207,10 @@ def check_rank(rank: object) -> None:
     """Refuse a rank by the rank rule."""
     if type(rank) is not int:
         raise RankOutOfRangeError(f"rank must be a nonnegative integer, got {shown(rank)!r}")
-    if not 0 <= rank < LONG_INT:
+    if not 0 <= rank <= MAX_RANK:
         if rank < 0:
             raise RankOutOfRangeError(f"rank must be nonnegative, got {shown(rank)}")
-        raise RankOutOfRangeError(
-            f"rank has more than {MAX_DIGITS} digits, the most a rank may have"
-        )
+        raise RankOutOfRangeError(f"rank is more than {MAX_RANK}, the highest rank allowed")
 
 
 def check_size(size: object) -> None:
@@ -217,17 +223,10 @@ def check_strings(strings: object) -> None:
     """Refuse a string count by the string-count rule."""
     if type(strings) is not int:
         raise NotMatchingError(f"strings must be a positive integer, got {shown(strings)!r}")
-    if not 1 <= strings <= MAX_STRINGS:
+    if not 1 <= strings <= MAX_RANK + 1:
         if strings < 1:
             raise IndexOutOfRangeError(f"strings must be >= 1, got {shown(strings)}")
-        if strings >= LONG_INT:
-            raise IndexOutOfRangeError(
-                f"strings has more than {MAX_DIGITS} digits, the most a string count may have"
-            )
-        raise IndexOutOfRangeError(
-            f"strings is more than {MAX_STRINGS}, the most whose partner array"
-            " of 2 * strings dots can be indexed"
-        )
+        raise IndexOutOfRangeError(f"strings is more than {MAX_RANK + 1}, the most allowed")
 
 
 def read_decimal(digits: str) -> int:

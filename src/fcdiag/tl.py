@@ -275,16 +275,15 @@ def monomial_product(w1: FCElement, w2: FCElement) -> tuple[FCElement, int]:
     w1 is a left factor, the kernel glues its blocks from the identity
     and w1 keeps a tuple snapshot of that array (``FCElement._drawing``),
     which every later product with w1 on the left copies instead.  A
-    reduced word closes no circle, so m is what w2's runs close.  The
-    string count rank + 1 is checked by the string-count rule of
-    ``errors`` before the first drawing is built.
+    reduced word closes no circle, so m is what w2's runs close.  Each
+    rank passed the rank rule of ``errors`` when its element was built, so
+    the rank + 1 strings need no check of their own.
     """
     if w1.rank != w2.rank:
         raise RankMismatchError(f"cannot multiply ranks {w1.rank} and {w2.rank}")
     strings = w1.rank + 1
     drawn = w1._drawing
     if drawn is None:
-        check_strings(strings)
         partner = run_action(strings, w1.pairs)[0]
         object.__setattr__(w1, "_drawing", tuple(partner))
     else:

@@ -30,6 +30,7 @@ from fcdiag import (
     trace_candidates,
 )
 from fcdiag.cli import main
+from fcdiag.errors import MAX_RANK
 from helpers import digit_limit, fc_elements, random_fc, staircase
 
 
@@ -39,9 +40,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def rank_refusal(command):
-    """The stderr line of the rank rule."""
-    return f"error: rank is more than 100000, the highest rank that {command} accepts\n"
+# The stderr line of the rank rule, the library's own refusal.
+RANK_REFUSAL = "error: rank is more than 100000, the highest rank allowed\n"
 
 
 def output_refusal(command, unit):
@@ -256,12 +256,12 @@ class TestEnumAndTable:
     def test_enum_above_the_listing_cap(self, capsys):
         # 35 357 670 elements: more blocks than elements, so the block bound refuses them
         assert run(capsys, "enum", "--n", "15") == (1, "", ENUM_REFUSAL)
-        assert run(capsys, "enum", "--n", "1000000000") == (1, "", rank_refusal("enum"))
+        assert run(capsys, "enum", "--n", "1000000000") == (1, "", RANK_REFUSAL)
         # one empty element, but of a rank above the cap: answered before this change
         assert run(capsys, "enum", "--n", "1000000000", "--size", "0") == (
             1,
             "",
-            rank_refusal("enum"),
+            RANK_REFUSAL,
         )
 
     def test_enum_above_the_work_cap(self, capsys):
@@ -271,7 +271,7 @@ class TestEnumAndTable:
         assert run(capsys, "enum", "--n", str(n), "--size", str(n)) == (
             1,
             "",
-            rank_refusal("enum"),
+            RANK_REFUSAL,
         )
         assert time.perf_counter() - start < 2
         # 17 383 860 blocks at rank 13; rank 12 prints 4 457 400
@@ -281,17 +281,17 @@ class TestEnumAndTable:
     def test_enum_count_past_the_float_range(self, capsys):
         # the rank rule refuses before any count, so no count is estimated
         n = 10**400
-        assert run(capsys, "enum", "--n", str(n)) == (1, "", rank_refusal("enum"))
+        assert run(capsys, "enum", "--n", str(n)) == (1, "", RANK_REFUSAL)
 
     def test_enum_size_above_the_draw_cap(self, capsys):
         # one element inside the work cap, but 10^6 blocks took 300 MB to print
-        cap = cli.DRAW_RANK_CAP
+        cap = MAX_RANK
         start = time.perf_counter()
         for size in (10**6, cap + 1):
             assert run(capsys, "enum", "--n", str(size), "--size", str(size)) == (
                 1,
                 "",
-                rank_refusal("enum"),
+                RANK_REFUSAL,
             )
         code, out, err = run(capsys, "enum", "--n", str(cap), "--size", str(cap))
         assert time.perf_counter() - start < 2
@@ -399,7 +399,7 @@ class TestCensusCommand:
         assert run(capsys, "census", "--n", str(n), "--p", str(n)) == (
             1,
             "",
-            rank_refusal("census"),
+            RANK_REFUSAL,
         )
         assert time.perf_counter() - start < 2
         # 736 164 keys at most, of 14 arrows: 10 306 296 arrows
@@ -414,13 +414,13 @@ class TestCensusCommand:
 
     def test_rank_above_the_draw_cap(self, capsys):
         # one class key inside the work cap, but on 10^6 + 1 strings it took 231 MB
-        cap = cli.DRAW_RANK_CAP
+        cap = MAX_RANK
         start = time.perf_counter()
         for n in (10**6, cap + 1):
             assert run(capsys, "census", "--n", str(n), "--p", "0") == (
                 1,
                 "",
-                rank_refusal("census"),
+                RANK_REFUSAL,
             )
         code, out, err = run(capsys, "census", "--n", str(cap), "--p", "0")
         assert time.perf_counter() - start < 2
@@ -453,7 +453,7 @@ class TestRender:
     def test_rank_above_the_draw_cap(self, capsys, tmp_path):
         # a few characters would otherwise draw 2(n+1) dots: 1.7 GB to render at 10^6
         target = tmp_path / "out.svg"
-        cap = cli.DRAW_RANK_CAP
+        cap = MAX_RANK
         start = time.perf_counter()
         for rank in (10**6, cap + 1):
             text = f"n={rank}:[]"
@@ -463,7 +463,7 @@ class TestRender:
                 ["mul", "n=3:[]", text],
                 ["convert", "--from", "fc", "--to", "ballot", text],
             ):
-                assert run(capsys, *argv) == (1, "", rank_refusal(argv[0])), argv
+                assert run(capsys, *argv) == (1, "", RANK_REFUSAL), argv
         assert time.perf_counter() - start < 2
         assert not target.exists()
         assert run(capsys, "convert", "--from", "fc", "--to", "fc", f"n={cap}:[]")[:2] == (0, f"n={cap}:[]\n")
@@ -616,7 +616,7 @@ class TestCountAndTableBounds:
         "argv, values, err",
         [
             # no answer within 25 s before the two rules
-            (["count", "--n", "1000000"], 1, rank_refusal("count")),
+            (["count", "--n", "1000000"], 1, RANK_REFUSAL),
             (["count", "--n", "20000", "--narayana"], 20001, COUNT_REFUSAL),
             (["table", "narayana", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
             (["table", "triangle", "--n", "3000", "--format", "csv"], 3001**2, TABLE_REFUSAL),
@@ -626,7 +626,7 @@ class TestCountAndTableBounds:
     )
     def test_refused_at_once(self, capsys, argv, values, err):
         n = int(argv[argv.index("--n") + 1])
-        if n <= cli.DRAW_RANK_CAP:
+        if n <= MAX_RANK:
             assert values * digits_at_rank(n) > cli.WORK_CAP
         start = time.perf_counter()
         assert run(capsys, *argv) == (1, "", err)
@@ -670,12 +670,12 @@ class TestCountAndTableBounds:
 
     def test_catalan_at_the_rank_cap(self, capsys):
         # one value of at most 60 207 digits: the rank rule alone bounds it
-        cap = cli.DRAW_RANK_CAP
+        cap = MAX_RANK
         start = time.perf_counter()
         code, out, err = run(capsys, "count", "--n", str(cap))
         assert (code, err) == (0, "")
         assert 0 < len(out) - 1 <= digits_at_rank(cap)
-        assert run(capsys, "count", "--n", str(cap + 1)) == (1, "", rank_refusal("count"))
+        assert run(capsys, "count", "--n", str(cap + 1)) == (1, "", RANK_REFUSAL)
         assert time.perf_counter() - start < 4
 
 
@@ -686,7 +686,7 @@ class TestDrawingBounds:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: staircase(cli.DRAW_RANK_CAP), lambda: random_fc(cli.DRAW_RANK_CAP, Random(0))],
+        [lambda: staircase(MAX_RANK), lambda: random_fc(MAX_RANK, Random(0))],
         ids=["staircase", "random"],
     )
     def test_draws_at_the_rank_cap(self, capsys, tmp_path, make):

@@ -34,6 +34,7 @@ from fcdiag import (
     catalan,
     census,
     diagram_from_json,
+    diagram_of,
     dplus_condition,
     enumerate_diagrams,
     enumerate_fc,
@@ -49,6 +50,7 @@ from fcdiag import (
     parse_fc,
 )
 from fcdiag import fc
+from fcdiag.errors import MAX_RANK
 from helpers import assert_holds, digit_limit, fc_elements, fc_list, mutated_json
 
 W_EXAMPLE = FCElement(5, ((4, 5), (3, 3), (1, 1)))
@@ -452,15 +454,24 @@ class TestLongNumbers:
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
     @pytest.mark.parametrize("limit", [0, 640, 4300])
     def test_the_answer_does_not_depend_on_the_digit_limit(self, limit):
-        rank = 10**639 + 7
+        # in-cap numbers written in the most digits a text form may hold
+        rank = MAX_RANK
+
+        def written(number):
+            return str(number).zfill(640)
+
         texts = [
-            f"n={rank}:[]",
-            f"n={rank}:[{rank - 1},{rank}][1,1]",
+            f"n={written(rank)}:[]",
+            f"n={written(rank)}:[{written(rank - 1)},{written(rank)}][1,1]",
             "n=" + "0" * 639 + "3:[3,3]",
         ]
         with digit_limit(limit), empty_memo():
             got = [parse_fc(text) for text in texts]
-            assert [w.to_text() for w in got] == [texts[0], texts[1], "n=3:[3,3]"]
+            assert [w.to_text() for w in got] == [
+                f"n={rank}:[]",
+                f"n={rank}:[{rank - 1},{rank}][1,1]",
+                "n=3:[3,3]",
+            ]
         assert got == [
             FCElement(rank),
             FCElement(rank, ((rank - 1, rank), (1, 1))),
@@ -472,20 +483,20 @@ class TestLongNumbers:
         "read, text",
         [
             pytest.param(parse_fc, f"n=3:[{BIG},1]", id="start-above-rank"),
-            pytest.param(parse_fc, f"n={BIG}:[{BIG},1][{BIG},1]", id="start-repeated"),
-            pytest.param(parse_fc, f"n={BIG}:[2,{BIG}][1,{BIG}]", id="end-repeated"),
+            pytest.param(parse_fc, f"n=3:[3,3][{BIG},1]", id="start-repeated"),
+            pytest.param(parse_fc, f"n=3:[3,3][2,{BIG}]", id="end-repeated"),
             pytest.param(parse_fc, f"n={BIG}:[{BIG},1]x", id="fc-junk"),
             pytest.param(parse_fc, f"n={BIG}:", id="fc-no-blocks"),
             pytest.param(parse_diagram, f"strings=2;1-{BIG}", id="dot-above-strings"),
-            pytest.param(parse_diagram, f"strings={sys.maxsize // 2};1-2", id="dot-unmatched"),
+            pytest.param(parse_diagram, "strings=100001;1-2", id="dot-unmatched"),
             pytest.param(parse_diagram, f"strings={BIG};1-2", id="strings-unindexable"),
             pytest.param(parse_diagram, f"strings={BIG};{BIG}-{BIG}'x", id="diagram-junk"),
         ],
     )
     def test_a_refusal_does_not_depend_on_the_digit_limit(self, read, text):
         # the refusal quotes a number of 640 digits, a dot, or the most
-        # strings a partner array can index, and str() writes it under the
-        # lowest limit as under none
+        # strings allowed, and str() writes it under the lowest limit as
+        # under none
         outcomes = []
         for limit in (0, 640, 4300):
             with digit_limit(limit), empty_memo():
@@ -493,11 +504,13 @@ class TestLongNumbers:
                     read(text)
                 outcomes.append((type(exc.value), str(exc.value)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert any(part in outcomes[0][1] for part in (BIG, "unmatched", "can be indexed"))
+        assert any(part in outcomes[0][1] for part in (BIG, "unmatched", "the most allowed"))
 
 
 HUGE = 10**5000  # more digits than int() writes under the default limit
 LONG = "an int of more than 640 digits"
+RANK_CAP = "rank is more than 100000, the highest rank allowed"
+STRINGS_CAP = "strings is more than 100001, the most allowed"
 SELF_HOLDING: list = []
 SELF_HOLDING.append(SELF_HOLDING)
 DEEP: list = []  # a list nested 10 000 deep, ten times the recursion limit
@@ -508,9 +521,9 @@ DEEP_SHOWN = "[" * 99 + "a list nested 100 deep" + "]" * 99
 
 
 class TestLongInts:
-    """An int of more than 640 digits is no rank or string count, and no
-    refusal writes one out: class and message are the same under any int
-    digit limit."""
+    """A rank above 10^5, or a string count above 10^5 + 1, is refused at
+    once, and no refusal writes out an int of more than 640 digits: class
+    and message are the same under any int digit limit."""
 
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
     @pytest.mark.parametrize(
@@ -525,7 +538,7 @@ class TestLongInts:
             pytest.param(
                 lambda: FCElement(HUGE).to_text(),
                 RankOutOfRangeError,
-                "rank has more than 640 digits, the most a rank may have",
+                RANK_CAP,
                 id="fc-rank",
             ),
             pytest.param(
@@ -543,7 +556,7 @@ class TestLongInts:
             pytest.param(
                 lambda: next(enumerate_fc(10**640)),
                 RankOutOfRangeError,
-                "rank has more than 640 digits, the most a rank may have",
+                RANK_CAP,
                 id="enumerate-fc",
             ),
             pytest.param(
@@ -555,21 +568,19 @@ class TestLongInts:
             pytest.param(
                 lambda: Diagram.identity(10**640),
                 IndexOutOfRangeError,
-                "strings has more than 640 digits, the most a string count may have",
+                STRINGS_CAP,
                 id="identity-long",
             ),
             pytest.param(
                 lambda: Diagram.identity(10**600),
                 IndexOutOfRangeError,
-                f"strings is more than {sys.maxsize // 2}, the most whose partner array"
-                " of 2 * strings dots can be indexed",
+                STRINGS_CAP,
                 id="identity-unindexable",
             ),
             pytest.param(
                 lambda: monomial_product(FCElement(10**600), FCElement(10**600)),
-                IndexOutOfRangeError,
-                f"strings is more than {sys.maxsize // 2}, the most whose partner array"
-                " of 2 * strings dots can be indexed",
+                RankOutOfRangeError,
+                RANK_CAP,
                 id="product-unindexable",
             ),
             pytest.param(
@@ -692,6 +703,61 @@ class TestLongInts:
                 f"not a diagram JSON object: {{'strings': 3, 'partner': {DEEP_SHOWN}}}",
                 id="diagram-json-deep",
             ),
+            # each of these allocated gigabytes, stalled or answered above the cap
+            pytest.param(
+                lambda: Diagram.identity(10**9),
+                IndexOutOfRangeError,
+                STRINGS_CAP,
+                id="identity-above-cap",
+            ),
+            pytest.param(
+                lambda: FCElement(10**9).dual(),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="dual-above-cap",
+            ),
+            pytest.param(
+                lambda: FCElement(10**9).to_permutation(),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="permutation-above-cap",
+            ),
+            pytest.param(
+                lambda: next(enumerate_diagrams(10**9)),
+                IndexOutOfRangeError,
+                STRINGS_CAP,
+                id="enumerate-diagrams-above-cap",
+            ),
+            pytest.param(
+                lambda: census(10**9, 1),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="census-above-cap",
+            ),
+            pytest.param(
+                lambda: expected_class_size(10**9, ()),
+                IndexOutOfRangeError,
+                STRINGS_CAP,
+                id="class-size-above-cap",
+            ),
+            pytest.param(
+                lambda: monomial_product(FCElement(10**7), FCElement(10**7)),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="product-above-cap",
+            ),
+            pytest.param(
+                lambda: diagram_of(FCElement(10**7)),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="drawing-above-cap",
+            ),
+            pytest.param(
+                lambda: next(enumerate_fc(10**7)),
+                RankOutOfRangeError,
+                RANK_CAP,
+                id="enumerate-fc-above-cap",
+            ),
         ],
     )
     def test_refused_by_name_under_any_digit_limit(self, call, error, message):
@@ -703,11 +769,12 @@ class TestLongInts:
 
     @pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit")
     def test_the_longest_rank_prints_under_the_lowest_limit(self):
-        rank = 10**640 - 1
+        rank = MAX_RANK
         with digit_limit(640):
             assert FCElement(rank, ((rank, rank),)).to_text() == f"n={rank}:[{rank},{rank}]"
-            with pytest.raises(RankOutOfRangeError, match="rank has more than 640 digits"):
+            with pytest.raises(RankOutOfRangeError) as exc:
                 FCElement(rank + 1)
+            assert str(exc.value) == RANK_CAP
 
 
 class TestNonStrText:
