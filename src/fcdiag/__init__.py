@@ -22,7 +22,6 @@ _EXPORTS = {
         "fc_to_diagram",
         "fc_to_diagram_reference",
         "reference_drawings",
-        "trace_candidates",
     ),
     "cli": (),
     "counting": (

@@ -50,16 +50,14 @@ size of its trace when one is recorded:
   ascending order, appending (j_{r+1}+2)' .. j_r'.
 * (e) sweeps the top row once, with a pointer into the bottom row.
 
-One routine runs the passes, and it has three entries.  As (c) and (d)
-choose, it adds up the length of each candidate set, whether it records
-the trace or not.  ``fc_to_diagram`` also records what passes (b), (c)
-and (d) choose, as a :class:`BijectionTrace`: each candidate set as a
-tuple in ascending order (the top list reversed, the bottom list as it
-stands) with its chosen dot.  That record is the only source of
-``--trace`` output.  ``diagram_of`` records nothing.
-``trace_candidates`` returns only the sum, the number of dots the trace
-lists, from one untraced drawing, so that the CLI can bound ``--trace``
-before the trace is recorded.  Each entry builds its diagram with the
+One routine runs the passes, and it has two entries.  ``diagram_of``
+draws alone.  ``fc_to_diagram`` also records what passes (b), (c) and
+(d) choose, as a :class:`BijectionTrace`: each candidate set as a tuple
+in ascending order (the top list reversed, the bottom list as it stands)
+with its chosen dot, the only source of ``--trace`` output.  A trace can
+be quadratic in the size, so (c) and (d) count the dots of each set
+before recording it, and stop by the output rule once the count passes
+the cap.  Each entry builds its diagram with the
 unchecked constructor of :class:`Diagram`: the passes on a canonical
 block list draw the paper's unique non-crossing diagram of w, so the
 boundary walk that validation runs would only repeat the theorem.  The
@@ -101,7 +99,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .diagram import Diagram, concatenate
-from .errors import FCDiagramError, IndexOutOfRangeError, UnexpectedLoopError, shown
+from .errors import (
+    FCDiagramError,
+    IndexOutOfRangeError,
+    NotMatchingError,
+    UnexpectedLoopError,
+    check_output,
+    shown,
+)
 from .fc import FCElement, Pair, enumerate_fc, is_saturated_in
 
 
@@ -192,19 +197,10 @@ def _positive_pairs(pairs: Sequence[Pair]) -> list[tuple[int, int]]:
     return positive
 
 
-def trace_candidates(w: FCElement) -> int:
-    """How many candidate dots the trace of ``fc_to_diagram(w)`` lists.
-
-    Counted by one untraced run of the passes, which add up the length of
-    each candidate set as (c) and (d) choose from it, so the count costs a
-    drawing and no trace.
-    """
-    return _draw(w, False)[2]
-
-
 def fc_to_diagram(w: FCElement) -> tuple[Diagram, BijectionTrace]:
-    """Draw the diagram of w directly from its canonical form, with its trace."""
-    return _draw(w, True)[:2]
+    """Draw the diagram of w directly from its canonical form, with its
+    trace, unless that lists more candidate dots than the output rule allows."""
+    return _draw(w, True)
 
 
 def diagram_of(w: FCElement) -> Diagram:
@@ -212,9 +208,8 @@ def diagram_of(w: FCElement) -> Diagram:
     return _draw(w, False)[0]
 
 
-def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, int]:
-    """The five passes, recording the trace only if ``traced``, and how
-    many candidate dots the trace lists, whether recorded or not.
+def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None]:
+    """The five passes, recording the trace only if ``traced``.
 
     Dot u is index u - 1 of the partner array on top and k + u - 1 below.
     The drawing must read back as w's own block list, which it always
@@ -224,7 +219,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, i
     k = w.rank + 1
     pairs = w.pairs
     if not pairs:
-        return Diagram.identity(k), BijectionTrace((), (), ()), 0
+        return Diagram.identity(k), BijectionTrace((), (), ())
     p = len(pairs)
     partner = [-1] * (2 * k)
 
@@ -236,7 +231,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, i
 
     top_sets: list[tuple[tuple[int, ...], int | None]] = [((), None)] * p
     bottom_sets = top_sets.copy()
-    dots = 0  # the length of every candidate set chosen from
+    dots = 0  # the candidate dots recorded, refused past the output rule
 
     # (c) top arcs, first start first; a start is taken only by (b)
     free: list[int] = []  # free top dots of block r's range, descending
@@ -245,8 +240,9 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, i
         free.extend(range(above - 1, i, -1))
         above = i
         if partner[i - 1] < 0:
-            dots += len(free)
             if traced:
+                dots += len(free)
+                check_output(dots, "candidate dots", "the drawing trace")
                 top_sets[r] = (tuple(reversed(free)), free[-1])
             f = free.pop()
             partner[i - 1], partner[f - 1] = f - 1, i - 1
@@ -259,8 +255,9 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, i
         free.extend(range(below, j + 1))
         below = j + 2
         if partner[k + j] < 0:
-            dots += len(free)
             if traced:
+                dots += len(free)
+                check_output(dots, "candidate dots", "the drawing trace")
                 bottom_sets[r] = (tuple(free), free[-1])
             g = free.pop()
             partner[k + j], partner[k + g - 1] = k + g - 1, k + j
@@ -278,7 +275,7 @@ def _draw(w: FCElement, traced: bool) -> tuple[Diagram, BijectionTrace | None, i
     trace = None
     if traced:
         trace = BijectionTrace(tuple(positive_pairs), tuple(top_sets), tuple(bottom_sets))
-    return Diagram._trusted(k, tuple(partner)), trace, dots
+    return Diagram._trusted(k, tuple(partner)), trace
 
 
 def fc_to_diagram_reference(w: FCElement) -> Diagram:
@@ -351,9 +348,11 @@ def block_pairs(strings: int, partner: Sequence[int]) -> tuple[Pair, ...]:
     from :func:`run_action`, or a drawing of the five passes: those read
     each drawing back through it and refuse one that does not give back
     the blocks it was drawn from, the guard on their unchecked
-    :class:`Diagram`.
+    :class:`Diagram`.  Any other length is refused by name.
     """
     k = strings
+    if len(partner) != 2 * k:
+        raise NotMatchingError(f"partner must have 2 * {shown(k)} entries, got {len(partner)}")
     starts: list[int] = []
     ends: list[int] = []
     for x in range(k - 1, -1, -1):

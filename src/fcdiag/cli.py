@@ -3,16 +3,18 @@
 Exit codes: 0 on success, 1 on domain errors (message names the violated
 invariant), 2 on usage errors.  Numeric arguments are range-checked by the
 parser, so an out-of-range value is a usage error whose message gives the
-allowed range.  Output is deterministic for fixed argv.  Two rules bound
-every command but ``verify`` before any work, and a request past either is
-a domain error: the library's rank rule (``errors.MAX_RANK``), which the
-``--n`` commands check first and every text meets as the library reads
-it, and the output rule (WORK_CAP below).  ``verify`` is bounded by its
-catalogue: no check that ``--max-n`` caps goes past rank 10, so a larger
-``--max-n`` runs what 10 runs.  It spreads the checks of every suite it is
-asked for, as one job list, over the CPUs the process may use, in helpers
-forked once per call, and prints their verdicts in request order (each
-suite once), so its output does not depend on the CPU count.
+allowed range.  Output is deterministic for fixed argv.  Two rules of
+``errors`` bound every command but ``verify``, and a request past either
+is a domain error: the rank rule, which the ``--n`` commands check first
+and every text meets as the library reads it, and the output rule, which
+``enum``, ``count``, ``table`` and ``census`` check on an estimate before
+any work, and ``to-diagram --trace`` as its one drawing records.
+``verify`` is bounded by its catalogue: no check that ``--max-n`` caps
+goes past rank 10, so a larger ``--max-n`` runs what 10 runs.  It spreads
+the checks of every suite it is asked for, as one job list, over the CPUs
+the process may use, in helpers forked once per call, and prints their
+verdicts in request order (each suite once), so its output does not depend
+on the CPU count.
 
 :func:`main` builds its argparse tree once per process, on its first call,
 and reuses it: parsing keeps no state between calls, so a request pays for
@@ -47,7 +49,7 @@ from collections import Counter
 from typing import Sequence
 
 from . import counting
-from .errors import FCDiagramError, RankOutOfRangeError, check_rank
+from .errors import FCDiagramError, check_output, check_rank
 
 # The keys of ``verify.SUITES``, sorted, kept here so that the verify
 # parser's help names them without importing ``verify``.
@@ -74,34 +76,9 @@ def _check_at_most(args, option: str, high: int) -> None:
         args.usage_error(f"argument --{option}: must be in 0..{high} for --n {args.n}, got {value}")
 
 
-# Output rule: what a command prints, counted in its own unit, is at most
-# WORK_CAP.  enum prints blocks, census arrows (at most N(n, p) class keys
-# of at most n+1 arrows each), to-diagram --trace candidate dots (counted
-# by ``trace_candidates`` in one untraced drawing, before the trace is
-# recorded; a trace can be quadratic in the size, 12.5 M dots on the
-# rank-10^4 staircase), and count and table digits.
-# Every count at rank n is at most C_{n+1} < 4^(n+1), so each value they
-# print has at most the digits of 4^(n+1).  Just under the rank cap, a random
-# rank-10^5 element of 9.96 M dots drew its trace in 2.5-3.1 s, peaking at
-# 385 MB.
-WORK_CAP = 10**7
-
-
-def _output_rule(amount: int, unit: str, command: str) -> None:
-    """Output rule: a domain error if ``amount``, a bound on what
-    ``command`` would print counted in ``unit``, is above WORK_CAP.
-
-    The message leaves the amount out: far from the cap it can have
-    thousands of digits.
-    """
-    if amount > WORK_CAP:
-        raise RankOutOfRangeError(
-            f"{command} may print more than {WORK_CAP} {unit}, the most it is allowed"
-        )
-
-
 def _digits_per_count(n: int) -> int:
-    """The digits of 4^(n+1), at least those of any count at rank n.
+    """The digits of 4^(n+1), at least those of any count at rank n: every
+    count at rank n is at most C_{n+1} < 4^(n+1).
 
     That is floor(m log10 2) + 1 for m = 2n + 2, with log10 2 to 20 places
     so that no power of 4 is built.  It is exact for every m up to
@@ -119,7 +96,7 @@ def _cmd_enum(args) -> int:
         blocks = args.n * counting.catalan(args.n + 1) // 2
     else:
         blocks = args.size * counting.narayana(args.n, args.size)
-    _output_rule(blocks, "blocks", "enum")
+    check_output(blocks, "blocks", "enum")
     for w in enumerate_fc(args.n, args.size):
         print(json.dumps(w.to_json()) if args.json else w.to_text())
     return 0
@@ -129,7 +106,7 @@ def _cmd_count(args) -> int:
     n = args.n
     check_rank(n)
     row = args.narayana or args.triangle
-    _output_rule((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
+    check_output((n + 1 if row else 1) * _digits_per_count(n), "digits", "count")
     if args.narayana:
         values = counting.narayana_row(n)
     elif args.triangle:
@@ -177,7 +154,7 @@ def _cmd_table(args) -> int:
         args.usage_error(f"argument --n: must be >= {low} for table {args.kind}, got {n}")
     check_rank(n)
     indices = range(low, n + 1)
-    _output_rule(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
+    check_output(len(indices) ** 2 * _digits_per_count(n), "digits", "table")
     header = [corner] + [str(c) for c in indices]
     rows = ([str(r)] + row_of(n, r, indices) for r in indices)
     if args.format == "csv":
@@ -196,12 +173,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_to_diagram(args) -> int:
-    from .bijection import diagram_of, fc_to_diagram, trace_candidates
+    from .bijection import diagram_of, fc_to_diagram
     from .fc import parse_fc
 
     w = parse_fc(args.element)
     if args.trace:
-        _output_rule(trace_candidates(w), "candidate dots", "to-diagram --trace")
         diagram, trace = fc_to_diagram(w)
     else:
         diagram = diagram_of(w)
@@ -305,7 +281,7 @@ def _cmd_census(args) -> int:
 
     _check_at_most(args, "p", args.n)
     check_rank(args.n)
-    _output_rule((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
+    check_output((args.n + 1) * counting.narayana(args.n, args.p), "arrows", "census")
     classes = tl.census(args.n, args.p)
     texts = tl.key_texts([key for key, _ in classes], args.n + 1)
     if args.json:

@@ -36,6 +36,14 @@ Under the cap each count of a rank is computed exactly and cheaply
   :data:`MAX_DIGITS` digits (:func:`read_decimal`: ``parse_fc``,
   ``parse_diagram``), raise :class:`ParseError`.
 
+The output rule: what one call lists, counted in its own unit, is at most
+:data:`MAX_OUTPUT` (10^7), or :func:`check_output` raises
+:class:`RankOutOfRangeError`, leaving the amount out.
+``bijection.fc_to_diagram`` counts the candidate dots of its trace as it
+records them (1.25 G on the rank-10^5 staircase); ``cli``'s ``enum``
+(blocks), ``census`` (arrows), ``count`` and ``table`` (digits) check an
+estimate before any work.
+
 The number rule bounds only text-form numbers and the ints a refusal
 quotes: an int of more than MAX_DIGITS digits is no text-form number, and
 a refusal message names it (:func:`shown`) instead of writing it out.
@@ -48,6 +56,9 @@ runs into the recursion limit.
 
 # The rank rule: the highest rank, one less than the most strings.
 MAX_RANK = 10**5
+
+# The output rule: the most one call may list, in its own unit.
+MAX_OUTPUT = 10**7
 
 # The number rule; LONG_INT is the least positive int it refuses.
 MAX_DIGITS = 640
@@ -211,6 +222,13 @@ def check_rank(rank: object) -> None:
         if rank < 0:
             raise RankOutOfRangeError(f"rank must be nonnegative, got {shown(rank)}")
         raise RankOutOfRangeError(f"rank is more than {MAX_RANK}, the highest rank allowed")
+
+
+def check_output(amount: int, unit: str, what: str) -> None:
+    """Refuse by the output rule ``amount`` of ``unit`` that ``what`` would list."""
+    if amount > MAX_OUTPUT:
+        message = f"{what} may print more than {MAX_OUTPUT} {unit}, the most it is allowed"
+        raise RankOutOfRangeError(message)
 
 
 def check_size(size: object) -> None:

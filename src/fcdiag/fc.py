@@ -55,6 +55,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     MAX_DIGITS,
     IdentityHasNoDescentsError,
+    IndexOutOfRangeError,
     NotStandardError,
     NotThickError,
     ParseError,
@@ -337,15 +338,16 @@ def enumerate_fc(rank: int, size: int | None = None) -> Iterator[FCElement]:
 def is_saturated_in(blocks: Iterable[Pair], lo: int, hi: int) -> bool:
     """True when the blocks cover every generator index in [lo, hi].
 
-    An empty window (lo > hi) is vacuously saturated.
+    An empty window (lo > hi) is vacuously saturated.  One sweep by start:
+    once a block starts above ``need``, the lowest index not yet covered,
+    so does every later one.
     """
-    if lo > hi:
-        return True
-    covered = [False] * (hi - lo + 1)
-    for i, j in blocks:
-        for h in range(max(i, lo), min(j, hi) + 1):
-            covered[h - lo] = True
-    return all(covered)
+    need = lo
+    for i, j in sorted(blocks):
+        if need > hi or i > need:
+            break
+        need = max(need, j + 1)
+    return need > hi
 
 
 # ----------------------------------------------------------------------
@@ -476,9 +478,13 @@ def fc_from_json(obj: dict) -> FCElement:
 
 
 def permutation_of_word(rank: int, word: Sequence[int]) -> tuple[int, ...]:
-    """Multiply out a word of adjacent transpositions, left to right."""
+    """Multiply out a word of adjacent transpositions, left to right,
+    refusing a rank by the rank rule and a letter not an int in 1..rank."""
+    check_rank(rank)
     images = list(range(1, rank + 2))
     for k in word:
+        if type(k) is not int or not 0 < k <= rank:
+            raise IndexOutOfRangeError(f"rank {rank} has no generator {shown(k)!r}")
         images[k - 1], images[k] = images[k], images[k - 1]
     return tuple(images)
 

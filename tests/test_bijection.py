@@ -1,6 +1,7 @@
 """The multiplication-compatible correspondence and its two algorithms."""
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,8 @@ from fcdiag import (
     FCDiagramError,
     FCElement,
     IndexOutOfRangeError,
+    NotMatchingError,
+    RankOutOfRangeError,
     UnexpectedLoopError,
     block_pairs,
     concatenate,
@@ -24,9 +27,8 @@ from fcdiag import (
     parse_diagram,
     parse_fc,
     reference_drawings,
-    trace_candidates,
 )
-from fcdiag import bijection
+from fcdiag import bijection, errors
 from fcdiag.diagram import run_action
 from fcdiag.verify import _trace_faults
 from helpers import (
@@ -125,10 +127,6 @@ class TestDirectAlgorithm:
         assert d == Diagram.identity(5)
         assert trace.positive_pairs == ()
 
-    @pytest.mark.parametrize("n", range(0, 7))
-    def test_equals_concatenation_oracle(self, n):
-        assert_holds("bijection.oracle-equivalence", n)
-
     @pytest.mark.parametrize("n", range(0, 8))
     def test_reference_sweep_equals_per_element_oracle(self, n):
         # the sweep behind oracle-equivalence extends each parent's drawing
@@ -168,8 +166,7 @@ class TestDirectAlgorithm:
 
 def assert_literal(w: FCElement) -> None:
     """The drawing and trace equal the literal five passes, each candidate
-    set in ascending order, and ``trace_candidates`` counts the dots the
-    trace lists."""
+    set in ascending order."""
     drawn, trace = fc_to_diagram(w)
     literal, oracle = fc_to_diagram_literal(w)
 
@@ -180,8 +177,6 @@ def assert_literal(w: FCElement) -> None:
         oracle, top_sets=ascending(oracle.top_sets), bottom_sets=ascending(oracle.bottom_sets)
     )
     assert (drawn, trace) == (literal, oracle)
-    sets = trace.top_sets + trace.bottom_sets
-    assert trace_candidates(w) == sum(len(cands) for cands, _ in sets)
 
 
 class TestLiteralOracle:
@@ -306,6 +301,42 @@ class TestKernel:
         assert (product, m1 + m2 + m3) == (reading, loops)
 
 
+# The refusal of a trace past the output cap.
+TRACE_REFUSAL = (
+    "the drawing trace may print more than 10000000 candidate dots, the most it is allowed"
+)
+
+
+class TestTraceCap:
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_staircase_refused(self, n):
+        # 12 507 500 and 1 250 075 000 candidate dots: refused as they are
+        # recorded, before the trace could list them
+        w = staircase(n)
+        start = time.perf_counter()
+        with pytest.raises(RankOutOfRangeError) as error:
+            fc_to_diagram(w)
+        assert time.perf_counter() - start < 1
+        assert str(error.value) == TRACE_REFUSAL
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_staircase_drawn_without_a_trace(self, n):
+        w = staircase(n)
+        assert diagram_to_fc(diagram_of(w)) == w
+
+    def test_at_the_cap(self, monkeypatch):
+        # the worked example lists 7 candidate dots: 2 + 1 + 1 on top, 1 + 1 + 1 below
+        sets = fc_to_diagram(W_EXAMPLE)[1]
+        assert sum(len(c) for c, _ in sets.top_sets + sets.bottom_sets) == 7
+        monkeypatch.setattr(errors, "MAX_OUTPUT", 7)
+        assert fc_to_diagram(W_EXAMPLE)[1] == sets
+        monkeypatch.setattr(errors, "MAX_OUTPUT", 6)
+        with pytest.raises(RankOutOfRangeError) as error:
+            fc_to_diagram(W_EXAMPLE)
+        assert str(error.value) == TRACE_REFUSAL.replace("10000000", "6")
+        assert diagram_of(W_EXAMPLE) == parse_diagram("strings=6;1-2,3-6,4-5,1'-2',3'-4',5'-6'")
+
+
 class TestReader:
     def test_identity_diagram(self):
         assert diagram_to_fc(Diagram.identity(5)) == FCElement(4)
@@ -320,6 +351,12 @@ class TestReader:
     @pytest.mark.parametrize("n", range(0, 8))
     def test_roundtrip_from_elements(self, n):
         assert_holds("bijection.roundtrips", n)
+
+    @pytest.mark.parametrize("strings, partner", [(3, []), (10**9, []), (2, [1, 0, 3, 2, 0])])
+    def test_partner_of_the_wrong_length_refused(self, strings, partner):
+        with pytest.raises(NotMatchingError) as error:
+            block_pairs(strings, partner)
+        assert str(error.value) == f"partner must have 2 * {strings} entries, got {len(partner)}"
 
 
 class TestTrace:

@@ -27,8 +27,8 @@ from fcdiag import (
     parse_diagram,
     parse_fc,
     tl,
-    trace_candidates,
 )
+from fcdiag import bijection, errors
 from fcdiag.cli import main
 from fcdiag.errors import MAX_RANK
 from helpers import digit_limit, fc_elements, random_fc, staircase
@@ -44,12 +44,13 @@ def run(capsys, *argv):
 RANK_REFUSAL = "error: rank is more than 100000, the highest rank allowed\n"
 
 
-def output_refusal(command, unit):
+def output_refusal(what, unit):
     """The stderr line of the output rule."""
-    return f"error: {command} may print more than 10000000 {unit}, the most it is allowed\n"
+    return f"error: {what} may print more than 10000000 {unit}, the most it is allowed\n"
 
 
 ENUM_REFUSAL = output_refusal("enum", "blocks")
+TRACE_REFUSAL = output_refusal("the drawing trace", "candidate dots")
 CENSUS_REFUSAL = output_refusal("census", "arrows")
 
 
@@ -143,48 +144,48 @@ class TestConversions:
         assert payload["trace"]["positive_pairs"] == [[2, 1]]
 
     def test_to_diagram_trace_above_the_work_cap(self, capsys):
-        # the n = 10 000 staircase: its candidate sets are quadratic in its size
+        # the n = 10 000 staircase: its 12 507 500 candidate dots are
+        # quadratic in its size, and the drawing stops at the cap
         text = staircase(10_000).to_text()
         start = time.perf_counter()
         code, out, err = run(capsys, "to-diagram", "--trace", text)
         assert time.perf_counter() - start < 1
-        assert (code, out) == (1, "")
-        assert trace_candidates(staircase(10_000)) == 12_507_500
-        assert err == (
-            f"error: to-diagram --trace may print more than {cli.WORK_CAP} candidate dots, "
-            "the most it is allowed\n"
-        )
+        assert (code, out, err) == (1, "", TRACE_REFUSAL)
 
     def test_to_diagram_trace_at_the_rank_cap(self, capsys):
-        # the n = 10^5 staircase lists 1.25 G candidate dots: counted by one
-        # untraced drawing, and refused before the traced one
-        w = staircase(100_000)
-        start = time.perf_counter()
-        assert trace_candidates(w) == 1_250_075_000
-        assert time.perf_counter() - start < 1
-        text = w.to_text()
+        # the n = 10^5 staircase lists 1.25 G candidate dots: the one
+        # traced drawing is refused once it has recorded 10^7
+        text = staircase(100_000).to_text()
         start = time.perf_counter()
         code, out, err = run(capsys, "to-diagram", "--trace", text)
         assert time.perf_counter() - start < 1
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: to-diagram --trace may print more than {cli.WORK_CAP} candidate dots, "
-            "the most it is allowed\n"
-        )
+        assert (code, out, err) == (1, "", TRACE_REFUSAL)
 
     def test_to_diagram_trace_at_the_work_cap(self, capsys, monkeypatch):
+        # the worked example lists 7 candidate dots
         text = "n=5:[4,5][3,3][1,1]"
-        dots = trace_candidates(parse_fc(text))
-        assert dots == 7
-        monkeypatch.setattr(cli, "WORK_CAP", dots)
+        monkeypatch.setattr(errors, "MAX_OUTPUT", 7)
         code, out, _ = run(capsys, "to-diagram", "--trace", text)
         assert code == 0 and out.count("\n") == 2
-        monkeypatch.setattr(cli, "WORK_CAP", dots - 1)
+        monkeypatch.setattr(errors, "MAX_OUTPUT", 6)
         assert run(capsys, "to-diagram", "--trace", "--json", text) == (
             1,
             "",
-            "error: to-diagram --trace may print more than 6 candidate dots, the most it is allowed\n",
+            "error: the drawing trace may print more than 6 candidate dots, the most it is allowed\n",
         )
+
+    def test_to_diagram_trace_draws_once(self, capsys, monkeypatch):
+        calls = []
+        draw = bijection._draw
+
+        def spy(w, traced):
+            calls.append(traced)
+            return draw(w, traced)
+
+        monkeypatch.setattr(bijection, "_draw", spy)
+        code, out, _ = run(capsys, "to-diagram", "--trace", "n=5:[4,5][3,3][1,1]")
+        assert code == 0 and out.count("\n") == 2
+        assert calls == [True]
 
     def test_convert_fc_to_ballot(self, capsys):
         code, out, _ = run(
@@ -276,7 +277,7 @@ class TestEnumAndTable:
         assert time.perf_counter() - start < 2
         # 17 383 860 blocks at rank 13; rank 12 prints 4 457 400
         assert run(capsys, "enum", "--n", "13") == (1, "", ENUM_REFUSAL)
-        assert 12 * catalan(13) // 2 <= cli.WORK_CAP < 13 * catalan(14) // 2
+        assert 12 * catalan(13) // 2 <= errors.MAX_OUTPUT < 13 * catalan(14) // 2
 
     def test_enum_count_past_the_float_range(self, capsys):
         # the rank rule refuses before any count, so no count is estimated
@@ -389,7 +390,7 @@ class TestCensusCommand:
 
     def test_above_the_listing_cap(self, capsys):
         # 41 N(40, 20) arrows, with more class keys than the cap
-        assert 41 * narayana(40, 20) > narayana(40, 20) > cli.WORK_CAP
+        assert 41 * narayana(40, 20) > narayana(40, 20) > errors.MAX_OUTPUT
         assert run(capsys, "census", "--n", "40", "--p", "20") == (1, "", CENSUS_REFUSAL)
 
     def test_above_the_work_cap(self, capsys):
@@ -603,7 +604,7 @@ def digits_at_rank(n):
 def largest_within_cap(n, values_at):
     """Whether n is the largest rank whose ``values_at(n)`` values, of at
     most ``digits_at_rank(n)`` digits each, stay within the output cap."""
-    within = [values_at(m) * digits_at_rank(m) <= cli.WORK_CAP for m in (n, n + 1)]
+    within = [values_at(m) * digits_at_rank(m) <= errors.MAX_OUTPUT for m in (n, n + 1)]
     return within == [True, False]
 
 
@@ -627,7 +628,7 @@ class TestCountAndTableBounds:
     def test_refused_at_once(self, capsys, argv, values, err):
         n = int(argv[argv.index("--n") + 1])
         if n <= MAX_RANK:
-            assert values * digits_at_rank(n) > cli.WORK_CAP
+            assert values * digits_at_rank(n) > errors.MAX_OUTPUT
         start = time.perf_counter()
         assert run(capsys, *argv) == (1, "", err)
         assert time.perf_counter() - start < 2

@@ -48,6 +48,7 @@ from fcdiag import (
     parse_diagram,
     parse_dyck,
     parse_fc,
+    permutation_of_word,
 )
 from fcdiag import fc
 from fcdiag.errors import MAX_RANK
@@ -947,6 +948,46 @@ class TestSupportAndSaturation:
         assert is_saturated_in([(3, 4), (2, 2)], 2, 4)
         assert not is_saturated_in([(4, 4)], 2, 4)
         assert is_saturated_in([], 5, 4)  # empty window is vacuous
+
+    def test_saturation_sweep_equals_the_definition(self):
+        # every window over every set of up to three blocks in 1..5,
+        # reversed ones included, against each index covered in turn
+        def covered(blocks, lo, hi):
+            return all(any(i <= h <= j for i, j in blocks) for h in range(lo, hi + 1))
+
+        blocks = list(itertools.product(range(1, 6), repeat=2))
+        for size in range(4):
+            for chosen in itertools.combinations(blocks, size):
+                for lo, hi in itertools.product(range(0, 8), repeat=2):
+                    assert is_saturated_in(chosen, lo, hi) is covered(chosen, lo, hi)
+
+    def test_saturation_of_a_wide_window(self):
+        # no list the size of the window is built
+        start = time.perf_counter()
+        assert not is_saturated_in(((1, 2),), 1, 10**9)
+        assert is_saturated_in(((1, 10**9),), 1, 10**9)
+        assert time.perf_counter() - start < 0.1
+
+
+class TestPermutationOfWord:
+    def test_rank_above_the_cap_refused(self):
+        start = time.perf_counter()
+        with pytest.raises(RankOutOfRangeError, match="rank is more than 100000"):
+            permutation_of_word(10**9, ())
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "rank, word, shown",
+        [(0, (1,), "1"), (3, (4,), "4"), (3, (1, 0), "0"), (3, (-1,), "-1"), (3, (True,), "True")],
+    )
+    def test_letter_outside_the_rank_refused(self, rank, word, shown):
+        with pytest.raises(IndexOutOfRangeError) as error:
+            permutation_of_word(rank, word)
+        assert str(error.value) == f"rank {rank} has no generator {shown}"
+
+    def test_word(self):
+        assert permutation_of_word(3, (1, 2, 1)) == (3, 2, 1, 4)
+        assert permutation_of_word(0, ()) == (1,)
 
 
 class TestEnumeration:

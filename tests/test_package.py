@@ -23,7 +23,7 @@ SRC = str(Path(fcdiag.__file__).resolve().parent.parent)
 # front, by the submodule that defines it.
 EXPORTS = {
     "bijection": """BijectionTrace block_pairs diagram_of diagram_to_fc dplus_condition
-        fc_to_diagram fc_to_diagram_reference reference_drawings trace_candidates""",
+        fc_to_diagram fc_to_diagram_reference reference_drawings""",
     "counting": """StartEndCount appendix_binomial_identity_check catalan catalan_row
         count_first_block count_last_block count_size_end count_start_end
         count_start_size narayana narayana_row triangle_end triangle_row triangle_start""",
